@@ -3,10 +3,12 @@ partial actions, with machine verification that the two sides of the
 Steinberg/crossed-product isomorphism agree on every basis element.
 
 On a finite discrete groupoid the Steinberg algebra is all functions
-arrow -> R under convolution; crossed products are quotients L/N computed by
-exact row reduction over a field.
+arrow -> R under convolution.  A crossed product L/N is the free R-module,
+over Q, Z or Z/n, on the classes of the relation that N's generators impose
+on the basis of L.
 """
 
+import random
 from dataclasses import dataclass
 
 from . import germs, paction, rings
@@ -57,6 +59,7 @@ class SteinbergElement:
         return SteinbergElement(self.groupoid, self.ring, out)
 
     def __sub__(self, other):
+        self._check(other)
         return self + other.scale(self.ring.neg(self.ring.one))
 
     def scale(self, c):
@@ -189,19 +192,16 @@ class CrossedProductError(ValueError):
         self.witness = witness
 
 
-class NotAField(CrossedProductError):
-    pass
-
-
 @dataclass
 class CrossedProduct:
     """L / N for an algebraic partial action with point-indicator ideals.
 
     L has basis (s, x) for x in the support of D_s, standing for 1_x delta_s;
-    N is spanned by 1_x delta_r - 1_x delta_s for r <= s with x in X_r.
-    Reduction is by row echelon over the coefficient field with the fixed
-    basis order (s-index major, point-index minor), so reduced coordinate
-    vectors are canonical forms.
+    N is spanned by 1_x delta_r - 1_x delta_s for r <= s with x in X_r, so L/N
+    is free over Q, Z or Z/n on the classes of (r, x) ~ (s, x).  rep maps each
+    basis index to the largest index of its class in the fixed basis order
+    (s-index major, point-index minor); the other indices are the pivots a
+    leftmost-pivot row reduction of N's generators would find.
     """
 
     action: object
@@ -209,27 +209,30 @@ class CrossedProduct:
     basis: tuple
     basis_index: dict
     theta_maps: tuple
-    n_rows: tuple
+    rep: tuple
     n_pivots: tuple
     quotient_dim: int
     quotient_basis: tuple
 
-    def reduce(self, vec):
-        return tuple(rings.reduce_vector(self.ring, vec, self.n_rows, self.n_pivots))
+    def reduce(self, terms):
+        """Canonical form of the sum of c * basis[i] over the (i, c) in terms:
+        each coefficient summed onto its class representative, zeros dropped."""
+        ring = self.ring
+        out = {}
+        for i, c in terms:
+            r = self.rep[i]
+            out[r] = ring.add(out.get(r, ring.zero), c)
+        return {r: c for r, c in out.items() if c != ring.zero}
 
     def delta(self, s, x):
         """The class of 1_x delta_s."""
-        vec = [self.ring.zero] * len(self.basis)
-        vec[self.basis_index[(s, x)]] = self.ring.one
-        return CrossedProductElement(self, self.reduce(vec))
+        return self.basis_element(self.basis_index[(s, x)])
 
     def basis_element(self, i):
-        vec = [self.ring.zero] * len(self.basis)
-        vec[i] = self.ring.one
-        return CrossedProductElement(self, self.reduce(vec))
+        return CrossedProductElement(self, {self.rep[i]: self.ring.one})
 
     def zero(self):
-        return CrossedProductElement(self, tuple([self.ring.zero] * len(self.basis)))
+        return CrossedProductElement(self, {})
 
     def mono_mul(self, a, b):
         """(1_x delta_s)(1_y delta_t) = 1_x delta_st when theta_{s*}(x) = y, else None."""
@@ -241,33 +244,33 @@ class CrossedProduct:
 
 
 def crossed_product_build(alg, check_associativity=200, rng=None):
-    """Build L, N and the reduced quotient for an algebraic partial action
-    whose ideals are spanned by point indicators (dual actions always are).
-    Associativity of L is verified on basis triples."""
+    """Build L, the classes of N's generators and the quotient for an
+    algebraic partial action whose ideals are spanned by point indicators
+    (dual actions always are).  Associativity of L is verified on basis triples."""
     ring = alg.ring
-    if not ring.is_field():
-        raise NotAField(f"crossed product quotients need a field, got {ring!r}")
     S = alg.semigroup
     theta = _indicator_maps(alg)
     supports = [sorted(paction.ideal_support(ring, alg.ideal_gens[s])) for s in range(len(S))]
     basis = tuple((s, x) for s in range(len(S)) for x in supports[s])
     index = {sx: i for i, sx in enumerate(basis)}
-    gens = []
+    parent = list(range(len(basis)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for r in range(len(S)):
         for s in range(len(S)):
             if r != s and natural_leq(S, r, s):
                 for x in supports[r]:
-                    vec = [ring.zero] * len(basis)
-                    vec[index[(r, x)]] = ring.one
-                    vec[index[(s, x)]] = ring.neg(ring.one)
-                    gens.append(vec)
-    n_rows, n_pivots = rings.rref(ring, gens) if gens else ([], [])
-    qdim = len(basis) - len(n_pivots)
-    qbasis = tuple(i for i in range(len(basis)) if i not in set(n_pivots))
-    cp = CrossedProduct(
-        alg, ring, basis, index, theta,
-        tuple(map(tuple, n_rows)), tuple(n_pivots), qdim, qbasis,
-    )
+                    a, b = find(index[(r, x)]), find(index[(s, x)])
+                    parent[min(a, b)] = max(a, b)
+    rep = tuple(find(i) for i in range(len(basis)))
+    qbasis = tuple(i for i in range(len(basis)) if rep[i] == i)
+    pivots = tuple(i for i in range(len(basis)) if rep[i] != i)
+    cp = CrossedProduct(alg, ring, basis, index, theta, rep, pivots, len(qbasis), qbasis)
     _check_l_associativity(cp, check_associativity, rng)
     return cp
 
@@ -293,15 +296,16 @@ def _indicator_maps(alg):
 
 
 def _check_l_associativity(cp, budget, rng):
+    """(ab)c = a(bc) on all basis triples, or on budget of them drawn by index."""
     n = len(cp.basis)
-    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    triples = range(n ** 3)
     if budget is not None and len(triples) > budget:
         if rng is None:
-            import random
-
             rng = random.Random(0)
         triples = rng.sample(triples, budget)
-    for a, b, c in triples:
+    for t in triples:
+        a, rest = divmod(t, n * n)
+        b, c = divmod(rest, n)
         ab = cp.mono_mul(a, b)
         bc = cp.mono_mul(b, c)
         left = cp.mono_mul(ab, c) if ab is not None else None
@@ -311,11 +315,21 @@ def _check_l_associativity(cp, budget, rng):
 
 
 class CrossedProductElement:
-    __slots__ = ("cp", "vec")
+    """Sparse canonical form {class representative: nonzero coefficient}."""
 
-    def __init__(self, cp, vec):
+    __slots__ = ("cp", "coeffs")
+
+    def __init__(self, cp, coeffs):
         self.cp = cp
-        self.vec = tuple(vec)
+        self.coeffs = coeffs
+
+    @property
+    def vec(self):
+        """Dense coordinates over the basis of L, zero off the representatives."""
+        v = [self.cp.ring.zero] * len(self.cp.basis)
+        for i, c in self.coeffs.items():
+            v[i] = c
+        return tuple(v)
 
     def _check(self, other):
         if not isinstance(other, CrossedProductElement) or self.cp is not other.cp:
@@ -323,53 +337,50 @@ class CrossedProductElement:
 
     def __add__(self, other):
         self._check(other)
-        ring = self.cp.ring
-        return CrossedProductElement(self.cp, tuple(ring.add(a, b) for a, b in zip(self.vec, other.vec)))
+        return CrossedProductElement(
+            self.cp, self.cp.reduce([*self.coeffs.items(), *other.coeffs.items()])
+        )
 
     def __sub__(self, other):
         self._check(other)
-        ring = self.cp.ring
-        return CrossedProductElement(self.cp, tuple(ring.sub(a, b) for a, b in zip(self.vec, other.vec)))
+        return self + other.scale(self.cp.ring.neg(self.cp.ring.one))
 
     def scale(self, c):
         ring = self.cp.ring
-        return CrossedProductElement(self.cp, tuple(ring.mul(c, a) for a in self.vec))
+        return CrossedProductElement(
+            self.cp, self.cp.reduce((i, ring.mul(c, a)) for i, a in self.coeffs.items())
+        )
 
     def __mul__(self, other):
         return cp_multiply(self, other)
 
     def __eq__(self, other):
-        return isinstance(other, CrossedProductElement) and self.cp is other.cp and self.vec == other.vec
+        return isinstance(other, CrossedProductElement) and self.cp is other.cp and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.vec)
+        return hash(frozenset(self.coeffs.items()))
 
     def is_zero(self):
-        z = self.cp.ring.zero
-        return all(v == z for v in self.vec)
+        return not self.coeffs
 
 
 def cp_multiply(x, y):
-    """Multiply in L monomial-by-monomial, then reduce modulo N."""
+    """Multiply in L monomial-by-monomial over the two supports, then reduce modulo N."""
     x._check(y)
     cp = x.cp
     ring = cp.ring
-    out = [ring.zero] * len(cp.basis)
-    for i, ci in enumerate(x.vec):
-        if ci == ring.zero:
-            continue
-        for j, cj in enumerate(y.vec):
-            if cj == ring.zero:
-                continue
+    terms = []
+    for i, ci in x.coeffs.items():
+        for j, cj in y.coeffs.items():
             k = cp.mono_mul(i, j)
             if k is not None:
-                out[k] = ring.add(out[k], ring.mul(ci, cj))
-    return CrossedProductElement(cp, cp.reduce(out))
+                terms.append((k, ring.mul(ci, cj)))
+    return CrossedProductElement(cp, cp.reduce(terms))
 
 
 def cp_equal(x, y):
     x._check(y)
-    return x.vec == y.vec
+    return x.coeffs == y.coeffs
 
 
 # --- the Steinberg / crossed product comparison ----------------------------------------
@@ -399,16 +410,14 @@ def verify_steinberg_crossed(theta, ring, rng=None):
         """The arrow supporting Phi(1_x delta_s): the germ of s at theta_{s*}(x)."""
         return gg.germ(s, theta.maps[S.inv(s)][x])
 
-    def phi_basis(s, x):
-        return SteinbergElement.indicator(G, ring, [phi_arrow_of(s, x)])
+    arrow_of = [phi_arrow_of(s, x) for s, x in cp.basis]
+    singleton = [SteinbergElement.indicator(G, ring, [a]) for a in range(len(G.arrows))]
 
-    def phi_vec(vec):
+    def phi(elem):
         out = {}
-        for i, c in enumerate(vec):
-            if c != ring.zero:
-                s, x = cp.basis[i]
-                a = phi_arrow_of(s, x)
-                out[a] = ring.add(out.get(a, ring.zero), c)
+        for i, c in elem.coeffs.items():
+            a = arrow_of[i]
+            out[a] = ring.add(out.get(a, ring.zero), c)
         return SteinbergElement(G, ring, out)
 
     def psi_arrow(a):
@@ -432,47 +441,38 @@ def verify_steinberg_crossed(theta, ring, rng=None):
             )
     # multiplicativity of Phi on all monomial pairs of L (with N killed, this
     # gives multiplicativity on the quotient)
-    for i, (s, x) in enumerate(cp.basis):
-        ai = phi_arrow_of(s, x)
-        for j, (t, y) in enumerate(cp.basis):
-            aj = phi_arrow_of(t, y)
+    zero = SteinbergElement(G, ring)
+    for i in range(len(cp.basis)):
+        for j in range(len(cp.basis)):
             k = cp.mono_mul(i, j)
-            lhs = (
-                SteinbergElement.indicator(G, ring, [phi_arrow_of(*cp.basis[k])])
-                if k is not None
-                else SteinbergElement(G, ring)
-            )
-            rhs = convolve(
-                SteinbergElement.indicator(G, ring, [ai]),
-                SteinbergElement.indicator(G, ring, [aj]),
-            )
-            if lhs != rhs:
+            lhs = singleton[arrow_of[k]] if k is not None else zero
+            if lhs != convolve(singleton[arrow_of[i]], singleton[arrow_of[j]]):
                 raise VerificationFailed(
                     f"Phi not multiplicative on basis pair {cp.basis[i]}, {cp.basis[j]}"
                 )
     # mutual inverses on bases
     for a in range(len(G.arrows)):
-        if phi_vec(psi_arrow(a).vec) != SteinbergElement.indicator(G, ring, [a]):
+        if phi(psi_arrow(a)) != singleton[a]:
             raise VerificationFailed(f"Phi(Psi(.)) != id at arrow {G.arrows[a]}")
-    for i, (s, x) in enumerate(cp.basis):
-        if not cp_equal(psi_arrow(phi_arrow_of(s, x)), cp.basis_element(i)):
+    for i in range(len(cp.basis)):
+        if not cp_equal(psi_arrow(arrow_of[i]), cp.basis_element(i)):
             raise VerificationFailed(f"Psi(Phi(.)) != id at basis element {cp.basis[i]}")
-    # diagonal <-> diagonal
+    # diagonal <-> diagonal: the classes of the 1_x delta_e are a basis of the
+    # crossed product diagonal, so an element is diagonal iff its support
+    # lies among them
     unit_set = set(G.units)
-    diag_vecs = []
+    diag = set()
     for e in S.idempotents:
         for x in theta.domains[e]:
-            if any(a not in unit_set for a in phi_basis(e, x).coeffs):
+            if phi_arrow_of(e, x) not in unit_set:
                 raise VerificationFailed("Phi does not map the diagonal into D_R(G)")
-            diag_vecs.append(list(cp.delta(e, x).vec))
-    dred, dpiv = rings.rref(ring, diag_vecs) if diag_vecs else ([], [])
-    if len(dpiv) != len(G.units):
+            diag.update(cp.delta(e, x).coeffs)
+    if len(diag) != len(G.units):
         raise VerificationFailed(
-            f"crossed product diagonal has dimension {len(dpiv)}, expected {len(G.units)}"
+            f"crossed product diagonal has dimension {len(diag)}, expected {len(G.units)}"
         )
     for u in G.units:
-        resid = rings.reduce_vector(ring, list(psi_arrow(u).vec), dred, dpiv)
-        if any(v != ring.zero for v in resid):
+        if not diag.issuperset(psi_arrow(u).coeffs):
             raise VerificationFailed(f"Psi(1_{G.arrows[u]}) is not diagonal")
     return {
         "dims": {

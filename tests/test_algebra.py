@@ -190,10 +190,53 @@ def test_crossed_product_dims_z2_swap_two_points():
     assert (len(cp.basis), len(cp.n_pivots), cp.quotient_dim) == (4, 0, 4)
 
 
-def test_crossed_product_needs_field():
-    theta = catalog.action("munn-chain2")
-    with pytest.raises(algebra.NotAField):
-        algebra.crossed_product_build(paction.dual_action(theta, rings.RING_Z))
+def test_crossed_product_over_non_fields():
+    # L/N is free over any commutative ring: the classes do not depend on it,
+    # and coefficients that a zero divisor kills drop out of the support
+    Z6 = rings.ring_zmod(6)
+    for name in catalog.ACTION_NAMES:
+        theta = catalog.action(name)
+        cp_q = algebra.crossed_product_build(paction.dual_action(theta, Q))
+        for ring in (rings.RING_Z, Z6):
+            cp = algebra.crossed_product_build(paction.dual_action(theta, ring))
+            assert (cp.n_pivots, cp.quotient_basis) == (cp_q.n_pivots, cp_q.quotient_basis), name
+    cp, _ = _cp("munn-chain2", Z6)
+    x = cp.basis_element(0).scale(2)
+    assert not x.is_zero() and x.scale(3).is_zero()
+    assert (x + x + x).is_zero() and algebra.cp_equal(x - x, cp.zero())
+
+
+def _n_generators(cp, theta, ring):
+    S = theta.semigroup
+    gens = []
+    for r in range(len(S)):
+        for s in range(len(S)):
+            if r != s and invsemi.natural_leq(S, r, s):
+                for x in theta.domains[r]:
+                    vec = [ring.zero] * len(cp.basis)
+                    vec[cp.basis_index[(r, x)]] = ring.one
+                    vec[cp.basis_index[(s, x)]] = ring.neg(ring.one)
+                    gens.append(vec)
+    return gens
+
+
+def test_quotient_matches_rref_oracle():
+    # the class representatives are exactly the non-pivots of a leftmost-pivot
+    # row reduction of N's generators, and summing onto them is its residue;
+    # I_3 runs over Z/5, where the dense reduction is an order faster than over Q
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    cases = [(catalog.action(name), Q) for name in catalog.ACTION_NAMES]
+    cases.append((invsemi.munn_representation(S3), rings.ring_zmod(5)))
+    for theta, ring in cases:
+        cp = algebra.crossed_product_build(paction.dual_action(theta, ring))
+        gens = _n_generators(cp, theta, ring)
+        red, piv = rings.rref(ring, gens) if gens else ([], [])
+        assert cp.n_pivots == tuple(piv)
+        assert cp.quotient_dim == len(cp.basis) - len(piv)
+        for i in range(len(cp.basis)):
+            e = [ring.zero] * len(cp.basis)
+            e[i] = ring.one
+            assert cp.basis_element(i).vec == tuple(rings.reduce_vector(ring, e, red, piv))
 
 
 def test_local_unit_acts_as_identity():
@@ -303,6 +346,17 @@ def test_ample_action_realizes_steinberg_as_crossed_product():
     assert rep["dims"]["quotient"] == 4
 
 
-def test_verify_rejects_non_field():
-    with pytest.raises(algebra.NotAField):
-        algebra.verify_steinberg_crossed(catalog.action("munn-chain2"), rings.RING_Z)
+@pytest.mark.parametrize("ringspec", ["Z", "Zp:6"])
+def test_verify_steinberg_crossed_over_non_fields(ringspec):
+    ring = rings.parse_ring_spec(ringspec)
+    for name in catalog.ACTION_NAMES:
+        rep = algebra.verify_steinberg_crossed(catalog.action(name), ring)
+        assert rep["checks"] == "all passed", name
+        assert rep["dims"] == algebra.verify_steinberg_crossed(catalog.action(name), Q)["dims"], name
+
+
+def test_verify_steinberg_crossed_self_action_i3():
+    # the |L|^3 associativity population is sampled by index, not listed
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    rep = algebra.verify_steinberg_crossed(invsemi.canonical_self_action(S3), rings.ring_zmod(5))
+    assert rep["dims"] == {"L": 475, "N": 303, "quotient": 172, "steinberg": 172}

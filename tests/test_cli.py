@@ -80,6 +80,12 @@ def test_verify_steinberg_crossed_z5(capsys):
     assert code == 0
 
 
+def test_verify_steinberg_crossed_over_z(capsys):
+    code, out, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--ring", "Z")
+    assert code == 0
+    assert json.loads(out)["dims"] == {"L": 3, "N": 1, "quotient": 2, "steinberg": 2}
+
+
 def test_graph_analyze_loop(capsys):
     code, out, _ = run(capsys, "graph", "analyze", "catalog:loop")
     assert code == 0
