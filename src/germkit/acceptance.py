@@ -37,44 +37,30 @@ def exel_words_closure(G, max_len):
         layer = [w + (g,) for w in layer for g in range(n)]
         words.extend(layer)
     index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    def relate(w1, w2):
-        if w2 and len(w2) <= max_len:
-            union(index[w1], index[w2])
-
-    for w in words:
+    def related(w):
         for p in range(len(w)):
             # [s][1] = [s] and [1][s] = [s]
             if w[p] == one and len(w) >= 2:
-                relate(w, w[:p] + w[p + 1:])
+                yield w[:p] + w[p + 1:]
             # [s^-1][s][t] = [s^-1][st], both directions
             if p + 2 < len(w) and w[p] == G.inv(w[p + 1]):
-                relate(w, w[: p + 1] + (G.mul(w[p + 1], w[p + 2]),) + w[p + 3:])
+                yield w[: p + 1] + (G.mul(w[p + 1], w[p + 2]),) + w[p + 3:]
             if p + 1 < len(w):
                 a, m = w[p], w[p + 1]
-                relate(w, w[: p + 1] + (G.inv(a), G.mul(a, m)) + w[p + 2:])
+                yield w[: p + 1] + (G.inv(a), G.mul(a, m)) + w[p + 2:]
             # [s][t][t^-1] = [st][t^-1], both directions
             if p + 2 < len(w) and w[p + 2] == G.inv(w[p + 1]):
-                relate(w, w[:p] + (G.mul(w[p], w[p + 1]), w[p + 2]) + w[p + 3:])
+                yield w[:p] + (G.mul(w[p], w[p + 1]), w[p + 2]) + w[p + 3:]
             if p + 1 < len(w):
                 # [st][t^-1] expands with t = b^-1, s = m b
                 m, b = w[p], w[p + 1]
-                relate(w, w[:p] + (G.mul(m, b), G.inv(b), b) + w[p + 2:])
-    class_of = {w: find(index[w]) for w in words}
+                yield w[:p] + (G.mul(m, b), G.inv(b), b) + w[p + 2:]
+
+    root = invsemi.union_find(len(words), (
+        (index[w], index[w2]) for w in words for w2 in related(w) if w2 and len(w2) <= max_len
+    ))
+    class_of = {w: root[i] for i, w in enumerate(words)}
     classes = sorted(set(class_of.values()))
     return classes, class_of
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import germs, paction, rings
-from .invsemi import natural_leq
+from .invsemi import members, natural_leq, union_find
 
 
 class SteinbergError(ValueError):
@@ -253,21 +253,16 @@ def crossed_product_build(alg, check_associativity=200, rng=None):
     supports = [sorted(paction.ideal_support(ring, alg.ideal_gens[s])) for s in range(len(S))]
     basis = tuple((s, x) for s in range(len(S)) for x in supports[s])
     index = {sx: i for i, sx in enumerate(basis)}
-    parent = list(range(len(basis)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for r in range(len(S)):
-        for s in range(len(S)):
-            if r != s and natural_leq(S, r, s):
-                for x in supports[r]:
-                    a, b = find(index[(r, x)]), find(index[(s, x)])
-                    parent[min(a, b)] = max(a, b)
-    rep = tuple(find(i) for i in range(len(basis)))
+    root = union_find(len(basis), (
+        (index[(r, x)], index[(s, x)])
+        for s in range(len(S))
+        for r in members(S.below[s])
+        if r != s
+        for x in supports[r]
+    ))
+    # later indices overwrite earlier ones: each class maps to its largest member
+    largest = {r: i for i, r in enumerate(root)}
+    rep = tuple(largest[r] for r in root)
     qbasis = tuple(i for i in range(len(basis)) if rep[i] == i)
     pivots = tuple(i for i in range(len(basis)) if rep[i] != i)
     cp = CrossedProduct(alg, ring, basis, index, theta, rep, pivots, len(qbasis), qbasis)

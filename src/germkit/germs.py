@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import invsemi
-from .invsemi import natural_leq
+from .invsemi import natural_leq, union_find
 
 
 class GroupoidError(ValueError):
@@ -152,33 +152,19 @@ def groupoid_of_germs(theta):
     S = theta.semigroup
     pairs = sorted(theta.pairs())
     pidx = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            parent[rj] = ri
-
     by_point = {}
     for s, x in pairs:
         by_point.setdefault(x, []).append(s)
-    for x, acting in by_point.items():
-        for i, s in enumerate(acting):
-            for t in acting[i + 1:]:
-                if germ_equivalent(theta, s, t, x):
-                    union(pidx[(s, x)], pidx[(t, x)])
-
-    roots = sorted({find(i) for i in range(len(pairs))})
+    root = union_find(len(pairs), (
+        (pidx[(s, x)], pidx[(t, x)])
+        for x, acting in by_point.items()
+        for i, s in enumerate(acting)
+        for t in acting[i + 1:]
+        if germ_equivalent(theta, s, t, x)
+    ))
+    roots = sorted(set(root))
     class_index = {r: k for k, r in enumerate(roots)}
-    pair_class = {p: class_index[find(i)] for p, i in pidx.items()}
+    pair_class = {p: class_index[root[i]] for p, i in pidx.items()}
     reps = tuple(pairs[r] for r in roots)
 
     unit_of_point = []

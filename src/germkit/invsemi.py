@@ -2,10 +2,12 @@
 
 Elements are identified by their index into a declared name list; every
 structural fact (inverses, idempotents, natural order) is computed from the
-table and re-checked at construction time.
+table and re-checked at construction time.  The natural partial order is a
+bit matrix computed once there: below[t] is an int whose bit s is set iff
+s <= t, and every order query reads it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -38,6 +40,7 @@ class InverseSemigroup:
     inverse: tuple
     idempotents: tuple
     zero: object = None
+    below: tuple = field(kw_only=True, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -116,16 +119,31 @@ def validate_inverse_semigroup(elements, table):
         if all(tbl[z][i] == z and tbl[i][z] == z for i in range(n)):
             zero = z
             break
-    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero)
+    # s <= t in the natural partial order iff s = t s* s
+    below = [0] * n
+    for s in range(n):
+        s_s = tbl[inverse[s]][s]
+        for t in range(n):
+            if tbl[t][s_s] == s:
+                below[t] |= 1 << s
+    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=tuple(below))
 
 
 def natural_leq(S, s, t):
     """s <= t in the natural partial order: s = t s* s."""
-    return S.prod(t, S.inv(s), s) == s
+    return bool(S.below[t] >> s & 1)
+
+
+def members(mask):
+    """The set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def common_lower_bounds(S, s, t):
-    return [u for u in range(len(S)) if natural_leq(S, u, s) and natural_leq(S, u, t)]
+    return list(members(S.below[s] & S.below[t]))
 
 
 def is_compatible(S, s, t):
@@ -161,7 +179,7 @@ def e_unitary_via_compatibility(S):
     """Equivalent test: every pair with a common lower bound is compatible."""
     for s in range(len(S)):
         for t in range(s, len(S)):
-            if common_lower_bounds(S, s, t) and not is_compatible(S, s, t):
+            if S.below[s] & S.below[t] and not is_compatible(S, s, t):
                 return False, (s, t)
     return True, None
 
@@ -172,15 +190,20 @@ def is_weak_semilattice(S):
     The family maps each pair (s, t) with s <= t in index order to the
     antichain of maximal common lower bounds (empty when there are none).
     """
+    below = S.below
+    # pairs with the same common lower bounds share one antichain tuple,
+    # which keeps the family small (I_4: 21945 pairs)
+    antichains = {}
     family = {}
     for s in range(len(S)):
         for t in range(s, len(S)):
-            clb = common_lower_bounds(S, s, t)
-            maximal = tuple(
-                u for u in clb
-                if not any(v != u and natural_leq(S, u, v) for v in clb)
-            )
-            family[(s, t)] = maximal
+            clb = below[s] & below[t]
+            if clb not in antichains:
+                covered = 0
+                for v in members(clb):
+                    covered |= below[v] ^ (1 << v)
+                antichains[clb] = tuple(members(clb & ~covered))
+            family[(s, t)] = antichains[clb]
     return True, family
 
 
@@ -194,29 +217,11 @@ def max_group_image(S):
     """Quotient by s ~ t iff s,t have a common lower bound (the minimum group
     congruence), computed by union-find with transitive closure."""
     n = len(S)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            parent[rj] = ri
-
-    for s in range(n):
-        for t in range(s + 1, n):
-            if any(natural_leq(S, u, s) and natural_leq(S, u, t) for u in range(n)):
-                union(s, t)
-
-    reps = sorted({find(i) for i in range(n)})
+    below = S.below
+    root = union_find(n, ((s, t) for s in range(n) for t in range(s + 1, n) if below[s] & below[t]))
+    reps = sorted(set(root))
     rep_index = {r: k for k, r in enumerate(reps)}
-    class_of = tuple(rep_index[find(i)] for i in range(n))
+    class_of = tuple(rep_index[r] for r in root)
     m = len(reps)
     tbl = [[None] * m for _ in range(m)]
     for a, ra in enumerate(reps):
@@ -232,6 +237,30 @@ def max_group_image(S):
     if len(G.idempotents) != 1:
         raise SemigroupError("maximal group image is not a group")
     return GroupImage(G, class_of)
+
+
+def union_find(n, pairs):
+    """Classes of the equivalence on range(n) generated by pairs.
+
+    Returns a tuple mapping each i to the least member of its class; the
+    result does not depend on the order of the pairs.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            # the smaller root wins, so each root stays the least of its class
+            if rj < ri:
+                ri, rj = rj, ri
+            parent[rj] = ri
+    return tuple(find(i) for i in range(n))
 
 
 def is_group(S):

@@ -9,7 +9,7 @@ notion (interior, closure, density) is evaluated literally.
 from dataclasses import dataclass
 
 from . import invsemi, rings
-from .invsemi import natural_leq
+from .invsemi import members, natural_leq
 
 
 class ActionError(ValueError):
@@ -187,8 +187,7 @@ def dynamics_report(theta):
             for t in acting:
                 if theta.theta(s, x) == theta.theta(t, x):
                     if not any(
-                        natural_leq(S, u, s) and natural_leq(S, u, t) and x in theta.maps[u]
-                        for u in range(len(S))
+                        x in theta.maps[u] for u in members(S.below[s] & S.below[t])
                     ):
                         ok = False
                         break

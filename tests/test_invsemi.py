@@ -345,3 +345,91 @@ def test_order_preserved_by_products_and_inverse():
             for u in range(len(S)):
                 assert invsemi.natural_leq(S, S.mul(u, s), S.mul(u, t))
                 assert invsemi.natural_leq(S, S.mul(s, u), S.mul(t, u))
+
+
+def _ladder_semigroup(name):
+    if name == "i3":
+        return invsemi.symmetric_inverse_semigroup(3)[0]
+    if name == "i4":
+        return invsemi.symmetric_inverse_semigroup(4)[0]
+    if name == "sz5":
+        z5 = invsemi.validate_inverse_semigroup(
+            [str(i) for i in range(5)], [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        )
+        return invsemi.exel_semigroup(z5).semigroup
+    return catalog.semigroup(name)
+
+
+@pytest.mark.parametrize("name", catalog.SEMIGROUP_NAMES + ("i3", "i4", "sz5"))
+def test_order_table_matches_defining_formula(name):
+    # the order is a table lookup now, so the defining formula s = t s* s is
+    # written out here as the independent oracle for it and for its readers
+    S = _ladder_semigroup(name)
+    n = len(S)
+    down = [frozenset(s for s in range(n) if S.prod(t, S.inv(s), s) == s) for t in range(n)]
+    for s in range(n):
+        for t in range(n):
+            assert invsemi.natural_leq(S, s, t) == (s in down[t])
+            assert bool(S.below[t] >> s & 1) == (s in down[t])
+    assert all(S.below[t] >> n == 0 for t in range(n))
+
+    family = {}
+    compat_witness = None
+    for s in range(n):
+        for t in range(s, n):
+            clb = sorted(down[s] & down[t])
+            assert invsemi.common_lower_bounds(S, s, t) == clb
+            family[(s, t)] = tuple(
+                u for u in clb if not any(v != u and u in down[v] for v in clb)
+            )
+            if compat_witness is None and clb and not invsemi.is_compatible(S, s, t):
+                compat_witness = (s, t)
+    assert invsemi.is_weak_semilattice(S) == (True, family)
+    expected = (True, None) if compat_witness is None else (False, compat_witness)
+    assert invsemi.e_unitary_via_compatibility(S) == expected
+
+    # minimum group congruence: connected components of "common lower bound",
+    # numbered by least member
+    label = [None] * n
+    classes = 0
+    for s in range(n):
+        if label[s] is None:
+            label[s] = classes
+            stack = [s]
+            while stack:
+                a = stack.pop()
+                for b in range(n):
+                    if label[b] is None and down[a] & down[b]:
+                        label[b] = classes
+                        stack.append(b)
+            classes += 1
+    assert invsemi.max_group_image(S).class_of == tuple(label)
+
+
+def test_union_find_least_member_roots():
+    import random
+
+    rng = random.Random(3)
+    n = 40
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(25)]
+    root = invsemi.union_find(n, iter(pairs))
+    # classes by a plain graph search
+    adj = {i: set() for i in range(n)}
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for b in adj[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+        assert root[i] == min(seen)
+        assert {j for j in range(n) if root[j] == root[i]} == seen
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    assert invsemi.union_find(n, shuffled) == root
+    assert invsemi.union_find(n, [(j, i) for i, j in shuffled]) == root
+    noisy = pairs + [(i, i) for i in range(n)] + pairs
+    assert invsemi.union_find(n, noisy) == root
+    assert invsemi.union_find(n, []) == tuple(range(n))
