@@ -173,31 +173,28 @@ def _load(arg, expect, lenient=False):
         except KeyError as err:
             raise ParseError(str(err))
         raise ParseError(f"catalog does not serve {expect!r} inputs")
-    try:
-        with open(arg) as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ParseError(f"cannot read {arg!r}: {err}")
-    schema, doc = parse_input(text, lenient)
-    if schema != expect:
-        raise ParseError(f"expected a {expect!r} document, got {schema!r}")
-    if expect == "semigroup":
+    return _build(expect, _load_doc(arg, expect, lenient))
+
+
+def _build(kind, doc):
+    if kind == "semigroup":
         return build_semigroup(doc)
-    if expect == "action":
+    if kind == "action":
         return build_action(doc)
-    if expect == "graph":
+    if kind == "graph":
         return build_graph(doc)
     return doc
 
 
 def _load_doc(arg, expect, lenient=False):
+    """Read and parse a JSON file; unless expect is None, its schema must be expect."""
     try:
         with open(arg) as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(f"cannot read {arg!r}: {err}")
     schema, doc = parse_input(text, lenient)
-    if schema != expect:
+    if expect is not None and schema != expect:
         raise ParseError(f"expected a {expect!r} document, got {schema!r}")
     return doc
 
@@ -225,6 +222,7 @@ def emit(report, summary, code):
 
 def cmd_validate(args):
     kind = args.kind
+    doc = None
     if kind == "auto":
         if args.input.startswith("catalog:"):
             name = args.input[8:].lower()
@@ -239,10 +237,10 @@ def cmd_validate(args):
             else:
                 raise ParseError(f"unknown catalog name {name!r}")
         else:
-            with open(args.input) as fh:
-                kind, _ = parse_input(fh.read(), args.lenient)
+            doc = _load_doc(args.input, None, args.lenient)
+            kind = doc["schema"]
     try:
-        obj = _load(args.input, kind, args.lenient)
+        obj = _load(args.input, kind, args.lenient) if doc is None else _build(kind, doc)
     except (invsemi.SemigroupError, paction.ActionError, graph.GraphError) as err:
         return emit(
             {"command": "validate", "ok": False, "error": str(err), "witness": getattr(err, "witness", None)},

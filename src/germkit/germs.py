@@ -49,12 +49,6 @@ class FiniteGroupoid:
     def __len__(self):
         return len(self.arrows)
 
-    def is_unit(self, a):
-        return a in self._unit_set()
-
-    def _unit_set(self):
-        return set(self.units)
-
     def composable(self, a, b):
         return self.source[a] == self.target[b]
 

@@ -256,9 +256,9 @@ def ideal_support(ring, gens):
 
 
 def spans_equal(ring, gens_a, gens_b):
-    return all(rings.solve_in_span(ring, gens_b, g) is not None for g in gens_a) and all(
-        rings.solve_in_span(ring, gens_a, g) is not None for g in gens_b
-    )
+    in_a = rings.span_solver(ring, gens_a)
+    in_b = rings.span_solver(ring, gens_b)
+    return all(in_b(g) is not None for g in gens_a) and all(in_a(g) is not None for g in gens_b)
 
 
 def dual_action(theta, ring):
@@ -287,29 +287,31 @@ def recover_action_from_dual(alg):
     S = alg.semigroup
     dim = len(alg.carrier)
     supports = []
+    solvers = []
     for s in range(len(S)):
-        gens = [list(g) for g in alg.ideal_gens[s]]
+        gens = alg.ideal_gens[s]
+        solve = rings.span_solver(ring, gens)
         supp = ideal_support(ring, gens)
         for g in gens:
             for x in range(dim):
                 if g[x] != ring.zero:
                     proj = [ring.zero] * dim
                     proj[x] = g[x]
-                    if rings.solve_in_span(ring, gens, proj) is None:
+                    if solve(proj) is None:
                         raise NotAnIdeal(
                             f"D_{S.name(s)} is not closed under multiplication by functions", s
                         )
-        if supp and rings.solve_in_span(ring, gens, indicator(ring, dim, supp)) is None:
+        if supp and solve(indicator(ring, dim, supp)) is None:
             raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
         supports.append(supp)
+        solvers.append(solve)
     domains = tuple(supports)
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
-        gens_dom = [list(g) for g in alg.ideal_gens[s_star]]
         theta = {}
         for y in supports[s_star]:
-            coeffs = rings.solve_in_span(ring, gens_dom, indicator(ring, dim, [y]))
+            coeffs = solvers[s_star](indicator(ring, dim, [y]))
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
             img = [ring.zero] * dim

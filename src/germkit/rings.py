@@ -3,6 +3,11 @@
 Ring values are plain Python objects: Fraction for Q, int for Z and Z/n
 (normalized to 0..n-1).  All arithmetic is exact; there are no tolerances
 anywhere in this package.
+
+Span membership has one elimination: `span_solver` reduces sparse rows by
+division with remainder, the same loop over Q, Z/p and Z, once per
+generator set.  The dense `rref`/`reduce_vector` pair is kept as the
+reference the tests compare against.
 """
 
 from fractions import Fraction
@@ -168,30 +173,71 @@ def _gcd(a, b):
     return a
 
 
-# --- vectors -----------------------------------------------------------------
+# --- spans ---------------------------------------------------------------------
 
-def vec_zero(ring, n):
-    return [ring.zero] * n
+def span_solver(ring, gens):
+    """Eliminate gens once and return a function from a target vector to
+    coefficients expressing it in the R-module span of gens, or None when it
+    is not in the span.  Over Z/n with composite n this raises NotAField.
+
+    Rows are sparse {column: entry}; key n + j holds the row's coefficient of
+    generator j, so each row carries its combination.  A row is reduced at
+    its leftmost column by the quotient a * inv(b) over a field and a // b
+    over Z; over Z a nonzero remainder takes the pivot's place and the old
+    pivot is reduced in turn, which is Euclid's algorithm on that column.
+    """
+    if ring.kind == "Zmod" and not ring.is_field():
+        raise NotAField(f"span solving is not supported over {ring!r}")
+    gens = list(gens)
+    n = len(gens[0]) if gens else None
+
+    def quotient(a, b):
+        return a // b if ring.kind == "Z" else ring.mul(a, ring.inv(b))
+
+    def sparse(vec):
+        return {c: a for c, a in enumerate(map(ring.normalize, vec)) if a}
+
+    def subtract(u, q, v):
+        """u -= q * v in place, dropping the entries that vanish."""
+        for c, b in v.items():
+            a = ring.sub(u.get(c, 0), ring.mul(q, b))
+            if a:
+                u[c] = a
+            else:
+                u.pop(c, None)
+
+    pivots = {}
+    for j, g in enumerate(gens):
+        if len(g) != n:
+            raise RingError(f"generator {j} has length {len(g)}, expected {n}")
+        row = sparse(g)
+        row[n + j] = ring.one
+        while (col := min(row)) < n:
+            piv = pivots.setdefault(col, row)
+            if piv is row:
+                break
+            subtract(row, quotient(row[col], piv[col]), piv)
+            if col in row:
+                pivots[col], row = row, piv
+
+    def solve(target):
+        width = len(target)
+        if gens and width != n:
+            raise RingError(f"target has length {width}, generators have length {n}")
+        t = sparse(target)
+        while t and (col := min(t)) < width:
+            piv = pivots.get(col)
+            if piv is None:
+                return None
+            subtract(t, quotient(t[col], piv[col]), piv)
+            if col in t:
+                return None
+        return [ring.neg(t.get(width + j, 0)) for j in range(len(gens))]
+
+    return solve
 
 
-def vec_add(ring, u, v):
-    return [ring.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(ring, u, v):
-    return [ring.sub(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(ring, c, u):
-    return [ring.mul(c, a) for a in u]
-
-
-def vec_is_zero(ring, u):
-    z = ring.zero
-    return all(a == z for a in u)
-
-
-# --- row reduction over a field ----------------------------------------------
+# --- dense row reduction over a field: the reference for tests ----------------
 
 def rref(ring, rows):
     """Reduced row echelon form with leftmost-pivot order.
@@ -237,75 +283,3 @@ def reduce_vector(ring, vec, rows, pivots):
         if c != ring.zero:
             v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
     return v
-
-
-def solve_in_span(ring, gens, target):
-    """Coefficients expressing target in the module span of gens, or None.
-
-    Fields use augmented row reduction; Z uses exact integer elimination.
-    """
-    gens = [list(g) for g in gens]
-    target = list(target)
-    if not gens:
-        return [] if vec_is_zero(ring, target) else None
-    if ring.is_field():
-        return _field_solve(ring, gens, target)
-    if ring.kind == "Z":
-        return _int_solve(gens, target)
-    raise NotAField(f"span solving is not supported over {ring!r}")
-
-
-def _field_solve(ring, gens, target):
-    n = len(gens[0])
-    m = len(gens)
-    # columns = generators; augment with target and eliminate
-    rows = [[gens[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    red, pivots = rref(ring, rows)
-    coeffs = [ring.zero] * m
-    for row, col in zip(red, pivots):
-        if col == m:
-            return None  # target has a pivot of its own: not in span
-        coeffs[col] = row[m]
-    return coeffs
-
-
-def _int_solve(gens, target):
-    # forward elimination by gcd steps, tracking coefficients over the gens
-    m = len(gens)
-    n = len(gens[0])
-    rows = [list(g) + [1 if j == i else 0 for j in range(m)] for i, g in enumerate(gens)]
-    t = list(target) + [0] * m
-
-    def combine(r, q, s):  # r -= q * s
-        return [a - q * b for a, b in zip(r, s)]
-
-    pivot_rows = []
-    active = rows
-    for col in range(n):
-        nz = [r for r in active if r[col] != 0]
-        rest = [r for r in active if r[col] == 0]
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            base = nz[0]
-            new = [base]
-            for r in nz[1:]:
-                q = r[col] // base[col]
-                r = combine(r, q, base)
-                (new if r[col] != 0 else rest).append(r)
-            nz = new
-            if len(nz) == 1:
-                break
-            nz = sorted(nz, key=lambda r: abs(r[col]))
-        if nz:
-            pivot_rows.append((col, nz[0]))
-            active = rest
-        else:
-            active = rest
-    for col, row in pivot_rows:
-        if t[col] != 0:
-            if t[col] % row[col] != 0:
-                return None
-            t = combine(t, t[col] // row[col], row)
-    if any(t[i] != 0 for i in range(n)):
-        return None
-    return [-t[n + j] for j in range(m)]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -360,3 +361,36 @@ def test_verify_steinberg_crossed_self_action_i3():
     S3, _ = invsemi.symmetric_inverse_semigroup(3)
     rep = algebra.verify_steinberg_crossed(invsemi.canonical_self_action(S3), rings.ring_zmod(5))
     assert rep["dims"] == {"L": 475, "N": 303, "quotient": 172, "steinberg": 172}
+
+
+def _drop_unit(G):
+    return dataclasses.replace(G, units=G.units[1:])
+
+
+def _add_non_unit(G):
+    extra = next(a for a in range(len(G.arrows)) if a not in G.units)
+    return dataclasses.replace(G, units=G.units + (extra,))
+
+
+def _reroute_compose(G):
+    compose = dict(G.compose)
+    key = next(k for k in compose if k[0] not in G.units)
+    compose[key] = (compose[key] + 1) % len(G.arrows)
+    return dataclasses.replace(G, compose=compose)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_unit, "Phi does not map the diagonal into D_R\\(G\\)"),
+    (_add_non_unit, "crossed product diagonal has dimension"),
+    (_reroute_compose, "Phi not multiplicative"),
+])
+def test_verify_steinberg_crossed_detects_corrupted_groupoid(monkeypatch, corrupt, message):
+    real = germs.groupoid_of_germs
+
+    def corrupted(theta):
+        gg = real(theta)
+        return dataclasses.replace(gg, groupoid=corrupt(gg.groupoid))
+
+    monkeypatch.setattr(algebra.germs, "groupoid_of_germs", corrupted)
+    with pytest.raises(algebra.VerificationFailed, match=message):
+        algebra.verify_steinberg_crossed(catalog.action("munn-z3"), Q)

@@ -27,6 +27,13 @@ def test_validate_bad_table_exit_1(capsys, tmp_path):
     assert not json.loads(out)["ok"]
 
 
+def test_validate_unreadable_file_is_input_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", str(tmp_path / "missing.json"))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["kind"] == "input" and "cannot read" in rep["error"]
+
+
 def test_ragged_table_is_input_error(capsys, tmp_path):
     doc = {"schema": "semigroup", "version": 1, "elements": ["x", "y"], "table": [[0, 1], [1]]}
     f = tmp_path / "ragged.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,18 +59,18 @@ def test_solve_in_span_field():
     R = rings.RING_Q
     gens = [[1, 1, 0], [0, 1, 1]]
     gens = [[R.normalize(v) for v in g] for g in gens]
-    coeffs = rings.solve_in_span(R, gens, [R.normalize(v) for v in [1, 2, 1]])
+    coeffs = rings.span_solver(R, gens)([R.normalize(v) for v in [1, 2, 1]])
     assert coeffs == [1, 1]
-    assert rings.solve_in_span(R, gens, [R.normalize(v) for v in [1, 0, 1]]) is None
+    assert rings.span_solver(R, gens)([R.normalize(v) for v in [1, 0, 1]]) is None
 
 
 def test_solve_in_span_integers():
     Z = rings.RING_Z
-    assert rings.solve_in_span(Z, [[2, 0], [0, 3]], [4, 3]) == [2, 1]
-    assert rings.solve_in_span(Z, [[2, 0], [0, 3]], [1, 0]) is None
-    assert rings.solve_in_span(Z, [[2, 4]], [1, 2]) is None
+    assert rings.span_solver(Z, [[2, 0], [0, 3]])([4, 3]) == [2, 1]
+    assert rings.span_solver(Z, [[2, 0], [0, 3]])([1, 0]) is None
+    assert rings.span_solver(Z, [[2, 4]])([1, 2]) is None
     # gcd combination: 3*(2,4) - 1*(5,10) = (1,2)
-    coeffs = rings.solve_in_span(Z, [[2, 4], [5, 10]], [1, 2])
+    coeffs = rings.span_solver(Z, [[2, 4], [5, 10]])([1, 2])
     assert coeffs is not None
     got = [coeffs[0] * 2 + coeffs[1] * 5, coeffs[0] * 4 + coeffs[1] * 10]
     assert got == [1, 2]
@@ -79,9 +80,102 @@ def test_solve_coefficients_reconstruct():
     R = rings.ring_zmod(5)
     gens = [[1, 2, 0], [0, 1, 4]]
     target = [2, 0, 4]  # 2*(1,2,0) + 1*(0,1,4) mod 5
-    coeffs = rings.solve_in_span(R, gens, target)
+    coeffs = rings.span_solver(R, gens)(target)
     assert coeffs is not None
     got = [R.zero] * 3
     for c, g in zip(coeffs, gens):
         got = [R.add(a, R.mul(c, b)) for a, b in zip(got, g)]
     assert got == [R.normalize(v) for v in target]
+
+
+def _random_gens(rng, R, m, n):
+    """m rows of width n with entries in -3..3; some rows are zero and some
+    are combinations of earlier rows."""
+    gens = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * n
+        elif kind < 0.45 and gens:
+            a, b = rng.choice(gens), rng.choice(gens)
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [x * u + y * v for u, v in zip(a, b)]
+        else:
+            row = [rng.randint(-3, 3) for _ in range(n)]
+        gens.append([R.normalize(v) for v in row])
+    return gens
+
+
+def _combine(R, coeffs, gens, n):
+    out = [R.zero] * n
+    for c, g in zip(coeffs, gens):
+        out = [R.add(a, R.mul(c, b)) for a, b in zip(out, g)]
+    return out
+
+
+def _targets(rng, R, gens, n):
+    """Combinations of the generators, which lie in the span, and random vectors."""
+    out = []
+    for _ in range(6):
+        coeffs = [R.normalize(rng.randint(-3, 3)) for _ in gens]
+        out.append(_combine(R, coeffs, gens, n))
+        out.append([R.normalize(rng.randint(-3, 3)) for _ in range(n)])
+    return out
+
+
+RING_CASES = {"Q": rings.RING_Q, "Zp:5": rings.ring_zmod(5), "Z": rings.RING_Z}
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5"])
+@pytest.mark.parametrize("seed", range(12))
+def test_span_solver_membership_matches_rref_oracle(spec, seed):
+    R = RING_CASES[spec]
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    gens = _random_gens(rng, R, rng.randint(0, 7), n)
+    red, piv = rings.rref(R, gens)
+    solve = rings.span_solver(R, gens)
+    for target in _targets(rng, R, gens, n) + [[R.zero] * n]:
+        member = not any(rings.reduce_vector(R, target, red, piv))
+        assert (solve(target) is not None) == member
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5", "Z"])
+@pytest.mark.parametrize("seed", range(12))
+def test_span_solver_coefficients_rebuild_target(spec, seed):
+    R = RING_CASES[spec]
+    rng = random.Random(100 + seed)
+    n = rng.randint(1, 6)
+    gens = _random_gens(rng, R, rng.randint(0, 7), n)
+    solve = rings.span_solver(R, gens)
+    for k, target in enumerate(_targets(rng, R, gens, n)):
+        coeffs = solve(target)
+        if k % 2 == 0:
+            assert coeffs is not None  # a combination of the generators
+        if coeffs is not None:
+            assert len(coeffs) == len(gens)
+            assert _combine(R, coeffs, gens, n) == target
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5", "Z"])
+def test_span_solver_reused_matches_fresh(spec):
+    R = RING_CASES[spec]
+    rng = random.Random(7)
+    gens = _random_gens(rng, R, 6, 5)
+    solve = rings.span_solver(R, gens)
+    for target in _targets(rng, R, gens, 5) * 2:
+        assert solve(target) == rings.span_solver(R, gens)(target)
+
+
+def test_span_solver_edge_cases():
+    R = rings.RING_Q
+    assert rings.span_solver(R, [])([R.zero] * 3) == []
+    assert rings.span_solver(R, [])([R.zero, R.one]) is None
+    with pytest.raises(rings.RingError):
+        rings.span_solver(R, [[1, 0]])([1, 0, 0])
+    with pytest.raises(rings.RingError):
+        rings.span_solver(R, [[1, 0], [1]])
+    with pytest.raises(rings.NotAField):
+        rings.span_solver(rings.ring_zmod(6), [[1, 2]])
+    with pytest.raises(rings.NotAField):
+        rings.span_solver(rings.ring_zmod(6), [])
