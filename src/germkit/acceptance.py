@@ -231,15 +231,15 @@ def criterion_3():
 
 
 def _group_as_groupoid(G):
-    n = len(G)
     e = G.idempotents[0]
+    ends = (e,) * len(G)
     return germs.validate_groupoid(
         arrows=G.elements,
         units=(e,),
-        source=tuple([e] * n),
-        target=tuple([e] * n),
+        source=ends,
+        target=ends,
         inverse=G.inverse,
-        compose={(a, b): G.mul(a, b) for a in range(n) for b in range(n)},
+        compose=germs.compose_table(ends, ends, G.mul),
     )
 
 

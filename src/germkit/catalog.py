@@ -123,11 +123,8 @@ def pair_groupoid(n=2):
     source = tuple(aidx[(j, j)] for i, j in arrows)
     target = tuple(aidx[(i, i)] for i, j in arrows)
     inverse = tuple(aidx[(j, i)] for i, j in arrows)
-    compose = {}
-    for a, (i, j) in enumerate(arrows):
-        for b, (k, m) in enumerate(arrows):
-            if j == k:
-                compose[(a, b)] = aidx[(i, m)]
+    compose = germs.compose_table(
+        source, target, lambda a, b: aidx[(arrows[a][0], arrows[b][1])])
     return germs.validate_groupoid(names, units, source, target, inverse, compose)
 
 

@@ -1,16 +1,20 @@
 """Finite groupoids, the groupoid of germs of a partial action, bisections,
 and an exhaustive isomorphism search.
 
-Arrows are indexed; source/target of an arrow are indices of unit arrows.  On
-finite discrete groupoids every subset is compact-open, so the open and ample
-bisection semigroups coincide and only the latter is exposed.
+Arrows are indexed; source/target of an arrow are indices of unit arrows, and
+composition tables are built and checked over the composable pairs only.  A
+germ class is keyed by (s e_x, x); `germ_equivalent` states the paper's
+relation and is what the tests check that key against.  On finite discrete
+groupoids every subset is compact-open, so the open and ample bisection
+semigroups coincide and only the latter is exposed.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import reduce
+from itertools import islice, permutations
 
 from . import invsemi
-from .invsemi import natural_leq, union_find
+from .invsemi import natural_leq
 
 
 class GroupoidError(ValueError):
@@ -60,9 +64,25 @@ class FiniteGroupoid:
                      if self.source[a] == u and self.target[a] == u)
 
 
+def _arrows_by_target(target):
+    """Arrow indices grouped by their target unit, each list increasing."""
+    by_target = {}
+    for b, u in enumerate(target):
+        by_target.setdefault(u, []).append(b)
+    return by_target
+
+
+def compose_table(source, target, mul):
+    """{(a, b): mul(a, b)} over exactly the composable pairs, source[a] ==
+    target[b], in lexicographic order; one step per composable pair."""
+    by_target = _arrows_by_target(target)
+    return {(a, b): mul(a, b) for a, u in enumerate(source) for b in by_target.get(u, ())}
+
+
 def validate_groupoid(arrows, units, source, target, inverse, compose):
     """Exhaustively check the groupoid axioms; one error per violation,
-    with a witness."""
+    with a witness.  Composable pairs and triples are enumerated from the
+    arrows grouped by target, so the cost follows the size of compose."""
     arrows = tuple(arrows)
     n = len(arrows)
     units = tuple(units)
@@ -82,12 +102,18 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     for u in units:
         if source[u] != u or target[u] != u:
             raise GroupoidError(f"unit {arrows[u]} is not its own source and target", u)
-    for a in range(n):
-        for b in range(n):
-            if (source[a] == target[b]) != ((a, b) in compose):
-                raise GroupoidError(
-                    f"compose defined on wrong pair ({arrows[a]}, {arrows[b]})", (a, b)
-                )
+    for a, b in compose:
+        if not (0 <= a < n and 0 <= b < n):
+            raise GroupoidError("compose key out of range", (a, b))
+    by_target = _arrows_by_target(target)
+    # the least pair where compose and composability disagree: a key that is
+    # not composable, or the first composable pair that is not a key
+    composable = ((a, b) for a in range(n) for b in by_target[source[a]])
+    wrong = [(a, b) for a, b in compose if source[a] != target[b]]
+    wrong += islice((p for p in composable if p not in compose), 1)
+    if wrong:
+        a, b = min(wrong)
+        raise GroupoidError(f"compose defined on wrong pair ({arrows[a]}, {arrows[b]})", (a, b))
     for (a, b), c in compose.items():
         if not 0 <= c < n:
             raise GroupoidError("compose value out of range", (a, b))
@@ -98,17 +124,14 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
             raise GroupoidError(f"units do not act as identities at {arrows[a]}", a)
         if inverse[inverse[a]] != a:
             raise GroupoidError(f"inverse is not an involution at {arrows[a]}", a)
-        if compose[(inverse[a], a)] != source[a] or compose[(a, inverse[a])] != target[a]:
+        if compose.get((inverse[a], a)) != source[a] or compose.get((a, inverse[a])) != target[a]:
             raise GroupoidError(f"a^-1 a != s(a) at {arrows[a]}", a)
     for a in range(n):
-        for b in range(n):
-            if source[a] != target[b]:
-                continue
+        for b in by_target[source[a]]:
             ab = compose[(a, b)]
-            for c in range(n):
-                if source[b] == target[c]:
-                    if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
-                        raise GroupoidError("composition is not associative", (a, b, c))
+            for c in by_target[source[b]]:
+                if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
+                    raise GroupoidError("composition is not associative", (a, b, c))
     return FiniteGroupoid(arrows, units, source, target, inverse, compose)
 
 
@@ -139,35 +162,26 @@ def germ_equivalent(theta, s, t, x):
 def groupoid_of_germs(theta):
     """Quotient of {(s,x) : x in X_{s*}} by the germ relation.
 
-    Classes are computed by union-find seeded with every pair s,t acting at
-    each point; representatives are lexicographically minimal, which fixes
-    the arrow order.
+    The idempotents whose domain contains x have a least element e_x (their
+    product: X_e and X_f meet inside X_ef), so (s,x) ~ (t,x) iff s e_x =
+    t e_x and a class is keyed by (s e_x, x).  Classes are numbered in order
+    of first appearance among the sorted pairs, so representatives are
+    lexicographically minimal, which fixes the arrow order.
     """
     S = theta.semigroup
-    pairs = sorted(theta.pairs())
-    pidx = {p: i for i, p in enumerate(pairs)}
-    by_point = {}
-    for s, x in pairs:
-        by_point.setdefault(x, []).append(s)
-    root = union_find(len(pairs), (
-        (pidx[(s, x)], pidx[(t, x)])
-        for x, acting in by_point.items()
-        for i, s in enumerate(acting)
-        for t in acting[i + 1:]
-        if germ_equivalent(theta, s, t, x)
-    ))
-    roots = sorted(set(root))
-    class_index = {r: k for k, r in enumerate(roots)}
-    pair_class = {p: class_index[root[i]] for p, i in pidx.items()}
-    reps = tuple(pairs[r] for r in roots)
+    e_x = [reduce(S.mul, (e for e in S.idempotents if x in theta.maps[e]))
+           for x in range(len(theta.carrier))]
+    class_of_key = {}
+    pair_class = {}
+    reps = []
+    for s, x in sorted(theta.pairs()):
+        k = class_of_key.setdefault((S.mul(s, e_x[x]), x), len(reps))
+        if k == len(reps):
+            reps.append((s, x))
+        pair_class[(s, x)] = k
+    reps = tuple(reps)
+    unit_of_point = tuple(class_of_key[(e, x)] for x, e in enumerate(e_x))
 
-    unit_of_point = []
-    for x in range(len(theta.carrier)):
-        e = next(e for e in S.idempotents if x in theta.maps[e])
-        unit_of_point.append(pair_class[(e, x)])
-    unit_of_point = tuple(unit_of_point)
-
-    n = len(reps)
     source = []
     target = []
     inverse = []
@@ -176,11 +190,12 @@ def groupoid_of_germs(theta):
         source.append(unit_of_point[x])
         target.append(unit_of_point[y])
         inverse.append(pair_class[(S.inv(s), y)])
-    compose = {}
-    for a, (s, x) in enumerate(reps):
-        for b, (t, y) in enumerate(reps):
-            if source[a] == target[b]:
-                compose[(a, b)] = pair_class[(S.mul(s, t), y)]
+
+    def mul(a, b):
+        (s, _), (t, y) = reps[a], reps[b]
+        return pair_class[(S.mul(s, t), y)]
+
+    compose = compose_table(source, target, mul)
     units = tuple(sorted(set(unit_of_point)))
     names = tuple(f"[{S.name(s)},{theta.carrier[x]}]" for s, x in reps)
     gpd = validate_groupoid(names, units, source, target, inverse, compose)

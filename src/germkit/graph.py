@@ -113,10 +113,6 @@ def path_end(g, p):
     return g.edst[p.edges[-1]] if p.edges else p.start
 
 
-def path_len(p):
-    return len(p.edges)
-
-
 def path_cat(g, p, q):
     if q.start != path_end(g, p):
         raise GraphError("paths do not concatenate")
@@ -469,11 +465,12 @@ def boundary_groupoid(g):
     source = tuple(tindex[(y, 0, y)] for _, _, y in triples)
     target = tuple(tindex[(x, 0, x)] for x, _, _ in triples)
     inverse = tuple(tindex[(y, -k, x)] for x, k, y in triples)
-    compose = {}
-    for i, (x, k, y) in enumerate(triples):
-        for j, (y2, l, z) in enumerate(triples):
-            if y == y2:
-                compose[(i, j)] = tindex[(x, k + l, z)]
+
+    def cat(i, j):
+        (x, k, _), (_, l, z) = triples[i], triples[j]
+        return tindex[(x, k + l, z)]
+
+    compose = germs.compose_table(source, target, cat)
     gpd = germs.validate_groupoid(names, units, source, target, inverse, compose)
 
     action, payload, _ = canonical_graph_action(g)

@@ -448,16 +448,11 @@ def restricted_product_groupoid(S):
     n = len(S)
     source = tuple(S.mul(S.inv(s), s) for s in range(n))
     target = tuple(S.mul(s, S.inv(s)) for s in range(n))
-    compose = {}
-    for s in range(n):
-        for t in range(n):
-            if source[s] == target[t]:
-                compose[(s, t)] = S.mul(s, t)
     return germs.validate_groupoid(
         arrows=S.elements,
         units=S.idempotents,
         source=source,
         target=target,
         inverse=S.inverse,
-        compose=compose,
+        compose=germs.compose_table(source, target, S.mul),
     )

@@ -40,7 +40,7 @@ class Ring:
     """One of Q, Z, or Z/n for n >= 2.  Z/n with composite n is constructible
     so that operations which require indecomposability can reject it."""
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("kind", "modulus", "zero", "one")
 
     def __init__(self, kind, modulus=None):
         if kind not in ("Q", "Z", "Zmod"):
@@ -51,6 +51,8 @@ class Ring:
             modulus = None
         self.kind = kind
         self.modulus = modulus
+        self.zero = Fraction(0) if kind == "Q" else 0
+        self.one = Fraction(1) if kind == "Q" else 1
 
     def __eq__(self, other):
         return (
@@ -66,14 +68,6 @@ class Ring:
         if self.kind == "Zmod":
             return f"Ring(Z/{self.modulus})"
         return f"Ring({self.kind})"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
 
     def is_field(self):
         if self.kind == "Q":
@@ -98,7 +92,7 @@ class Ring:
 
     def normalize(self, v):
         if self.kind == "Q":
-            return Fraction(v)
+            return v if isinstance(v, Fraction) else Fraction(v)
         if self.kind == "Z":
             if isinstance(v, Fraction):
                 if v.denominator != 1:
@@ -126,10 +120,8 @@ class Ring:
         if self.kind == "Q":
             return Fraction(1) / a
         if self.kind == "Zmod":
-            if not self.is_field():
-                g = _gcd(a, self.modulus)
-                if g != 1:
-                    raise RingError(f"{a} is not a unit mod {self.modulus}")
+            if _gcd(a, self.modulus) != 1:
+                raise RingError(f"{a} is not a unit mod {self.modulus}")
             return pow(a, -1, self.modulus)
         if a in (1, -1):
             return a

@@ -334,3 +334,181 @@ def test_iso_search_timeout():
     G = catalog.groupoid("rp-i2")
     with pytest.raises(germs.Timeout):
         germs.groupoid_iso_search(G, G, timeout_nodes=2)
+
+
+# --- validate_groupoid: one mutation per check, message and witness ------------------
+
+def _z3():
+    """Z/3 as a one-unit groupoid: arrows e, g, h = g^2."""
+    return dict(
+        arrows=("e", "g", "h"),
+        units=(0,),
+        source=(0, 0, 0),
+        target=(0, 0, 0),
+        inverse=(0, 2, 1),
+        compose={(a, b): (a + b) % 3 for a in range(3) for b in range(3)},
+    )
+
+
+def _pair2(**changes):
+    G = catalog.pair_groupoid(2)
+    fields = dict(arrows=G.arrows, units=G.units, source=G.source, target=G.target,
+                  inverse=G.inverse, compose=dict(G.compose))
+    fields.update(changes)
+    return fields
+
+
+def _raises(fields):
+    with pytest.raises(germs.GroupoidError) as err:
+        germs.validate_groupoid(**fields)
+    return str(err.value), err.value.witness
+
+
+def test_validate_groupoid_witness_missing_composable_pair():
+    # pair groupoid on 2 units: arrows (1|1), (1|2), (2|1), (2|2) are 0..3
+    f = _pair2()
+    del f["compose"][(1, 2)]
+    assert _raises(f) == ("compose defined on wrong pair ((1|2), (2|1))", (1, 2))
+
+
+def test_validate_groupoid_witness_extra_pair():
+    f = _pair2()
+    f["compose"][(0, 2)] = 2
+    assert _raises(f) == ("compose defined on wrong pair ((1|1), (2|1))", (0, 2))
+
+
+def test_validate_groupoid_wrong_pair_witness_is_least_mismatch():
+    f = _pair2()
+    del f["compose"][(2, 0)]
+    f["compose"][(1, 0)] = 1
+    assert _raises(f) == ("compose defined on wrong pair ((1|2), (1|1))", (1, 0))
+    f = _pair2()
+    del f["compose"][(1, 2)]
+    f["compose"][(3, 0)] = 2
+    assert _raises(f) == ("compose defined on wrong pair ((1|2), (2|1))", (1, 2))
+
+
+def test_validate_groupoid_witness_badly_typed_composite():
+    f = _pair2()
+    f["compose"][(1, 2)] = 1
+    assert _raises(f) == ("composite (1|2)*(2|1) badly typed", (1, 2))
+
+
+def test_validate_groupoid_witness_unit_not_identity():
+    f = _z3()
+    f["compose"][(1, 0)] = 0
+    assert _raises(f) == ("units do not act as identities at g", 1)
+
+
+def test_validate_groupoid_witness_inverse_not_involution():
+    f = _z3()
+    f["inverse"] = (1, 2, 1)
+    assert _raises(f) == ("inverse is not an involution at e", 0)
+
+
+def test_validate_groupoid_witness_inverse_not_inverse():
+    f = _z3()
+    f["inverse"] = (0, 1, 2)
+    assert _raises(f) == ("a^-1 a != s(a) at g", 1)
+
+
+def test_validate_groupoid_witness_non_associative_triple():
+    f = _z3()
+    f["compose"][(1, 1)] = 0
+    comp = f["compose"]
+    first = next(
+        (a, b, c) for a in range(3) for b in range(3) for c in range(3)
+        if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]
+    )
+    assert first == (1, 1, 2)
+    assert _raises(f) == ("composition is not associative", (1, 1, 2))
+
+
+def test_validate_groupoid_accepts_unmutated_fixtures():
+    assert len(germs.validate_groupoid(**_z3())) == 3
+    assert len(germs.validate_groupoid(**_pair2())) == 4
+
+
+@pytest.mark.parametrize("key", [(-1, 2), (2, -1), (4, 0), (0, 4)])
+def test_validate_groupoid_rejects_out_of_range_compose_key(key):
+    # a negative index would otherwise be read as a real arrow
+    f = _pair2()
+    f["compose"][key] = 0
+    assert _raises(f) == ("compose key out of range", key)
+
+
+def test_validate_groupoid_rejects_inverse_of_wrong_type():
+    # (1|2) as its own inverse: (1|2)(1|2) is not composable, so the check
+    # reports the inverse instead of failing on the missing compose entry
+    f = _pair2(inverse=(0, 1, 2, 3))
+    assert _raises(f) == ("a^-1 a != s(a) at (1|2)", 1)
+
+
+# --- germ classes by key against the paper's relation ------------------------------
+
+def _classes_by_relation(theta):
+    """pair_class, reps and unit_of_point from germ_equivalent alone: a
+    union-find over every pair of elements acting at the same point, classes
+    numbered by their least pair."""
+    S = theta.semigroup
+    pairs = sorted(theta.pairs())
+    idx = {p: i for i, p in enumerate(pairs)}
+    by_point = {}
+    for s, x in pairs:
+        by_point.setdefault(x, []).append(s)
+    root = invsemi.union_find(len(pairs), (
+        (idx[(s, x)], idx[(t, x)])
+        for x, acting in by_point.items()
+        for s in acting
+        for t in acting
+        if s < t and germs.germ_equivalent(theta, s, t, x)
+    ))
+    roots = sorted(set(root))
+    number = {r: k for k, r in enumerate(roots)}
+    pair_class = {p: number[root[i]] for p, i in idx.items()}
+    units = tuple(
+        pair_class[(next(e for e in S.idempotents if x in theta.maps[e]), x)]
+        for x in range(len(theta.carrier))
+    )
+    return pair_class, tuple(pairs[r] for r in roots), units
+
+
+def _key_oracle_cases():
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    cases = [pytest.param(lambda name=name: catalog.action(name), id=name)
+             for name in catalog.ACTION_NAMES]
+    cases.append(pytest.param(lambda: invsemi.munn_representation(S3), id="munn-I3"))
+    cases.append(pytest.param(lambda: invsemi.canonical_self_action(S3), id="self-I3"))
+    cases.append(pytest.param(lambda: invsemi.munn_representation(S4), id="munn-I4"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _key_oracle_cases())
+def test_germ_key_matches_relation_oracle(make):
+    theta = make()
+    gg = germs.groupoid_of_germs(theta)
+    pair_class, reps, units = _classes_by_relation(theta)
+    assert gg.pair_class == pair_class
+    assert list(gg.pair_class) == sorted(theta.pairs())
+    assert gg.reps == reps
+    assert gg.unit_of_point == units
+
+
+def test_germ_groupoid_of_self_action_i4():
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    G = germs.groupoid_of_germs(invsemi.canonical_self_action(S4)).groupoid
+    assert len(G.arrows) == 3809
+    assert len(G.units) == 209
+    assert len(G.compose) == 79745
+
+
+def test_compose_table_is_composable_pairs_in_order():
+    for name in catalog.GROUPOID_NAMES:
+        G = catalog.groupoid(name)
+        n = len(G.arrows)
+        brute = [(a, b) for a in range(n) for b in range(n) if G.source[a] == G.target[b]]
+        table = germs.compose_table(G.source, G.target, lambda a, b: (b, a))
+        assert list(table) == brute, name
+        assert all(table[(a, b)] == (b, a) for a, b in brute)
+        assert list(G.compose) == brute, name

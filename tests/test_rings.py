@@ -34,6 +34,28 @@ def test_arithmetic_normalization():
         R5.inv(0)
 
 
+def test_inverse_mod_n_is_gcd_based():
+    # every unit of Z/n inverts, every other residue is rejected, prime or not
+    for n in (2, 5, 6, 9, 12):
+        R = rings.ring_zmod(n)
+        for a in range(1, n):
+            if rings._gcd(a, n) == 1:
+                assert R.mul(a, R.inv(a)) == 1
+            else:
+                with pytest.raises(rings.RingError, match=f"{a} is not a unit mod {n}"):
+                    R.inv(a)
+
+
+def test_zero_one_and_normalize_allocate_nothing():
+    for R in (rings.RING_Q, rings.RING_Z, rings.ring_zmod(7)):
+        assert R.zero is R.zero and R.one is R.one
+        assert R.zero == 0 and R.one == 1
+    q = Fraction(2, 3)
+    assert rings.RING_Q.normalize(q) is q
+    assert rings.RING_Q.normalize(2) == Fraction(2)
+    assert type(rings.RING_Q.zero) is Fraction
+
+
 def test_parse_ring_spec():
     assert rings.parse_ring_spec("Q") == rings.RING_Q
     assert rings.parse_ring_spec("Z") == rings.RING_Z
