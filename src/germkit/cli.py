@@ -62,14 +62,20 @@ def parse_input(text, lenient=False):
 def build_semigroup(doc):
     elements = doc["elements"]
     table = doc["table"]
-    if not isinstance(table, list) or any(
-        not isinstance(row, list) or len(row) != len(elements) for row in table
-    ):
-        bad = next(
-            (i for i, row in enumerate(table) if not isinstance(row, list) or len(row) != len(elements)),
-            None,
-        )
+    if not isinstance(elements, list):
+        raise ParseError("elements is not a list")
+    for i, name in enumerate(elements):
+        if isinstance(name, (list, dict)):
+            raise ParseError(f"element {i} is an array or object, not a name")
+    if not isinstance(table, list):
+        raise ParseError("table is not a list")
+    if any(not isinstance(row, list) or len(row) != len(elements) for row in table):
+        bad = next(i for i, row in enumerate(table) if not isinstance(row, list) or len(row) != len(elements))
         raise ParseError(f"table row {bad} is not a list of length {len(elements)}")
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            if type(entry) is not int:  # JSON true/false load as bool, a subclass of int
+                raise ParseError(f"table row {i}, column {j} is {json.dumps(entry)}, not an integer")
     return invsemi.validate_inverse_semigroup(elements, table)
 
 

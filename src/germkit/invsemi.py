@@ -5,10 +5,17 @@ structural fact (inverses, idempotents, natural order) is computed from the
 table and re-checked at construction time.  The natural partial order is a
 bit matrix computed once there: below[t] is an int whose bit s is set iff
 s <= t, and every order query reads it.
+
+Associativity is decided by Light's test over a generating set read off the
+table, O(n^2 |A|) for every table; only a table that fails it is scanned
+for its least non-associative triple.  The tables of I_n and S(G) are filled
+from their generators by `tabulate`.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb, factorial
+from operator import itemgetter
 
 
 class SemigroupError(ValueError):
@@ -72,6 +79,10 @@ def validate_inverse_semigroup(elements, table):
 
     Rejects non-associative tables and tables where some element lacks a
     unique generalized inverse, with the first witness in index order.
+    Associativity is Light's test, (xa)y = x(ay) for all x, y and each a in
+    a generating set A derived from the table, so it costs O(n^2 |A|); the
+    least triple (i, j, k) with (ij)k != i(jk) is searched for only once the
+    test has failed.
     """
     n = len(elements)
     elements = tuple(elements)
@@ -84,17 +95,19 @@ def validate_inverse_semigroup(elements, table):
         for j in range(n):
             if not (0 <= tbl[i][j] < n):
                 raise SemigroupError("table entry out of range", (i, j))
-    for i in range(n):
-        for j in range(n):
-            ij = tbl[i][j]
-            row_i = tbl[i]
-            for k in range(n):
-                if tbl[ij][k] != row_i[tbl[j][k]]:
-                    raise NotAssociative(
-                        f"({elements[i]}*{elements[j]})*{elements[k]} != "
-                        f"{elements[i]}*({elements[j]}*{elements[k]})",
-                        (i, j, k),
-                    )
+    if not _light_test(tbl, _generating_set(tbl)):
+        # only reached on a non-associative table: find its least witness
+        for i in range(n):
+            for j in range(n):
+                ij = tbl[i][j]
+                row_i = tbl[i]
+                for k in range(n):
+                    if tbl[ij][k] != row_i[tbl[j][k]]:
+                        raise NotAssociative(
+                            f"({elements[i]}*{elements[j]})*{elements[k]} != "
+                            f"{elements[i]}*({elements[j]}*{elements[k]})",
+                            (i, j, k),
+                        )
     inverse = []
     for i in range(n):
         cands = [
@@ -127,6 +140,96 @@ def validate_inverse_semigroup(elements, table):
             if tbl[t][s_s] == s:
                 below[t] |= 1 << s
     return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=tuple(below))
+
+
+def _generating_set(tbl):
+    """Indices that generate the magma tbl by left-normed products.
+
+    Elements are scanned by descending |sS| (distinct entries in row s), ties
+    by index.  One joins the set when the closure of the set so far under
+    right multiplication by it does not yet reach that element, so the
+    closure ends as everything; O(n^2) for the scan, O(n * |A|) for the
+    closure.
+    """
+    reached = [False] * len(tbl)
+    closure = []
+    gens = []
+    for s in sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s)):
+        if reached[s]:
+            continue
+        gens.append(s)
+        reached[s] = True
+        fresh = [s]
+        for c in closure:
+            p = tbl[c][s]
+            if not reached[p]:
+                reached[p] = True
+                fresh.append(p)
+        for c in fresh:  # fresh grows while it is scanned
+            row = tbl[c]
+            for a in gens:
+                p = row[a]
+                if not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+        closure += fresh
+    return gens
+
+
+def _light_test(tbl, gens):
+    """Light's associativity test: (xa)y = x(ay) for all x, y and a in gens.
+
+    Exact on any magma when gens generates it: the a that pass form a
+    submagma (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2).
+    """
+    if len(tbl) < 2:
+        # associative; and itemgetter of one index returns an entry, not a tuple
+        return True
+    for a in gens:
+        x_of_ay = itemgetter(*tbl[a])  # row x -> (x(ay) for every y)
+        for row_x in tbl:
+            if tbl[row_x[a]] != x_of_ay(row_x):
+                return False
+    return True
+
+
+def tabulate(items, mul, gens):
+    """Cayley table of the semigroup items, read off the generators gens.
+
+    One breadth-first pass over the right Cayley graph makes len(items) *
+    len(gens) calls to mul and gives each other element y a parent with
+    y = parent(y) a_y; then table[x][y] = (x parent(y)) a_y is a list lookup.
+    The result is mul's Cayley table when mul is associative, as it is for
+    I_n and S(G).  Raises SemigroupError when gens do not generate.
+    """
+    index = {x: i for i, x in enumerate(items)}
+    n = len(index)
+    roots = list(dict.fromkeys(index[g] for g in gens))
+    letters = [items[a] for a in roots]
+    right = [None] * n
+    parent = [None] * n
+    order = list(roots)
+    seen = set(roots)
+    for x in order:  # order grows while it is scanned: breadth-first
+        right[x] = [index[mul(items[x], g)] for g in letters]
+        for k, y in enumerate(right[x]):
+            if y not in seen:
+                seen.add(y)
+                parent[y] = (x, k)
+                order.append(y)
+    if len(order) < n:
+        missing = next(y for y in range(n) if y not in seen)
+        raise SemigroupError(
+            f"generators reach {len(order)} of {n} elements; they do not generate", missing
+        )
+    by_letter = list(zip(*right))  # by_letter[k][x] = x a_k
+    cols = [None] * n
+    for k, a in enumerate(roots):
+        cols[a] = by_letter[k]
+    for y in order[len(roots):]:
+        p, k = parent[y]
+        cols[y] = list(map(by_letter[k].__getitem__, cols[p]))
+    return list(zip(*cols))
 
 
 def natural_leq(S, s, t):
@@ -320,7 +423,7 @@ def exel_semigroup(G, max_elements=4096):
         return f"{eps}[{G.elements[g]}]"
 
     names = tuple(fmt(fg) for fg in forms)
-    tbl = [[index[mul(a, b)] for b in forms] for a in forms]
+    tbl = tabulate(forms, mul, [(frozenset(), g) for g in range(n)])
     S = validate_inverse_semigroup(names, tbl)
     of_group = tuple(index[(frozenset(), g)] for g in range(n))
     return ExelSemigroup(S, tuple(forms), G, of_group)
@@ -358,6 +461,9 @@ def symmetric_inverse_semigroup(n, max_elements=600):
 
     Returns (InverseSemigroup, tuple of PartialBijection payloads).
     """
+    count = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+    if count > max_elements:
+        raise TooLarge(f"|I(X)| = {count} exceeds {max_elements}")
     points = list(range(n))
     maps = []
     subsets = [()]
@@ -376,8 +482,6 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     for dom in subsets:
         for pairs in injections(dom, tuple(points)):
             maps.append(PartialBijection(tuple(sorted(pairs))))
-    if len(maps) > max_elements:
-        raise TooLarge(f"|I(X)| = {len(maps)} exceeds {max_elements}")
     maps.sort(key=lambda f: (len(f.mapping), f.mapping))
 
     def fmt(f):
@@ -385,10 +489,15 @@ def symmetric_inverse_semigroup(n, max_elements=600):
             return "[]"
         return "[" + " ".join(f"{x+1}>{y+1}" for x, y in f.mapping) + "]"
 
+    # the n-cycle and a transposition generate the symmetric group, and one
+    # rank n-1 idempotent adds every proper partial bijection
+    gens = [PartialBijection(tuple((x, (x + 1) % n) for x in points))]
+    if n >= 1:
+        gens.append(PartialBijection(tuple((x, x) for x in points[1:])))
+    if n >= 2:
+        gens.append(PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
     names = tuple(fmt(f) for f in maps)
-    index = {f: i for i, f in enumerate(maps)}
-    tbl = [[index[compose_partial(a, b)] for b in maps] for a in maps]
-    S = validate_inverse_semigroup(names, tbl)
+    S = validate_inverse_semigroup(names, tabulate(maps, compose_partial, gens))
     return S, tuple(maps)
 
 

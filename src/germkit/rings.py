@@ -6,8 +6,7 @@ anywhere in this package.
 
 Span membership has one elimination: `span_solver` reduces sparse rows by
 division with remainder, the same loop over Q, Z/p and Z, once per
-generator set.  The dense `rref`/`reduce_vector` pair is kept as the
-reference the tests compare against.
+generator set.
 """
 
 from fractions import Fraction
@@ -227,51 +226,3 @@ def span_solver(ring, gens):
         return [ring.neg(t.get(width + j, 0)) for j in range(len(gens))]
 
     return solve
-
-
-# --- dense row reduction over a field: the reference for tests ----------------
-
-def rref(ring, rows):
-    """Reduced row echelon form with leftmost-pivot order.
-
-    Returns (reduced nonzero rows, pivot column list).  Deterministic: rows
-    are processed in the given order, pivots chosen leftmost-first.
-    """
-    if not ring.is_field():
-        raise NotAField(f"row reduction needs a field, got {ring!r}")
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    out = []
-    rix = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rix, len(work)):
-            if work[i][col] != ring.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rix], work[piv] = work[piv], work[rix]
-        inv = ring.inv(work[rix][col])
-        work[rix] = [ring.mul(inv, a) for a in work[rix]]
-        for i in range(len(work)):
-            if i != rix and work[i][col] != ring.zero:
-                c = work[i][col]
-                work[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(work[i], work[rix])]
-        pivots.append(col)
-        out.append(work[rix])
-        rix += 1
-        if rix == len(work):
-            break
-    return out, pivots
-
-
-def reduce_vector(ring, vec, rows, pivots):
-    """Canonical residue of vec modulo the row space given by rref output."""
-    v = list(vec)
-    for row, col in zip(rows, pivots):
-        c = v[col]
-        if c != ring.zero:
-            v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
-    return v

@@ -1,0 +1,74 @@
+"""Plain reference implementations that the tests compare germkit against.
+
+Nothing in `src/` calls these: they are the slow, obviously-correct forms of
+checks that germkit now makes another way.
+"""
+
+from germkit.rings import NotAField
+
+
+# --- associativity: every triple, in index order ------------------------------
+
+def first_non_associative(elements, table):
+    """(message, witness) of the least triple (i, j, k) in index order with
+    (ij)k != i(jk), or None when the table is associative."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            ij = table[i][j]
+            for k in range(n):
+                if table[ij][k] != table[i][table[j][k]]:
+                    msg = (
+                        f"({elements[i]}*{elements[j]})*{elements[k]} != "
+                        f"{elements[i]}*({elements[j]}*{elements[k]})"
+                    )
+                    return msg, (i, j, k)
+    return None
+
+
+# --- dense row reduction over a field ------------------------------------------
+
+def rref(ring, rows):
+    """Reduced row echelon form with leftmost-pivot order.
+
+    Returns (reduced nonzero rows, pivot column list).  Deterministic: rows
+    are processed in the given order, pivots chosen leftmost-first.
+    """
+    if not ring.is_field():
+        raise NotAField(f"row reduction needs a field, got {ring!r}")
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    out = []
+    rix = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rix, len(work)):
+            if work[i][col] != ring.zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[rix], work[piv] = work[piv], work[rix]
+        inv = ring.inv(work[rix][col])
+        work[rix] = [ring.mul(inv, a) for a in work[rix]]
+        for i in range(len(work)):
+            if i != rix and work[i][col] != ring.zero:
+                c = work[i][col]
+                work[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(work[i], work[rix])]
+        pivots.append(col)
+        out.append(work[rix])
+        rix += 1
+        if rix == len(work):
+            break
+    return out, pivots
+
+
+def reduce_vector(ring, vec, rows, pivots):
+    """Canonical residue of vec modulo the row space given by rref output."""
+    v = list(vec)
+    for row, col in zip(rows, pivots):
+        c = v[col]
+        if c != ring.zero:
+            v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
+    return v

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from germkit import cli
 
 
@@ -41,6 +43,29 @@ def test_ragged_table_is_input_error(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(f))
     assert code == 2
     assert "row 1" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("table", [[0, 1], [1, 1.0]], "row 1, column 1 is 1.0"),
+        ("table", [[0, "1"], [1, 0]], 'row 0, column 1 is "1"'),
+        ("table", [[0, 1], [None, 0]], "row 1, column 0 is null"),
+        ("table", [[0, True], [1, 0]], "row 0, column 1 is true"),
+        ("table", 7, "table is not a list"),
+        ("elements", ["x", ["y"]], "element 1 is an array"),
+        ("elements", 2, "elements is not a list"),
+    ],
+)
+def test_malformed_semigroup_document_is_input_error(capsys, tmp_path, field, value, where):
+    doc = {"schema": "semigroup", "version": 1, "elements": ["x", "y"], "table": [[0, 1], [1, 0]]}
+    doc[field] = value
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(f))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["kind"] == "input" and where in rep["error"]
 
 
 def test_unknown_schema_tag(capsys, tmp_path):

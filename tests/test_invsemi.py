@@ -1,3 +1,6 @@
+from math import comb, factorial
+
+import oracles
 import pytest
 
 from germkit import catalog, invsemi, paction
@@ -433,3 +436,122 @@ def test_union_find_least_member_roots():
     noisy = pairs + [(i, i) for i in range(n)] + pairs
     assert invsemi.union_find(n, noisy) == root
     assert invsemi.union_find(n, []) == tuple(range(n))
+
+
+# --- associativity: Light's test against the exhaustive triple scan -----------
+
+def _assert_same_associativity_outcome(elements, table):
+    """validate_inverse_semigroup decides associativity exactly as the
+    exhaustive scan does, with the same message and least witness.  Returns
+    whether the table is associative."""
+    expected = oracles.first_non_associative(elements, table)
+    try:
+        invsemi.validate_inverse_semigroup(elements, table)
+    except invsemi.NotAssociative as err:
+        assert expected == (str(err), err.witness)
+        return False
+    except invsemi.SemigroupError:
+        # inverse checks run only on tables already found associative
+        assert expected is None
+        return True
+    assert expected is None
+    return True
+
+
+def test_associativity_matches_oracle_on_every_3_element_operation():
+    from itertools import product
+
+    names = ("x0", "x1", "x2")
+    associative = 0
+    for flat in product(range(3), repeat=9):
+        table = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        associative += _assert_same_associativity_outcome(names, table)
+    assert associative == 113  # the associative operations on a labelled 3-set
+
+
+def _cyclic(n):
+    return invsemi.validate_inverse_semigroup(
+        [str(i) for i in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)]
+    )
+
+
+def _corruption_instances():
+    instances = {name: catalog.semigroup(name) for name in catalog.SEMIGROUP_NAMES}
+    instances["i3"] = invsemi.symmetric_inverse_semigroup(3)[0]
+    for n in (3, 4, 5):
+        instances[f"sz{n}"] = invsemi.exel_semigroup(_cyclic(n)).semigroup
+    return instances
+
+
+@pytest.mark.parametrize("name", sorted(_corruption_instances()))
+def test_associativity_matches_oracle_on_corrupted_tables(name):
+    import random
+
+    S = _corruption_instances()[name]
+    n = len(S)
+    rng = random.Random(f"corrupt-{name}")
+    assert _assert_same_associativity_outcome(S.elements, S.table)
+    outcomes = set()
+    for _ in range(40):
+        table = [list(row) for row in S.table]
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        outcomes.add(_assert_same_associativity_outcome(S.elements, table))
+    if n > 3:
+        assert False in outcomes
+
+
+def _compose_after(f, g):
+    fd = dict(f.mapping)
+    return tuple(sorted((x, fd[y]) for x, y in g.mapping if y in fd))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_symmetric_table_matches_pairwise_composition(n):
+    S, maps = invsemi.symmetric_inverse_semigroup(n)
+    index = {f.mapping: i for i, f in enumerate(maps)}
+    assert len(set(index)) == len(S) == sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+    assert S.table == tuple(tuple(index[_compose_after(f, g)] for g in maps) for f in maps)
+
+
+def _exel_pairwise_table(G, forms):
+    one = G.idempotents[0]
+    index = {fg: i for i, fg in enumerate(forms)}
+
+    def mul(a, b):
+        (R, g), (Q, h) = a, b
+        gh = G.mul(g, h)
+        return (frozenset((R | {G.mul(g, q) for q in Q} | {g}) - {one, gh}), gh)
+
+    return tuple(tuple(index[mul(a, b)] for b in forms) for a in forms)
+
+
+@pytest.mark.parametrize("G", [_cyclic(n) for n in range(1, 7)] + [Z2, Z3])
+def test_exel_table_matches_pairwise_product_rule(G):
+    ex = invsemi.exel_semigroup(G)
+    assert ex.semigroup.table == _exel_pairwise_table(G, ex.forms)
+
+
+def test_tabulate_from_generators():
+    for G in (Z2, Z3, _cyclic(6)):
+        # element 1 generates each of these cyclic groups
+        assert tuple(invsemi.tabulate(range(len(G)), G.mul, [1])) == G.table
+    # the identity alone generates only itself
+    _, maps = invsemi.symmetric_inverse_semigroup(2)
+    ident = next(f for f in maps if f.mapping == ((0, 0), (1, 1)))
+    with pytest.raises(invsemi.SemigroupError, match="do not generate"):
+        invsemi.tabulate(maps, invsemi.compose_partial, [ident])
+
+
+def test_symmetric_inverse_semigroup_of_five_points():
+    S, maps = invsemi.symmetric_inverse_semigroup(5, max_elements=1546)
+    assert len(S) == len(maps) == 1546
+    assert len(S.idempotents) == 32
+    for i in (0, 1, 200, 1545):
+        assert maps[S.inv(i)] == invsemi.invert_partial(maps[i])
+
+
+def test_symmetric_too_large_is_refused_before_enumerating():
+    # |I_10| = 234662231: counted in closed form, never listed
+    with pytest.raises(invsemi.TooLarge, match=r"^\|I\(X\)\| = 234662231 exceeds 600$"):
+        invsemi.symmetric_inverse_semigroup(10)
