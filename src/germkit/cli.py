@@ -59,14 +59,39 @@ def parse_input(text, lenient=False):
     return schema, doc
 
 
+def _object(value, field, keys=()):
+    """value, which the document's field must hold as an object with keys."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{field} is not an object")
+    missing = set(keys) - set(value)
+    if missing:
+        raise ParseError(f"{field} is missing fields {sorted(missing)}")
+    return value
+
+
+def _name(value, field):
+    """value, which the document's field must hold as a name."""
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{field} is an array or object, not a name")
+    return value
+
+
+def _names(value, field):
+    """value, which the document's field must hold as a list of names."""
+    if not isinstance(value, list):
+        raise ParseError(f"{field} is not a list")
+    for i, name in enumerate(value):
+        _name(name, f"{field} entry {i}")
+    return value
+
+
 def build_semigroup(doc):
     elements = doc["elements"]
     table = doc["table"]
     if not isinstance(elements, list):
         raise ParseError("elements is not a list")
     for i, name in enumerate(elements):
-        if isinstance(name, (list, dict)):
-            raise ParseError(f"element {i} is an array or object, not a name")
+        _name(name, f"element {i}")
     if not isinstance(table, list):
         raise ParseError("table is not a list")
     if any(not isinstance(row, list) or len(row) != len(elements) for row in table):
@@ -84,27 +109,35 @@ def build_action(doc):
     if isinstance(sg, str):
         S = _catalog_semigroup(sg)
     else:
-        S = build_semigroup(sg)
-    carrier = tuple(doc["carrier"])
+        S = build_semigroup(_object(sg, "semigroup", SCHEMAS["semigroup"]))
+    carrier = tuple(_names(doc["carrier"], "carrier"))
     pidx = {p: i for i, p in enumerate(carrier)}
+    dom_of = _object(doc["domains"], "domains")
+    map_of = _object(doc["maps"], "maps")
     domains = []
     maps = []
     for name in S.elements:
-        dom = doc["domains"].get(name)
-        mp = doc["maps"].get(name)
+        dom = dom_of.get(name)
+        mp = map_of.get(name)
         if dom is None or mp is None:
             raise ParseError(f"domains/maps missing for element {name!r}")
         try:
-            domains.append(tuple(pidx[p] for p in dom))
-            maps.append({pidx[x]: pidx[y] for x, y in mp.items()})
+            domains.append(tuple(pidx[p] for p in _names(dom, f"domains[{name!r}]")))
+            maps.append({pidx[x]: pidx[_name(y, f"maps[{name!r}][{x!r}]")]
+                         for x, y in _object(mp, f"maps[{name!r}]").items()})
         except KeyError as err:
             raise ParseError(f"unknown carrier point {err.args[0]!r}")
     return paction.validate_partial_action(S, carrier, tuple(domains), tuple(maps))
 
 
 def build_graph(doc):
-    edges = [(e["name"], e["src"], e["dst"]) for e in doc["edges"]]
-    return graph.make_graph(doc["vertices"], edges)
+    if not isinstance(doc["edges"], list):
+        raise ParseError("edges is not a list")
+    edges = []
+    for i, e in enumerate(doc["edges"]):
+        e = _object(e, f"edge {i}", ("name", "src", "dst"))
+        edges.append(tuple(_name(e[k], f"edge {i} {k}") for k in ("name", "src", "dst")))
+    return graph.make_graph(_names(doc["vertices"], "vertices"), edges)
 
 
 def build_action_coe(doc, theta, gamma):
@@ -112,18 +145,18 @@ def build_action_coe(doc, theta, gamma):
     py = {p: i for i, p in enumerate(gamma.carrier)}
     sx = {n: i for i, n in enumerate(theta.semigroup.elements)}
     sy = {n: i for i, n in enumerate(gamma.semigroup.elements)}
+
+    def cocycle(field, s_of, p_of, t_of):
+        return {
+            (s_of[s], p_of[x]): t_of[_name(t, f"{field}[{s!r}][{x!r}]")]
+            for s, row in _object(doc[field], field).items()
+            for x, t in _object(row, f"{field}[{s!r}]").items()
+        }
+
     try:
-        phi = {px[x]: py[y] for x, y in doc["phi"].items()}
-        a = {
-            (sx[s], px[x]): sy[t]
-            for s, row in doc["a"].items()
-            for x, t in row.items()
-        }
-        b = {
-            (sy[t], py[y]): sx[s]
-            for t, row in doc["b"].items()
-            for y, s in row.items()
-        }
+        phi = {px[x]: py[_name(y, f"phi[{x!r}]")] for x, y in _object(doc["phi"], "phi").items()}
+        a = cocycle("a", sx, px, sy)
+        b = cocycle("b", sy, py, sx)
     except KeyError as err:
         raise ParseError(f"unknown name {err.args[0]!r} in orbit equivalence data")
     return orbit.OrbitEquivalence(phi, a, b)
@@ -410,7 +443,10 @@ def cmd_graph_analyze(args):
 def cmd_graph_leavitt(args):
     doc = _load_doc(args.input, "leavitt-expr", args.lenient)
     gdoc = doc["graph"]
-    g = catalog.graphs(gdoc[8:]) if isinstance(gdoc, str) and gdoc.startswith("catalog:") else build_graph(gdoc)
+    if isinstance(gdoc, str) and gdoc.startswith("catalog:"):
+        g = catalog.graphs(gdoc[8:])
+    else:
+        g = build_graph(_object(gdoc, "graph", SCHEMAS["graph"]))
     ring = rings.parse_ring_spec(args.ring)
     el = graph.parse_leavitt_expr(g, ring, doc["expr"])
     depth = args.depth if args.depth is not None else el.depth

@@ -1,5 +1,5 @@
 """Finite groupoids, the groupoid of germs of a partial action, bisections,
-and an exhaustive isomorphism search.
+and isomorphism of finite groupoids by their orbit structure.
 
 Arrows are indexed; source/target of an arrow are indices of unit arrows, and
 composition tables are built and checked over the composable pairs only.  A
@@ -11,7 +11,7 @@ semigroups coincide and only the latter is exposed.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, permutations
+from itertools import count, islice
 
 from . import invsemi
 from .invsemi import natural_leq
@@ -64,18 +64,18 @@ class FiniteGroupoid:
                      if self.source[a] == u and self.target[a] == u)
 
 
-def _arrows_by_target(target):
-    """Arrow indices grouped by their target unit, each list increasing."""
-    by_target = {}
-    for b, u in enumerate(target):
-        by_target.setdefault(u, []).append(b)
-    return by_target
+def _arrows_by(end):
+    """Arrow indices grouped by their unit end[a], each list increasing."""
+    by_unit = {}
+    for a, u in enumerate(end):
+        by_unit.setdefault(u, []).append(a)
+    return by_unit
 
 
 def compose_table(source, target, mul):
     """{(a, b): mul(a, b)} over exactly the composable pairs, source[a] ==
     target[b], in lexicographic order; one step per composable pair."""
-    by_target = _arrows_by_target(target)
+    by_target = _arrows_by(target)
     return {(a, b): mul(a, b) for a, u in enumerate(source) for b in by_target.get(u, ())}
 
 
@@ -105,7 +105,7 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     for a, b in compose:
         if not (0 <= a < n and 0 <= b < n):
             raise GroupoidError("compose key out of range", (a, b))
-    by_target = _arrows_by_target(target)
+    by_target = _arrows_by(target)
     # the least pair where compose and composability disagree: a key that is
     # not composable, or the first composable pair that is not a key
     composable = ((a, b) for a in range(n) for b in by_target[source[a]])
@@ -241,9 +241,7 @@ def bisection_inverse(G, A):
 
 def all_bisections(G, max_count=20000):
     """Every subset of arrows on which source and target are injective."""
-    by_source = {}
-    for a in range(len(G.arrows)):
-        by_source.setdefault(G.source[a], []).append(a)
+    by_source = _arrows_by(G.source)
     sources = sorted(by_source)
     out = []
 
@@ -419,7 +417,7 @@ def induced_groupoid_hom(germ, H, sigma, phi_map):
     return psi
 
 
-# --- isomorphism search ----------------------------------------------------------------
+# --- isomorphism by orbit structure -------------------------------------------------
 
 @dataclass
 class GroupoidIso:
@@ -449,113 +447,109 @@ def verify_groupoid_iso(iso):
     return True
 
 
-def _unit_profile(G, u):
-    blocks_out = sorted(
-        sum(1 for a in range(len(G.arrows)) if G.source[a] == u and G.target[a] == v)
-        for v in G.units
-    )
-    blocks_in = sorted(
-        sum(1 for a in range(len(G.arrows)) if G.target[a] == u and G.source[a] == v)
-        for v in G.units
-    )
-    return (len(G.isotropy(u)), blocks_out, blocks_in)
+def _orbits(G):
+    """(span, iso) per orbit of G, in order of its least unit u0: span maps
+    each unit v of the orbit to t_v, the least arrow u0 -> v, in the order of
+    those arrows, and iso lists the isotropy group at u0 in index order."""
+    by_source = _arrows_by(G.source)
+    orbits, seen = [], set()
+    for u0 in sorted(G.units):
+        if u0 not in seen:
+            span = {}
+            for a in by_source[u0]:
+                span.setdefault(G.target[a], a)
+            seen.update(span)
+            orbits.append((span, [a for a in by_source[u0] if G.target[a] == u0]))
+    return orbits
+
+
+def _group(G, iso):
+    """The Cayley table of the isotropy group iso over its positions, and element orders."""
+    pos = {a: i for i, a in enumerate(iso)}
+    tbl = [[pos[G.compose[(a, b)]] for b in iso] for a in iso]
+    return tbl, [len(_close(tbl, tbl, {x: x}, [x])) for x in range(len(iso))]  # |<x>| = ord x
+
+
+def _close(K, L, f, gens):
+    """f extended breadth-first by f(x a) = f(x) f(a) for a in gens, as
+    `invsemi.tabulate` walks the right Cayley graph; None when that clashes
+    or is not injective.  What passes is a homomorphism on <gens>."""
+    queue = list(f)
+    for x in queue:  # queue grows while it is scanned
+        for a in gens:
+            y, fy = K[x][a], L[f[x]][f[a]]
+            if y not in f:
+                f[y] = fy
+                queue.append(y)
+            elif f[y] != fy:
+                return None
+    return f if len(set(f.values())) == len(f) else None
+
+
+def _group_iso(K, L, tick):
+    """An isomorphism {position: position} between the groups K and L of
+    `_group`, or None.  Generator g_k of `invsemi.generating_set` is not in
+    <g_1..g_{k-1}>, so it goes to each element of its order outside the image
+    of that subgroup in index order, which sends K against itself to the identity."""
+    (tk, ok), (tl, ol) = K, L
+    if sorted(ok) != sorted(ol):
+        return None
+    gens = invsemi.generating_set(tk)
+
+    def extend(f, k):
+        if f is None or k == len(gens):
+            return f
+        for c in range(len(tl)):
+            if ol[c] == ok[gens[k]] and c not in f.values():
+                tick()
+                found = extend(_close(tk, tl, {**f, gens[k]: c}, gens[:k + 1]), k + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend({}, 0)
 
 
 def groupoid_iso_search(G, H, timeout_nodes=500000):
-    """Backtracking isomorphism search: a unit bijection pruned by isotropy
-    and degree profiles, then block-wise arrow bijections.  Deterministic:
-    first candidates in index order, so G vs itself yields the identity."""
+    """An isomorphism G -> H read off the orbit structure, or None.
+
+    An orbit with m units and isotropy group K at its least unit is the pair
+    groupoid on m points times K (Brown, Topology and Groupoids, ch. 6).  Each
+    orbit of G goes to the first unmatched orbit of H with m units and isotropy
+    isomorphic to K by some f (greedy is exact: isomorphism is an equivalence);
+    with sigma pairing units in spanning-arrow order, a: u -> w goes to
+    t'_{sigma w} f(t_w^-1 a t_u) t'_{sigma u}^-1.  `Timeout` is raised past
+    timeout_nodes orbit pairings plus generator images tried."""
     if len(G.arrows) != len(H.arrows) or len(G.units) != len(H.units):
         return None
-    gu, hu = list(G.units), list(H.units)
-    gprof = {u: _unit_profile(G, u) for u in gu}
-    hprof = {u: _unit_profile(H, u) for u in hu}
-    if sorted(gprof.values()) != sorted(hprof.values()):
-        return None
-
-    def block(Gp, u, v, unit_set):
-        return [a for a in range(len(Gp.arrows))
-                if Gp.source[a] == v and Gp.target[a] == u and a not in unit_set]
-
-    g_units_set, h_units_set = set(gu), set(hu)
-    nodes = [0]
+    nodes = count(1)
 
     def tick():
-        nodes[0] += 1
-        if nodes[0] > timeout_nodes:
-            raise Timeout(nodes[0])
+        if next(nodes) > timeout_nodes:
+            raise Timeout(timeout_nodes + 1)
 
-    def assign_units(i, umap, used):
-        tick()
-        if i == len(gu):
-            return assign_arrows(umap)
-        u = gu[i]
-        for v in hu:
-            if v in used or gprof[u] != hprof[v]:
-                continue
-            ok = True
-            for j in range(i):
-                w = gu[j]
-                if len(block(G, u, w, g_units_set)) != len(block(H, v, umap[w], h_units_set)):
-                    ok = False
-                    break
-                if len(block(G, w, u, g_units_set)) != len(block(H, umap[w], v, h_units_set)):
-                    ok = False
-                    break
-            if len(block(G, u, u, g_units_set)) != len(block(H, v, v, h_units_set)):
-                ok = False
-            if not ok:
-                continue
-            umap[u] = v
-            used.add(v)
-            found = assign_units(i + 1, umap, used)
-            if found is not None:
-                return found
-            del umap[u]
-            used.discard(v)
-        return None
-
-    def assign_arrows(umap):
-        amap = {u: umap[u] for u in gu}
-        block_list = []
-        for u in gu:
-            for v in gu:
-                gb = block(G, u, v, g_units_set)
-                hb = block(H, umap[u], umap[v], h_units_set)
-                if len(gb) != len(hb):
-                    return None
-                if gb:
-                    block_list.append((sorted(gb), sorted(hb)))
-
-        def fill(k):
-            tick()
-            if k == len(block_list):
-                full = tuple(amap[a] for a in range(len(G.arrows)))
-                iso = GroupoidIso(G, H, full)
-                return iso if verify_groupoid_iso(iso) else None
-            gb, hb = block_list[k]
-            for perm in permutations(hb):
+    frame = {}  # unit u of G -> (t_u, t'_{sigma u}, f on isotropy arrows)
+    pending = _orbits(H)
+    for span, iso in _orbits(G):
+        for j, (span2, iso2) in enumerate(pending):
+            if len(span2) == len(span) and len(iso2) == len(iso):
                 tick()
-                for a, b in zip(gb, perm):
-                    amap[a] = b
-                if _partial_consistent(amap, gb):
-                    found = fill(k + 1)
-                    if found is not None:
-                        return found
-                for a in gb:
-                    del amap[a]
+                f = _group_iso(_group(G, iso), _group(H, iso2), tick)
+                if f is not None:
+                    break
+        else:
             return None
-
-        def _partial_consistent(amap, recent):
-            for a in recent:
-                for b in list(amap):
-                    for x, y in ((a, b), (b, a)):
-                        if G.composable(x, y):
-                            c = G.compose[(x, y)]
-                            if c in amap and H.compose[(amap[x], amap[y])] != amap[c]:
-                                return False
-            return True
-
-        return fill(0)
-
-    return assign_units(0, {}, set())
+        del pending[j]
+        phi = {a: iso2[f[i]] for i, a in enumerate(iso)}
+        for (u, t), t2 in zip(span.items(), span2.values()):
+            frame[u] = (t, t2, phi)
+    amap = []
+    for a in range(len(G.arrows)):
+        tu, tu2, phi = frame[G.source[a]]
+        tw, tw2, _ = frame[G.target[a]]
+        k = G.compose[(G.inverse[tw], G.compose[(a, tu)])]
+        amap.append(H.compose[(tw2, H.compose[(phi[k], H.inverse[tu2])])])
+    iso = GroupoidIso(G, H, tuple(amap))
+    if not verify_groupoid_iso(iso):
+        raise GroupoidError("the arrow map built from the orbits is not an isomorphism")
+    return iso

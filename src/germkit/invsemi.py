@@ -95,7 +95,7 @@ def validate_inverse_semigroup(elements, table):
         for j in range(n):
             if not (0 <= tbl[i][j] < n):
                 raise SemigroupError("table entry out of range", (i, j))
-    if not _light_test(tbl, _generating_set(tbl)):
+    if not _light_test(tbl, generating_set(tbl)):
         # only reached on a non-associative table: find its least witness
         for i in range(n):
             for j in range(n):
@@ -142,7 +142,7 @@ def validate_inverse_semigroup(elements, table):
     return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=tuple(below))
 
 
-def _generating_set(tbl):
+def generating_set(tbl):
     """Indices that generate the magma tbl by left-normed products.
 
     Elements are scanned by descending |sS| (distinct entries in row s), ties

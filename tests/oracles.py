@@ -4,6 +4,8 @@ Nothing in `src/` calls these: they are the slow, obviously-correct forms of
 checks that germkit now makes another way.
 """
 
+from itertools import permutations
+
 from germkit.rings import NotAField
 
 
@@ -24,6 +26,26 @@ def first_non_associative(elements, table):
                     )
                     return msg, (i, j, k)
     return None
+
+
+# --- groupoid isomorphism: every arrow bijection ------------------------------
+
+def groupoids_isomorphic(G, H, max_arrows=7):
+    """Whether some bijection of the arrows of G onto those of H preserves
+    source, target, inverse and composition; tries every bijection."""
+    n = len(G.arrows)
+    if n > max_arrows:
+        raise ValueError(f"{n} arrows is too many to try every bijection")
+    if len(H.arrows) != n:
+        return False
+    for amap in permutations(range(n)):
+        if all(
+            (H.source[b], H.target[b], H.inverse[b])
+            == (amap[G.source[a]], amap[G.target[a]], amap[G.inverse[a]])
+            for a, b in enumerate(amap)
+        ) and all(H.compose[(amap[a], amap[b])] == amap[c] for (a, b), c in G.compose.items()):
+            return True
+    return False
 
 
 # --- dense row reduction over a field ------------------------------------------

@@ -246,3 +246,143 @@ def test_catalog_list(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert cli.main(["nonsense"]) == 2
+
+
+# --- structurally malformed documents: input errors that name the field ------------
+
+def _z2_swap_doc():
+    return {
+        "schema": "action", "version": 1, "semigroup": "z2", "carrier": ["x", "y"],
+        "domains": {"1": ["x", "y"], "g": ["x", "y"]},
+        "maps": {"1": {"x": "x", "y": "y"}, "g": {"x": "y", "y": "x"}},
+    }
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _input_error(capsys, tmp_path, argv, doc, where):
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *[str(f) if a is None else a for a in argv])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["kind"] == "input" and where in rep["error"], rep
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("domains",), [["x", "y"], ["x", "y"]], "domains is not an object"),
+        (("maps",), 1, "maps is not an object"),
+        (("maps", "g"), [["x", "y"]], "maps['g'] is not an object"),
+        (("maps", "g", "x"), ["y"], "maps['g']['x'] is an array or object"),
+        (("carrier",), ["x", ["y"]], "carrier entry 1 is an array or object"),
+        (("domains", "g"), ["x", ["y"]], "domains['g'] entry 1 is an array or object"),
+        (("domains", "g"), "xy", "domains['g'] is not a list"),
+        (("semigroup",), 2, "semigroup is not an object"),
+        (("semigroup",), {"elements": ["1"]}, "semigroup is missing fields ['table']"),
+    ],
+)
+def test_malformed_action_document_is_input_error(capsys, tmp_path, path, value, where):
+    doc = _z2_swap_doc()
+    _set(doc, path, value)
+    _input_error(capsys, tmp_path, ["validate", None], doc, where)
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("phi",), [["x", "y"]], "phi is not an object"),
+        (("phi", "x"), ["y"], "phi['x'] is an array or object"),
+        (("a",), [], "a is not an object"),
+        (("b", "g"), [["x", "1"]], "b['g'] is not an object"),
+        (("a", "g", "x"), {"t": "g"}, "a['g']['x'] is an array or object"),
+    ],
+)
+def test_malformed_coe_document_is_input_error(capsys, tmp_path, path, value, where):
+    doc = {
+        "schema": "coe", "version": 1, "phi": {"x": "x", "y": "y"},
+        "a": {"1": {"x": "1", "y": "1"}, "g": {"x": "g", "y": "g"}},
+        "b": {"1": {"x": "1", "y": "1"}, "g": {"x": "g", "y": "g"}},
+    }
+    _set(doc, path, value)
+    argv = ["coe", "verify", "catalog:z2-swap", "catalog:z2-swap", None]
+    _input_error(capsys, tmp_path, argv, doc, where)
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("edges", 0), {"name": "e", "src": "v"}, "edge 0 is missing fields ['dst']"),
+        (("edges", 0), "e", "edge 0 is not an object"),
+        (("edges", 0, "src"), ["v"], "edge 0 src is an array or object"),
+        (("edges",), {"e": ["v", "w"]}, "edges is not a list"),
+        (("vertices",), ["v", {"w": 1}], "vertices entry 1 is an array or object"),
+    ],
+)
+def test_malformed_graph_document_is_input_error(capsys, tmp_path, path, value, where):
+    doc = {"schema": "graph", "version": 1, "vertices": ["v", "w"],
+           "edges": [{"name": "e", "src": "v", "dst": "w"}]}
+    _set(doc, path, value)
+    _input_error(capsys, tmp_path, ["graph", "analyze", None], doc, where)
+
+
+def test_well_formed_documents_still_pass(capsys, tmp_path):
+    cases = [
+        (["validate", None], _z2_swap_doc()),
+        (["graph", "analyze", None], {"schema": "graph", "version": 1, "vertices": ["v", "w"],
+                                      "edges": [{"name": "e", "src": "v", "dst": "w"}]}),
+    ]
+    for argv, doc in cases:
+        f = tmp_path / "ok.json"
+        f.write_text(json.dumps(doc))
+        assert run(capsys, *[str(f) if a is None else a for a in argv])[0] == 0
+
+
+# --- coe extract at the former search frontier -------------------------------------
+
+def _action_json(theta, perm, cperm, prefix):
+    """theta as an action document, element k of the copy being element
+    perm[k] of theta and point k being point cperm[k], every name prefixed."""
+    S = theta.semigroup
+    new = {old: k for k, old in enumerate(perm)}
+    names = [f"{prefix}{S.elements[s]}" for s in perm]
+    points = [f"{prefix}{theta.carrier[x]}" for x in cperm]
+    cnew = {old: k for k, old in enumerate(cperm)}
+    return {
+        "schema": "action", "version": 1,
+        "semigroup": {"elements": names,
+                      "table": [[new[S.mul(s, t)] for t in perm] for s in perm]},
+        "carrier": points,
+        "domains": {names[k]: [points[cnew[x]] for x in theta.domains[s]] for k, s in enumerate(perm)},
+        "maps": {names[k]: {points[cnew[x]]: points[cnew[y]] for x, y in theta.maps[s].items()}
+                 for k, s in enumerate(perm)},
+    }
+
+
+def test_coe_extract_munn_i4_against_relabeled_copy(capsys, tmp_path):
+    import random
+
+    from germkit import invsemi
+
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = invsemi.munn_representation(S4)
+    rng = random.Random(4)
+    perm, cperm = list(range(len(S4))), list(range(len(theta.carrier)))
+    rng.shuffle(perm)
+    rng.shuffle(cperm)
+    pa, pb, pc = (tmp_path / n for n in ("a.json", "b.json", "coe.json"))
+    pa.write_text(json.dumps(_action_json(theta, range(len(S4)), range(len(theta.carrier)), "")))
+    pb.write_text(json.dumps(_action_json(theta, perm, cperm, "r")))
+    code, out, _ = run(capsys, "coe", "extract", str(pa), str(pb), "--timeout-nodes", "20000")
+    assert code == 0
+    doc = json.loads(out)
+    for k in ("command", "ok"):
+        doc.pop(k)
+    pc.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "coe", "verify", str(pa), str(pb), str(pc))
+    assert code == 0 and json.loads(out)["ok"]

@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+import oracles
 import pytest
 
 from germkit import catalog, germs, invsemi, paction
@@ -495,9 +497,14 @@ def test_germ_key_matches_relation_oracle(make):
     assert gg.unit_of_point == units
 
 
-def test_germ_groupoid_of_self_action_i4():
+@pytest.fixture(scope="module")
+def self_action_i4():
     S4, _ = invsemi.symmetric_inverse_semigroup(4)
-    G = germs.groupoid_of_germs(invsemi.canonical_self_action(S4)).groupoid
+    return germs.groupoid_of_germs(invsemi.canonical_self_action(S4)).groupoid
+
+
+def test_germ_groupoid_of_self_action_i4(self_action_i4):
+    G = self_action_i4
     assert len(G.arrows) == 3809
     assert len(G.units) == 209
     assert len(G.compose) == 79745
@@ -512,3 +519,104 @@ def test_compose_table_is_composable_pairs_in_order():
         assert list(table) == brute, name
         assert all(table[(a, b)] == (b, a) for a, b in brute)
         assert list(G.compose) == brute, name
+
+
+# --- isomorphism by orbit structure: shuffled copies and the bijection oracle ---------
+
+def _shuffled(G, seed):
+    """G with its arrow indices permuted by a seeded shuffle, re-validated."""
+    rng = random.Random(seed)
+    new = list(range(len(G.arrows)))  # arrow a of G is arrow new[a] of the copy
+    while len(new) > 1 and new == sorted(new):
+        rng.shuffle(new)
+    old = sorted(range(len(new)), key=new.__getitem__)
+    return germs.validate_groupoid(
+        [G.arrows[a] for a in old],
+        [new[u] for u in G.units],
+        [new[G.source[a]] for a in old],
+        [new[G.target[a]] for a in old],
+        [new[G.inverse[a]] for a in old],
+        {(new[a], new[b]): new[c] for (a, b), c in G.compose.items()},
+    )
+
+
+def _catalog_groupoid_names():
+    return list(catalog.GROUPOID_NAMES) + [f"germ-{a}" for a in catalog.ACTION_NAMES]
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names() + ["munn-I4", "self-I4"])
+def test_iso_search_on_shuffled_copy(name, request):
+    if name == "munn-I4":
+        S4, _ = invsemi.symmetric_inverse_semigroup(4)
+        G = germs.groupoid_of_germs(invsemi.munn_representation(S4)).groupoid
+    elif name == "self-I4":
+        G = request.getfixturevalue("self_action_i4")
+    else:
+        G = catalog.groupoid(name)
+    H = _shuffled(G, seed=8)
+    for X in (G, H):
+        assert germs.groupoid_iso_search(X, X).arrow_map == tuple(range(len(X.arrows)))
+    for X, Y in ((G, H), (H, G)):
+        iso = germs.groupoid_iso_search(X, Y)
+        assert iso is not None and germs.verify_groupoid_iso(iso)
+
+
+def _orbit_groupoid(orbits):
+    """The disjoint union, over (m, K) in orbits, of the pair groupoid on m
+    units times the group with Cayley table K (identity 0).  Arrow (o, i, j, g)
+    goes from unit (o, j, j, 0) to unit (o, i, i, 0)."""
+    arrows = [(o, i, j, g) for o, (m, K) in enumerate(orbits)
+              for i in range(m) for j in range(m) for g in range(len(K))]
+    idx = {a: k for k, a in enumerate(arrows)}
+    source = [idx[(o, j, j, 0)] for o, i, j, g in arrows]
+    target = [idx[(o, i, i, 0)] for o, i, j, g in arrows]
+    inverse = [idx[(o, j, i, orbits[o][1][g].index(0))] for o, i, j, g in arrows]
+
+    def mul(a, b):
+        (o, i, _, g), (_, _, k, h) = arrows[a], arrows[b]
+        return idx[(o, i, k, orbits[o][1][g][h])]
+
+    return germs.validate_groupoid(
+        [f"{o}:{i}<-{j}:{g}" for o, i, j, g in arrows], sorted(set(source)),
+        source, target, inverse, germs.compose_table(source, target, mul))
+
+
+Z1 = [[0]]
+Z2 = [[0, 1], [1, 0]]
+Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+V4 = [[i ^ j for j in range(4)] for i in range(4)]
+
+
+def _small_groupoids():
+    named = [(name, catalog.groupoid(name)) for name in _catalog_groupoid_names()]
+    named += [
+        ("Z4", _orbit_groupoid([(1, Z4)])),
+        ("V4", _orbit_groupoid([(1, V4)])),
+        ("Z2+Z3", _orbit_groupoid([(1, Z2), (1, Z3)])),
+        ("Z3+Z2", _orbit_groupoid([(1, Z3), (1, Z2)])),
+        ("pair+Z3", _orbit_groupoid([(2, Z1), (1, Z3)])),
+        ("Z2+pair+Z1", _orbit_groupoid([(1, Z2), (2, Z1), (1, Z1)])),
+    ]
+    return [(name, G) for name, G in named if len(G.arrows) <= 7]
+
+
+def test_iso_search_matches_bijection_oracle():
+    small = _small_groupoids()
+    assert len(small) == 29
+    for (m, G), (n, H) in product(small, repeat=2):
+        found = germs.groupoid_iso_search(G, H)
+        assert (found is not None) == oracles.groupoids_isomorphic(G, H), (m, n)
+
+
+def test_iso_search_tells_swapped_isotropy_groups_apart():
+    # Z4 and Z2 x Z2 swapped between an orbit of one unit and one of two: the
+    # same counts per unit, but 20 arrows each, too many for the oracle (the
+    # one-unit pair Z4, V4 is among the oracle's cases)
+    G = _orbit_groupoid([(1, Z4), (2, V4)])
+    H = _orbit_groupoid([(1, V4), (2, Z4)])
+    assert germs.groupoid_iso_search(G, H) is None
+    assert germs.groupoid_iso_search(H, G) is None
+    for X, Y in ((G, _orbit_groupoid([(2, V4), (1, Z4)])), (H, _shuffled(H, seed=8))):
+        iso = germs.groupoid_iso_search(X, Y)
+        assert iso is not None and germs.verify_groupoid_iso(iso)
