@@ -1,8 +1,11 @@
 """Exact arithmetic for finite inverse semigroups, their partial actions,
 groupoids of germs, Steinberg algebras, crossed products, Leavitt path
-algebras, and continuous orbit equivalence."""
+algebras, and continuous orbit equivalence.
 
-from . import algebra, catalog, germs, graph, invsemi, orbit, paction, rings
+Submodules are imported on first use, so `from germkit import invsemi`
+loads only what invsemi needs."""
+
+import importlib
 
 __all__ = [
     "algebra",
@@ -16,3 +19,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

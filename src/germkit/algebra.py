@@ -381,77 +381,75 @@ def cp_equal(x, y):
 # --- the Steinberg / crossed product comparison ----------------------------------------
 
 def verify_steinberg_crossed(theta, ring, rng=None):
-    """Build A_R of the groupoid of germs and the crossed product of the dual
-    action, then verify the mutually inverse maps between them.
+    """Build the groupoid of germs and the crossed product of the dual action,
+    then verify the mutually inverse maps Phi and Psi between their algebras.
 
-    Checks: the forward map kills every N-generator; the backward map is
-    constant on germ classes; multiplicativity on all basis pairs; both
-    composites are the identity on bases; diagonals correspond; the quotient
-    dimension equals the arrow count.  Any failure raises VerificationFailed
-    with a witness.
+    Both send basis elements to basis elements with coefficient one, so they
+    are index maps: Phi sends i = 1_x delta_s to arrow_of[i] = [s, theta_{s*}(x)],
+    Psi sends a = [s, y] to psi_of[a], the class of 1_{theta_s(y)} delta_s.
+    (1_x delta_s)(1_y delta_t) is nonzero iff theta_{s*}(x) = y, and arrows
+    compose iff their units agree; so once each arrow_of[i] runs from the unit
+    of theta_{s*}(x) to that of x and no two points share a unit, Phi is
+    multiplicative iff it is on the pairs at a common point.  The diagonals,
+    the quotient dimension and well-definedness are checked too; any failure
+    raises VerificationFailed with a witness.
     """
     gg = germs.groupoid_of_germs(theta)
     G = gg.groupoid
     S = theta.semigroup
     alg = paction.dual_action(theta, ring)
     cp = crossed_product_build(alg, rng=rng)
+    index, rep = cp.basis_index, cp.rep
 
     if cp.quotient_dim != len(G.arrows):
         raise VerificationFailed(
             f"quotient dimension {cp.quotient_dim} != arrow count {len(G.arrows)}"
         )
-
-    def phi_arrow_of(s, x):
-        """The arrow supporting Phi(1_x delta_s): the germ of s at theta_{s*}(x)."""
-        return gg.germ(s, theta.maps[S.inv(s)][x])
-
-    arrow_of = [phi_arrow_of(s, x) for s, x in cp.basis]
-
-    def phi(elem):
-        out = {}
-        for i, c in elem.coeffs.items():
-            a = arrow_of[i]
-            out[a] = ring.add(out.get(a, ring.zero), c)
-        return SteinbergElement(G, ring, out)
-
-    def psi_arrow(a):
-        s, y = gg.reps[a]
-        return cp.delta(s, theta.theta(s, y))
+    arrow_of = [gg.germ(s, theta.maps[S.inv(s)][x]) for s, x in cp.basis]
+    psi_of = [rep[index[(s, theta.theta(s, y))]] for s, y in gg.reps]
 
     # Phi kills every N generator, hence is well-defined on the quotient
     for r in range(len(S)):
         for s in range(len(S)):
             if r != s and natural_leq(S, r, s):
                 for x in theta.domains[r]:
-                    if phi_arrow_of(r, x) != phi_arrow_of(s, x):
+                    if arrow_of[index[(r, x)]] != arrow_of[index[(s, x)]]:
                         raise VerificationFailed(
                             f"Phi does not kill 1_x(delta_{S.name(r)} - delta_{S.name(s)}) at x={theta.carrier[x]}"
                         )
     # Psi is constant on germ classes, hence well-defined on arrows
-    for (s, x), arrow in gg.pair_class.items():
-        if not cp_equal(cp.delta(s, theta.theta(s, x)), psi_arrow(arrow)):
+    for (s, x), a in gg.pair_class.items():
+        if rep[index[(s, theta.theta(s, x))]] != psi_of[a]:
             raise VerificationFailed(
                 f"Psi depends on the germ representative at ({S.name(s)}, {theta.carrier[x]})"
             )
-    # multiplicativity of Phi on all monomial pairs of L (with N killed, this
-    # gives multiplicativity on the quotient); Phi of a monomial is a singleton
-    # with coefficient one, and the product of singletons 1_a * 1_b is 1_ab
-    # when a, b compose and zero otherwise
-    for i in range(len(cp.basis)):
-        for j in range(len(cp.basis)):
-            k = cp.mono_mul(i, j)
-            a, b = arrow_of[i], arrow_of[j]
-            ab = G.compose[(a, b)] if G.composable(a, b) else None
-            if (arrow_of[k] if k is not None else None) != ab:
+    # multiplicativity of Phi on L (with N killed, this gives it on the quotient)
+    unit = gg.unit_of_point
+    first = {}
+    for x, u in enumerate(unit):
+        if first.setdefault(u, x) != x:
+            raise VerificationFailed(
+                f"Phi not multiplicative: {theta.carrier[first[u]]} and {theta.carrier[x]} share a unit"
+            )
+    by_point = {}
+    for i, (s, x) in enumerate(cp.basis):
+        by_point.setdefault(x, []).append(i)
+    for i, (s, x) in enumerate(cp.basis):
+        y = theta.maps[S.inv(s)][x]
+        a = arrow_of[i]
+        if (G.source[a], G.target[a]) != (unit[y], unit[x]):
+            raise VerificationFailed(f"Phi not multiplicative: {G.arrows[a]} is badly typed at {cp.basis[i]}")
+        for j in by_point[y]:
+            if arrow_of[cp.mono_mul(i, j)] != G.compose.get((a, arrow_of[j])):
                 raise VerificationFailed(
                     f"Phi not multiplicative on basis pair {cp.basis[i]}, {cp.basis[j]}"
                 )
     # mutual inverses on bases
     for a in range(len(G.arrows)):
-        if phi(psi_arrow(a)) != SteinbergElement.indicator(G, ring, [a]):
+        if arrow_of[psi_of[a]] != a:
             raise VerificationFailed(f"Phi(Psi(.)) != id at arrow {G.arrows[a]}")
     for i in range(len(cp.basis)):
-        if not cp_equal(psi_arrow(arrow_of[i]), cp.basis_element(i)):
+        if psi_of[arrow_of[i]] != rep[i]:
             raise VerificationFailed(f"Psi(Phi(.)) != id at basis element {cp.basis[i]}")
     # diagonal <-> diagonal: the classes of the 1_x delta_e are a basis of the
     # crossed product diagonal, so an element is diagonal iff its support
@@ -460,15 +458,15 @@ def verify_steinberg_crossed(theta, ring, rng=None):
     diag = set()
     for e in S.idempotents:
         for x in theta.domains[e]:
-            if phi_arrow_of(e, x) not in unit_set:
+            if arrow_of[index[(e, x)]] not in unit_set:
                 raise VerificationFailed("Phi does not map the diagonal into D_R(G)")
-            diag.update(cp.delta(e, x).coeffs)
+            diag.add(rep[index[(e, x)]])
     if len(diag) != len(G.units):
         raise VerificationFailed(
             f"crossed product diagonal has dimension {len(diag)}, expected {len(G.units)}"
         )
     for u in G.units:
-        if not diag.issuperset(psi_arrow(u).coeffs):
+        if psi_of[u] not in diag:
             raise VerificationFailed(f"Psi(1_{G.arrows[u]}) is not diagonal")
     return {
         "dims": {

@@ -107,7 +107,7 @@ def build_semigroup(doc):
 def build_action(doc):
     sg = doc["semigroup"]
     if isinstance(sg, str):
-        S = _catalog_semigroup(sg)
+        S = _catalog("semigroup", sg)
     else:
         S = build_semigroup(_object(sg, "semigroup", SCHEMAS["semigroup"]))
     carrier = tuple(_names(doc["carrier"], "carrier"))
@@ -162,38 +162,52 @@ def build_action_coe(doc, theta, gamma):
     return orbit.OrbitEquivalence(phi, a, b)
 
 
-def _parse_tpath(g, spec):
-    """A path is a vertex name (length 0) or a list of edge names."""
-    if isinstance(spec, str):
+def _parse_tpath(g, spec, field):
+    """A path is a vertex name (length 0) or a nonempty list of edge names."""
+    if not isinstance(spec, list):
+        if _name(spec, field) not in g.vertices:
+            raise ParseError(f"{field} names unknown vertex {spec!r}")
         return graph.Path(g.vertices.index(spec), ())
+    if not spec:
+        raise ParseError(f"{field} is an empty list of edges")
+    unknown = [e for e in _names(spec, field) if e not in g.edge_names]
+    if unknown:
+        raise ParseError(f"{field} names unknown edge {unknown[0]!r}")
     edges = tuple(g.edge_names.index(e) for e in spec)
     return graph.make_path(g, g.esrc[edges[0]], edges)
 
 
 def build_graph_coe(doc, E, F):
-    def rules_of(items, g_in, g_out):
+    def rules_of(field, g_in, g_out):
+        if not isinstance(doc[field], list):
+            raise ParseError(f"{field} is not a list")
         out = []
-        for r in items:
+        for i, r in enumerate(doc[field]):
+            where = f"{field} entry {i}"
+            r = _object(r, where, ("state", "consume", "emit", "next"))
             out.append(
                 graph.TransducerRule(
-                    r["state"],
-                    _parse_tpath(g_in, r["consume"]),
-                    _parse_tpath(g_out, r["emit"]),
-                    r["next"],
+                    _name(r["state"], f"{where} state"),
+                    _parse_tpath(g_in, r["consume"], f"{where} consume"),
+                    _parse_tpath(g_out, r["emit"], f"{where} emit"),
+                    _name(r["next"], f"{where} next"),
                 )
             )
         return tuple(out)
 
-    T = graph.PrefixTransducer(E, F, doc["initial"], rules_of(doc["rules"], E, F))
-    Tinv = graph.PrefixTransducer(
-        F, E, doc["initial_inverse"], rules_of(doc["rules_inverse"], F, E)
-    )
+    T = graph.PrefixTransducer(E, F, doc["initial"], rules_of("rules", E, F))
+    Tinv = graph.PrefixTransducer(F, E, doc["initial_inverse"], rules_of("rules_inverse", F, E))
     return T, Tinv, doc["k"], doc["l"], doc["kprime"], doc["lprime"], doc["depth"]
 
 
-def _catalog_semigroup(arg):
+CATALOG = {"semigroup": catalog.semigroup, "action": catalog.action, "graph": catalog.graphs}
+
+
+def _catalog(kind, name):
+    """The catalog instance of this kind named by 'catalog:<name>' or by a
+    bare name; an unknown name is an input error."""
     try:
-        return catalog.semigroup(arg)
+        return CATALOG[kind](name.removeprefix("catalog:"))
     except KeyError as err:
         raise ParseError(str(err))
 
@@ -201,17 +215,9 @@ def _catalog_semigroup(arg):
 def _load(arg, expect, lenient=False):
     """Resolve 'catalog:<name>' or a file path into a built object."""
     if arg.startswith("catalog:"):
-        name = arg[8:]
-        try:
-            if expect == "semigroup":
-                return catalog.semigroup(name)
-            if expect == "action":
-                return catalog.action(name)
-            if expect == "graph":
-                return catalog.graphs(name)
-        except KeyError as err:
-            raise ParseError(str(err))
-        raise ParseError(f"catalog does not serve {expect!r} inputs")
+        if expect not in CATALOG:
+            raise ParseError(f"catalog does not serve {expect!r} inputs")
+        return _catalog(expect, arg)
     return _build(expect, _load_doc(arg, expect, lenient))
 
 
@@ -444,7 +450,7 @@ def cmd_graph_leavitt(args):
     doc = _load_doc(args.input, "leavitt-expr", args.lenient)
     gdoc = doc["graph"]
     if isinstance(gdoc, str) and gdoc.startswith("catalog:"):
-        g = catalog.graphs(gdoc[8:])
+        g = _catalog("graph", gdoc)
     else:
         g = build_graph(_object(gdoc, "graph", SCHEMAS["graph"]))
     ring = rings.parse_ring_spec(args.ring)

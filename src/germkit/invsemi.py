@@ -6,10 +6,10 @@ table and re-checked at construction time.  The natural partial order is a
 bit matrix computed once there: below[t] is an int whose bit s is set iff
 s <= t, and every order query reads it.
 
-Associativity is decided by Light's test over a generating set read off the
-table, O(n^2 |A|) for every table; only a table that fails it is scanned
-for its least non-associative triple.  The tables of I_n and S(G) are filled
-from their generators by `tabulate`.
+Associativity is decided by Light's test over a generating set A, read off
+the table or, for the tables of I_n and S(G), the generators `tabulate`
+filled them from: O(n^2 |A|) for every table; only a table that fails it is
+scanned for its least non-associative triple.
 """
 
 from dataclasses import dataclass, field
@@ -74,15 +74,18 @@ class InverseSemigroup:
         return self.elements[i]
 
 
-def validate_inverse_semigroup(elements, table):
+def validate_inverse_semigroup(elements, table, *, gens=None):
     """Check a Cayley table and return the inverse semigroup it defines.
 
     Rejects non-associative tables and tables where some element lacks a
     unique generalized inverse, with the first witness in index order.
     Associativity is Light's test, (xa)y = x(ay) for all x, y and each a in
-    a generating set A derived from the table, so it costs O(n^2 |A|); the
-    least triple (i, j, k) with (ij)k != i(jk) is searched for only once the
-    test has failed.
+    a generating set A, so it costs O(n^2 |A|).  A is `gens` when given
+    (the generators `tabulate` filled the table from), else it is read off
+    the table.  The least triple (i, j, k) with (ij)k != i(jk) is searched
+    for only once the test has failed.  Inverses are read along A in
+    O(n |A|) (`_inverses_along`); only a table that is not inverse is
+    scanned for the least element without a unique inverse.
     """
     n = len(elements)
     elements = tuple(elements)
@@ -91,11 +94,14 @@ def validate_inverse_semigroup(elements, table):
     if len(table) != n or any(len(row) != n for row in table):
         raise SemigroupError("table must be n x n")
     tbl = tuple(tuple(row) for row in table)
-    for i in range(n):
-        for j in range(n):
-            if not (0 <= tbl[i][j] < n):
-                raise SemigroupError("table entry out of range", (i, j))
-    if not _light_test(tbl, generating_set(tbl)):
+    valid = frozenset(range(n))
+    for i, row in enumerate(tbl):
+        if not valid.issuperset(row):
+            j = next(j for j, x in enumerate(row) if x not in valid)
+            raise SemigroupError("table entry out of range", (i, j))
+    gens = generating_set(tbl) if gens is None else list(dict.fromkeys(gens))
+    steps = _right_steps(tbl, gens)
+    if not _light_test(tbl, gens):
         # only reached on a non-associative table: find its least witness
         for i in range(n):
             for j in range(n):
@@ -108,38 +114,108 @@ def validate_inverse_semigroup(elements, table):
                             f"{elements[i]}*({elements[j]}*{elements[k]})",
                             (i, j, k),
                         )
-    inverse = []
-    for i in range(n):
-        cands = [
-            j
-            for j in range(n)
-            if tbl[tbl[i][j]][i] == i and tbl[tbl[j][i]][j] == j
-        ]
-        if not cands:
-            raise NoInverse(f"{elements[i]} has no generalized inverse", i)
-        if len(cands) > 1:
-            raise NonUniqueInverse(
-                f"{elements[i]} has inverses {elements[cands[0]]} and {elements[cands[1]]}",
-                (i, cands[0], cands[1]),
-            )
-        inverse.append(cands[0])
     idem = tuple(i for i in range(n) if tbl[i][i] == i)
-    for e, f in combinations(idem, 2):
-        if tbl[e][f] != tbl[f][e]:  # cannot happen once inverses are unique
-            raise SemigroupError("idempotents do not commute", (e, f))
+    inverse = _inverses_along(tbl, gens, steps, idem)
+    if inverse is None:
+        # only reached when the table is not an inverse semigroup
+        inverse = []
+        for i, col_i in enumerate(zip(*tbl)):
+            cands = _inverse_candidates(tbl, i, col_i)
+            if not cands:
+                raise NoInverse(f"{elements[i]} has no generalized inverse", i)
+            if len(cands) > 1:
+                raise NonUniqueInverse(
+                    f"{elements[i]} has inverses {elements[cands[0]]} and {elements[cands[1]]}",
+                    (i, cands[0], cands[1]),
+                )
+            inverse.append(cands[0])
+        for e, f in combinations(idem, 2):
+            if tbl[e][f] != tbl[f][e]:  # cannot happen once inverses are unique
+                raise SemigroupError("idempotents do not commute", (e, f))
     zero = None
     for z in range(n):
         if all(tbl[z][i] == z and tbl[i][z] == z for i in range(n)):
             zero = z
             break
-    # s <= t in the natural partial order iff s = t s* s
-    below = [0] * n
-    for s in range(n):
-        s_s = tbl[inverse[s]][s]
-        for t in range(n):
-            if tbl[t][s_s] == s:
-                below[t] |= 1 << s
-    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=tuple(below))
+    # s <= t in the natural partial order iff s = t s* s, iff s = t e for
+    # some idempotent e (then s* s = e t* t, and t e t* t = t e)
+    pick = _pick(idem)
+    below = tuple(sum(1 << s for s in set(pick(row))) for row in tbl)
+    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=below)
+
+
+def _right_steps(tbl, gens):
+    """(x, a, y) with y = x a, the first step reaching each y not in gens,
+    breadth-first from gens; raises SemigroupError if gens do not generate."""
+    reached = [False] * len(tbl)
+    for a in gens:
+        reached[a] = True
+    steps = []
+    frontier = list(gens)
+    for x in frontier:  # frontier grows while it is scanned
+        if len(frontier) == len(tbl):
+            break
+        row = tbl[x]
+        for a in gens:
+            y = row[a]
+            if not reached[y]:
+                reached[y] = True
+                steps.append((x, a, y))
+                frontier.append(y)
+    if len(frontier) < len(tbl):
+        raise SemigroupError("gens do not generate the table", reached.index(False))
+    return steps
+
+
+def _inverse_candidates(tbl, i, col_i):
+    """The j with iji = i and jij = j, in index order; col_i is column i.
+    Column i read at the positions of row i gives iji for every j."""
+    iji = _pick(tbl[i])(col_i)
+    return [j for j in _positions(iji, i) if tbl[col_i[j]][j] == j]
+
+
+def _inverses_along(tbl, gens, steps, idem):
+    """The inverse of every element, or None when tbl is not inverse.
+
+    a* is searched for each generator a, then (x a)* = a* x* along steps.
+    When every x then has x x* x = x and x* x x* = x*, and the idempotents
+    commute, tbl is regular with commuting idempotents, hence an inverse
+    semigroup (Howie, Fundamentals of Semigroup Theory, Thm 5.1.1): its
+    inverses are unique, and these are they.  O(n |A| + |E|^2).
+    """
+    inv = [None] * len(tbl)
+    for a in gens:
+        cands = _inverse_candidates(tbl, a, tuple(map(itemgetter(a), tbl)))
+        if not cands:
+            return None
+        inv[a] = cands[0]
+    for x, a, y in steps:
+        inv[y] = tbl[inv[a]][inv[x]]
+    for x, y in enumerate(inv):  # y = x*
+        if tbl[tbl[x][y]][x] != x or tbl[tbl[y][x]][y] != y:
+            return None
+    if any(tbl[e][f] != tbl[f][e] for e, f in combinations(idem, 2)):
+        return None
+    return inv
+
+
+def _pick(idxs):
+    """seq -> tuple(seq[i] for i in idxs), looked up in C."""
+    if len(idxs) == 1:  # itemgetter of one index returns an entry, not a tuple
+        i, = idxs
+        return lambda seq: (seq[i],)
+    return itemgetter(*idxs) if idxs else lambda seq: ()
+
+
+def _positions(seq, x):
+    """Indices of x in seq, each found by a C scan."""
+    i = -1
+    try:
+        while True:
+            i = seq.index(x, i + 1)
+            yield i
+    except ValueError:
+        return
 
 
 def generating_set(tbl):
@@ -198,7 +274,9 @@ def tabulate(items, mul, gens):
 
     One breadth-first pass over the right Cayley graph makes len(items) *
     len(gens) calls to mul and gives each other element y a parent with
-    y = parent(y) a_y; then table[x][y] = (x parent(y)) a_y is a list lookup.
+    y = parent(y) a_y.  The row of a generator a follows the same tree,
+    a y = (a parent(y)) a_y; the row of any other x = parent(x) a_x is
+    row(parent(x)) read at the positions row(a_x), since (p a) y = p (a y).
     The result is mul's Cayley table when mul is associative, as it is for
     I_n and S(G).  Raises SemigroupError when gens do not generate.
     """
@@ -222,14 +300,20 @@ def tabulate(items, mul, gens):
         raise SemigroupError(
             f"generators reach {len(order)} of {n} elements; they do not generate", missing
         )
-    by_letter = list(zip(*right))  # by_letter[k][x] = x a_k
-    cols = [None] * n
-    for k, a in enumerate(roots):
-        cols[a] = by_letter[k]
-    for y in order[len(roots):]:
-        p, k = parent[y]
-        cols[y] = list(map(by_letter[k].__getitem__, cols[p]))
-    return list(zip(*cols))
+    rows = [None] * n
+    for a in roots:
+        row = [None] * n
+        for j, b in enumerate(roots):
+            row[b] = right[a][j]
+        for y in order[len(roots):]:
+            p, j = parent[y]
+            row[y] = right[row[p]][j]
+        rows[a] = tuple(row)
+    by_letter = [_pick(rows[a]) for a in roots]  # row p -> row of p a_k
+    for x in order[len(roots):]:
+        p, k = parent[x]
+        rows[x] = by_letter[k](rows[p])
+    return rows
 
 
 def natural_leq(S, s, t):
@@ -423,9 +507,9 @@ def exel_semigroup(G, max_elements=4096):
         return f"{eps}[{G.elements[g]}]"
 
     names = tuple(fmt(fg) for fg in forms)
-    tbl = tabulate(forms, mul, [(frozenset(), g) for g in range(n)])
-    S = validate_inverse_semigroup(names, tbl)
     of_group = tuple(index[(frozenset(), g)] for g in range(n))
+    tbl = tabulate(forms, mul, [forms[a] for a in of_group])
+    S = validate_inverse_semigroup(names, tbl, gens=of_group)
     return ExelSemigroup(S, tuple(forms), G, of_group)
 
 
@@ -497,7 +581,8 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     if n >= 2:
         gens.append(PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
     names = tuple(fmt(f) for f in maps)
-    S = validate_inverse_semigroup(names, tabulate(maps, compose_partial, gens))
+    tbl = tabulate(maps, compose_partial, gens)
+    S = validate_inverse_semigroup(names, tbl, gens=[maps.index(g) for g in gens])
     return S, tuple(maps)
 
 

@@ -6,6 +6,7 @@ checks that germkit now makes another way.
 
 from itertools import permutations
 
+from germkit import algebra, germs, paction
 from germkit.rings import NotAField
 
 
@@ -25,6 +26,43 @@ def first_non_associative(elements, table):
                         f"{elements[i]}*({elements[j]}*{elements[k]})"
                     )
                     return msg, (i, j, k)
+    return None
+
+
+def generalized_inverses(elements, table):
+    """The generalized inverse of every element, found by trying every j for
+    every i; or (message, witness) of the least i without exactly one."""
+    n = len(table)
+    inverse = []
+    for i in range(n):
+        cands = [j for j in range(n) if table[table[i][j]][i] == i and table[table[j][i]][j] == j]
+        if not cands:
+            return f"{elements[i]} has no generalized inverse", i
+        if len(cands) > 1:
+            return (f"{elements[i]} has inverses {elements[cands[0]]} and {elements[cands[1]]}",
+                    (i, cands[0], cands[1]))
+        inverse.append(cands[0])
+    return tuple(inverse)
+
+
+# --- Steinberg/crossed-product multiplicativity: every basis pair ------------
+
+def phi_not_multiplicative(theta, ring):
+    """The least basis pair (i, j) of L, in index order, on which
+    Phi: 1_x delta_s -> 1_[s, theta_{s*}(x)] is not multiplicative, or None;
+    tries all |L|^2 pairs, the zero products included."""
+    gg = germs.groupoid_of_germs(theta)
+    G = gg.groupoid
+    S = theta.semigroup
+    cp = algebra.crossed_product_build(paction.dual_action(theta, ring))
+    arrow_of = [gg.germ(s, theta.maps[S.inv(s)][x]) for s, x in cp.basis]
+    for i in range(len(cp.basis)):
+        for j in range(len(cp.basis)):
+            k = cp.mono_mul(i, j)
+            a, b = arrow_of[i], arrow_of[j]
+            ab = G.compose.get((a, b)) if G.composable(a, b) else None
+            if (arrow_of[k] if k is not None else None) != ab:
+                return i, j
     return None
 
 

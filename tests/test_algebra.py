@@ -364,6 +364,28 @@ def test_verify_steinberg_crossed_self_action_i3():
     assert rep["dims"] == {"L": 475, "N": 303, "quotient": 172, "steinberg": 172}
 
 
+@pytest.mark.parametrize("kind, ringspec, dims", [
+    ("munn", "Q", {"L": 1473, "N": 1264, "quotient": 209, "steinberg": 209}),
+    ("self", "Zp:5", {"L": 13617, "N": 9808, "quotient": 3809, "steinberg": 3809}),
+])
+def test_verify_steinberg_crossed_i4(kind, ringspec, dims):
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = invsemi.munn_representation(S4) if kind == "munn" else invsemi.canonical_self_action(S4)
+    rep = algebra.verify_steinberg_crossed(theta, rings.parse_ring_spec(ringspec))
+    assert rep["dims"] == dims
+
+
+@pytest.mark.parametrize("ringspec", ["Q", "Zp:5"])
+def test_multiplicativity_agrees_with_all_pairs_reference(ringspec):
+    ring = rings.parse_ring_spec(ringspec)
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    actions = [catalog.action(name) for name in catalog.ACTION_NAMES]
+    actions += [invsemi.munn_representation(S3), invsemi.canonical_self_action(S3)]
+    for theta in actions:
+        assert oracles.phi_not_multiplicative(theta, ring) is None
+        assert algebra.verify_steinberg_crossed(theta, ring)["checks"] == "all passed"
+
+
 def _drop_unit(G):
     return dataclasses.replace(G, units=G.units[1:])
 
@@ -380,12 +402,20 @@ def _reroute_compose(G):
     return dataclasses.replace(G, compose=compose)
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_drop_unit, "Phi does not map the diagonal into D_R\\(G\\)"),
-    (_add_non_unit, "crossed product diagonal has dimension"),
-    (_reroute_compose, "Phi not multiplicative"),
+def _repoint_source(G):
+    a = next(a for a in range(len(G.arrows)) if a not in G.units)
+    source = list(G.source)
+    source[a] = next(u for u in G.units if u != G.source[a])
+    return dataclasses.replace(G, source=tuple(source))
+
+
+@pytest.mark.parametrize("corrupt, message, name", [
+    (_drop_unit, "Phi does not map the diagonal into D_R\\(G\\)", "munn-z3"),
+    (_add_non_unit, "crossed product diagonal has dimension", "munn-z3"),
+    (_reroute_compose, "Phi not multiplicative", "munn-z3"),
+    (_repoint_source, "Phi not multiplicative", "munn-i2"),
 ])
-def test_verify_steinberg_crossed_detects_corrupted_groupoid(monkeypatch, corrupt, message):
+def test_verify_steinberg_crossed_detects_corrupted_groupoid(monkeypatch, corrupt, message, name):
     real = germs.groupoid_of_germs
 
     def corrupted(theta):
@@ -394,4 +424,22 @@ def test_verify_steinberg_crossed_detects_corrupted_groupoid(monkeypatch, corrup
 
     monkeypatch.setattr(algebra.germs, "groupoid_of_germs", corrupted)
     with pytest.raises(algebra.VerificationFailed, match=message):
-        algebra.verify_steinberg_crossed(catalog.action("munn-z3"), Q)
+        algebra.verify_steinberg_crossed(catalog.action(name), Q)
+
+
+def test_verify_steinberg_crossed_detects_shared_unit(monkeypatch):
+    # the groupoid is intact and every basis pair multiplies correctly, but
+    # checking only the pairs at a common point covers the others only when
+    # no two points share a unit, so the verifier must refuse this premise
+    real = germs.groupoid_of_germs
+
+    def shared(theta):
+        gg = real(theta)
+        units = gg.unit_of_point
+        return dataclasses.replace(gg, unit_of_point=(units[0], units[0]) + units[2:])
+
+    monkeypatch.setattr(algebra.germs, "groupoid_of_germs", shared)
+    theta = catalog.action("munn-i2")
+    assert oracles.phi_not_multiplicative(theta, Q) is None
+    with pytest.raises(algebra.VerificationFailed, match="Phi not multiplicative: .* share a unit"):
+        algebra.verify_steinberg_crossed(theta, Q)

@@ -386,3 +386,46 @@ def test_coe_extract_munn_i4_against_relabeled_copy(capsys, tmp_path):
     pc.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "coe", "verify", str(pa), str(pb), str(pc))
     assert code == 0 and json.loads(out)["ok"]
+
+
+def _edge_coe_doc():
+    """The identity orbit equivalence of catalog:edge, as coe-search writes it."""
+    def rules(state, end):
+        return [{"consume": "w", "emit": "w", "next": end, "state": state},
+                {"consume": ["e"], "emit": ["e"], "next": end, "state": state}]
+
+    return {"schema": "graph-coe", "version": 1, "depth": 2,
+            "initial": "f", "rules": rules("f", "fend"),
+            "initial_inverse": "b", "rules_inverse": rules("b", "bend"),
+            "k": {"e": 0}, "l": {"e": 1}, "kprime": {"e": 0}, "lprime": {"e": 1}}
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("rules", 1), {"consume": ["e"], "emit": ["e"], "next": "fend"},
+         "rules entry 1 is missing fields ['state']"),
+        (("rules_inverse", 1, "consume"), ["e", "zz"], "rules_inverse entry 1 consume names unknown edge 'zz'"),
+        (("rules", 1, "emit"), [], "rules entry 1 emit is an empty list of edges"),
+    ],
+)
+def test_malformed_graph_coe_document_is_input_error(capsys, tmp_path, path, value, where):
+    doc = _edge_coe_doc()
+    _set(doc, path, value)
+    argv = ["graph", "coe-verify", "catalog:edge", "catalog:edge", None]
+    _input_error(capsys, tmp_path, argv, doc, where)
+
+
+def test_action_document_names_catalog_semigroup(capsys, tmp_path):
+    doc = _z2_swap_doc()
+    doc["semigroup"] = "catalog:z2"
+    f = tmp_path / "action.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(f))[0] == 0
+    doc["semigroup"] = "catalog:nosuch"
+    _input_error(capsys, tmp_path, ["validate", None], doc, "unknown catalog semigroup 'nosuch'")
+
+
+def test_leavitt_document_with_unknown_catalog_graph_is_input_error(capsys, tmp_path):
+    doc = {"schema": "leavitt-expr", "version": 1, "graph": "catalog:nosuch", "expr": "v"}
+    _input_error(capsys, tmp_path, ["graph", "leavitt", None], doc, "unknown catalog graph 'nosuch'")

@@ -555,3 +555,131 @@ def test_symmetric_too_large_is_refused_before_enumerating():
     # |I_10| = 234662231: counted in closed form, never listed
     with pytest.raises(invsemi.TooLarge, match=r"^\|I\(X\)\| = 234662231 exceeds 600$"):
         invsemi.symmetric_inverse_semigroup(10)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_validate_over_construction_generators_matches_derived(n):
+    # the generators I_n was tabulated from decide associativity and give
+    # the same semigroup, order included, as the set read off the table
+    S = invsemi.symmetric_inverse_semigroup(n)[0]
+    T = invsemi.validate_inverse_semigroup(S.elements, S.table)
+    assert (T, T.below) == (S, S.below)
+
+
+def test_order_and_inverses_match_defining_formulas_on_five_points():
+    S, maps = invsemi.symmetric_inverse_semigroup(5, max_elements=1546)
+    n = len(S)
+    for s in range(n):
+        assert maps[S.inv(s)] == invsemi.invert_partial(maps[s])
+    for s in range(0, n, 13):  # every rank, by the defining formula s = t s* s
+        ss = S.mul(S.inv(s), s)
+        above = [t for t in range(n) if S.mul(t, ss) == s]
+        assert [t for t in range(n) if invsemi.natural_leq(S, s, t)] == above
+
+
+def test_importing_invsemi_loads_no_other_layer():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(invsemi.__file__))
+    code = (
+        "import sys, germkit.invsemi\n"
+        "print(sorted(m for m in sys.modules if m.startswith('germkit.')))\n"
+        "import germkit\n"
+        "print(germkit.algebra.__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split("\n")[:2] == ["['germkit.invsemi']", "germkit.algebra"]
+
+
+def _full_transformations(n):
+    from itertools import product
+
+    maps = list(product(range(n), repeat=n))
+    index = {f: i for i, f in enumerate(maps)}
+    return [str(f) for f in maps], [[index[tuple(g[f[x]] for x in range(n))] for g in maps] for f in maps]
+
+
+def _associative_tables():
+    """Associative tables, inverse or not: every associative operation on a
+    3-set, T_2 and T_3 (regular, idempotents do not commute), a 2x2
+    rectangular band, a null semigroup, and the inverse ones of the ladder."""
+    from itertools import product
+
+    for flat in product(range(3), repeat=9):
+        table = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        if oracles.first_non_associative("abc", table) is None:
+            yield ("x0", "x1", "x2"), table
+    for n in (2, 3):
+        yield _full_transformations(n)
+    yield "abcd", [[(i & 2) | (j & 1) for j in range(4)] for i in range(4)]
+    yield "zab", [[0] * 3 for _ in range(3)]
+    for S in [*_corruption_instances().values(), invsemi.symmetric_inverse_semigroup(4)[0]]:
+        yield S.elements, S.table
+
+
+def test_inverses_match_oracle_on_associative_tables():
+    # inverses are read along a generating set; every outcome, witness and
+    # message included, is the one of trying every j for every i
+    kinds = set()
+    for elements, table in _associative_tables():
+        expected = oracles.generalized_inverses(elements, table)
+        try:
+            S = invsemi.validate_inverse_semigroup(elements, table)
+        except (invsemi.NoInverse, invsemi.NonUniqueInverse) as err:
+            assert (str(err), err.witness) == expected
+            kinds.add(type(err))
+            continue
+        assert S.inverse == expected
+        kinds.add(invsemi.InverseSemigroup)
+    assert kinds == {invsemi.NoInverse, invsemi.NonUniqueInverse, invsemi.InverseSemigroup}
+
+
+def test_construction_generators_decide_corrupted_tables():
+    # with gens given, a table they do not generate is refused, and every
+    # other corrupted table gets the exhaustive scan's verdict and witness
+    import random
+
+    S, maps = invsemi.symmetric_inverse_semigroup(3)
+    gens = [maps.index(invsemi.PartialBijection(m)) for m in
+            (((0, 1), (1, 2), (2, 0)), ((1, 1), (2, 2)), ((0, 1), (1, 0), (2, 2)))]
+    rng = random.Random("corrupt-i3-gens")
+    verdicts = set()
+    for _ in range(60):
+        table = [list(row) for row in S.table]
+        for _ in range(rng.randint(1, 2)):
+            table[rng.randrange(len(S))][rng.randrange(len(S))] = rng.randrange(len(S))
+        expected = oracles.first_non_associative(S.elements, table)
+        try:
+            invsemi.validate_inverse_semigroup(S.elements, table, gens=gens)
+        except invsemi.NotAssociative as err:
+            assert (str(err), err.witness) == expected
+            verdicts.add("not associative")
+            continue
+        except invsemi.SemigroupError as err:
+            if "do not generate" in str(err):
+                verdicts.add("not generated")
+                continue
+        assert expected is None
+    assert "not associative" in verdicts
+    with pytest.raises(invsemi.SemigroupError, match="do not generate"):
+        invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens[:1])
+
+
+def test_inverses_of_inverse_semigroup_are_read_along_generators(monkeypatch):
+    # the candidate search runs once per generator, never per element, when
+    # (x a)* = a* x* holds all along
+    S, maps = invsemi.symmetric_inverse_semigroup(4)
+    searched = []
+    search = invsemi._inverse_candidates
+
+    def counting(tbl, i, col_i):
+        searched.append(i)
+        return search(tbl, i, col_i)
+
+    monkeypatch.setattr(invsemi, "_inverse_candidates", counting)
+    T = invsemi.validate_inverse_semigroup(S.elements, S.table)
+    assert T.inverse == S.inverse
+    assert len(searched) == len(invsemi.generating_set(S.table)) < len(S)
