@@ -3,8 +3,9 @@ and isomorphism of finite groupoids by their orbit structure.
 
 Arrows are indexed; source/target of an arrow are indices of unit arrows, and
 composition tables are built and checked over the composable pairs only.  A
-germ class is keyed by (s e_x, x); `germ_equivalent` states the paper's
-relation and is what the tests check that key against.  On finite discrete
+germ class is keyed by (s e_x, x); the tests check that key against the
+paper's relation, (s, x) ~ (t, x) iff se = te for some idempotent e with x
+in X_e (`germ_equivalent` in tests/oracles.py).  On finite discrete
 groupoids every subset is compact-open, so the open and ample bisection
 semigroups coincide and only the latter is exposed.
 """
@@ -148,15 +149,6 @@ class GermGroupoid:
 
     def germ(self, s, x):
         return self.pair_class[(s, x)]
-
-
-def germ_equivalent(theta, s, t, x):
-    """(s,x) ~ (t,x): some idempotent e has x in X_e and se = te."""
-    S = theta.semigroup
-    return any(
-        x in theta.maps[e] and S.mul(s, e) == S.mul(t, e)
-        for e in S.idempotents
-    )
 
 
 def groupoid_of_germs(theta):

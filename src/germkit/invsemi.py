@@ -4,7 +4,8 @@ Elements are identified by their index into a declared name list; every
 structural fact (inverses, idempotents, natural order) is computed from the
 table and re-checked at construction time.  The natural partial order is a
 bit matrix computed once there: below[t] is an int whose bit s is set iff
-s <= t, and every order query reads it.
+s <= t, and every order query reads it.  The generating set the table was
+checked with is kept as gens.
 
 Associativity is decided by Light's test over a generating set A, read off
 the table or, for the tables of I_n and S(G), the generators `tabulate`
@@ -48,6 +49,7 @@ class InverseSemigroup:
     idempotents: tuple
     zero: object = None
     below: tuple = field(kw_only=True, compare=False, repr=False)
+    gens: tuple = field(kw_only=True, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -85,7 +87,8 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
     the table.  The least triple (i, j, k) with (ij)k != i(jk) is searched
     for only once the test has failed.  Inverses are read along A in
     O(n |A|) (`_inverses_along`); only a table that is not inverse is
-    scanned for the least element without a unique inverse.
+    scanned for the least element without a unique inverse.  A is kept as
+    `S.gens`, so partial actions of S can be checked over it.
     """
     n = len(elements)
     elements = tuple(elements)
@@ -141,7 +144,8 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
     # some idempotent e (then s* s = e t* t, and t e t* t = t e)
     pick = _pick(idem)
     below = tuple(sum(1 << s for s in set(pick(row))) for row in tbl)
-    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero, below=below)
+    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero,
+                            below=below, gens=tuple(gens))
 
 
 def _right_steps(tbl, gens):
@@ -589,25 +593,22 @@ def symmetric_inverse_semigroup(n, max_elements=600):
 # --- canonical constructions returning partial actions / groupoids -------------
 
 def munn_representation(S):
-    """The Munn representation on E(S): X_s = {e <= ss*}, theta_s(e) = ses*."""
+    """The Munn representation on E(S): X_s = {e <= ss*}, theta_s(e) = ses*.
+
+    Each X_f, f idempotent, is the row S.below[f] (all of it idempotent).
+    """
     from . import paction
 
     E = S.idempotents
     pos = {e: i for i, e in enumerate(E)}
     carrier = tuple(S.elements[e] for e in E)
+    down = {f: tuple(members(S.below[f])) for f in E}
     domains = []
     maps = []
     for s in range(len(S)):
-        ss = S.mul(s, S.inv(s))
-        dom_s = tuple(pos[e] for e in E if natural_leq(S, e, ss))
-        domains.append(dom_s)
-    for s in range(len(S)):
-        s_s = S.mul(S.inv(s), s)
-        theta = {}
-        for e in E:
-            if natural_leq(S, e, s_s):
-                theta[pos[e]] = pos[S.prod(s, e, S.inv(s))]
-        maps.append(theta)
+        s_star = S.inv(s)
+        domains.append(tuple(pos[e] for e in down[S.mul(s, s_star)]))
+        maps.append({pos[e]: pos[S.prod(s, e, s_star)] for e in down[S.mul(s_star, s)]})
     return paction.validate_partial_action(S, carrier, tuple(domains), tuple(maps))
 
 
@@ -615,23 +616,24 @@ def canonical_self_action(S):
     """Left translation on S itself: D_s = {t : tt* <= ss*}, alpha_s(t) = st.
 
     This is the action used for the Vagner-Preston theorem; it is a global
-    action and is free exactly when S is E-unitary.
+    action and is free exactly when S is E-unitary.  The t are grouped by
+    tt* once, and each D_f, f idempotent, gathers the groups of the row
+    S.below[f].
     """
     from . import paction
 
     n = len(S)
+    by_range = {f: [] for f in S.idempotents}
+    for t in range(n):
+        by_range[S.mul(t, S.inv(t))].append(t)
+    down = {f: tuple(sorted(t for e in members(S.below[f]) for t in by_range[e]))
+            for f in S.idempotents}
     domains = []
-    for s in range(n):
-        ss = S.mul(s, S.inv(s))
-        domains.append(tuple(t for t in range(n) if natural_leq(S, S.mul(t, S.inv(t)), ss)))
     maps = []
     for s in range(n):
-        s_s = S.mul(S.inv(s), s)
-        theta = {}
-        for t in range(n):
-            if natural_leq(S, S.mul(t, S.inv(t)), s_s):
-                theta[t] = S.mul(s, t)
-        maps.append(theta)
+        row_s = S.table[s]
+        domains.append(down[S.mul(s, S.inv(s))])
+        maps.append({t: row_s[t] for t in down[S.mul(S.inv(s), s)]})
     return paction.validate_partial_action(S, S.elements, tuple(domains), tuple(maps))
 
 

@@ -71,7 +71,25 @@ class PartialAction:
 
 def validate_partial_action(semigroup, carrier, domains, maps):
     """Check bijectivity, the partial homomorphism laws and non-degeneracy;
-    returns the action with its global flag."""
+    returns the action with its global flag.
+
+    The laws are theta_s theta_t <= theta_st (a restriction) for all s, t,
+    and theta_s <= theta_t whenever s <= t.  Once theta_{s*} = theta_s^-1
+    is checked, the equality theta_a theta_t = theta_at is tested for every
+    a in the generating set A = S.gens and every t: O(|A| |L|), L the pairs
+    (s, x) with x in the domain of theta_s.  If it holds, theta is a
+    homomorphism and both laws follow:
+    - by induction on word length, theta_aw = theta_a theta_w, so
+      theta_aw theta_t = theta_a theta_wt = theta_awt;
+    - for s <= t, s = t s*s, so theta_s = theta_t theta_{s*s}, and
+      theta_{s*s} = theta_s^-1 theta_s is the identity on the domain of
+      theta_s: theta_s is a restriction of theta_t.
+    Inclusion over A alone would not do: the product of two elements that
+    pass it need not.  When the equality fails (a true partial action, or
+    no action at all), `_check_laws` scans both laws in full for their
+    least witness.  On a semilattice |A| is about |S|, so there the check
+    stays O(|S| |L|).
+    """
     S = semigroup
     n = len(S)
     carrier = tuple(carrier)
@@ -97,25 +115,8 @@ def validate_partial_action(semigroup, carrier, domains, maps):
         inv = {y: x for x, y in graphs[s].items()}
         if graphs[S.inv(s)] != inv:
             raise InverseMismatch(f"theta_{S.name(S.inv(s))} is not the inverse of theta_{S.name(s)}", s)
-    for s in range(n):
-        for t in range(n):
-            st = S.mul(s, t)
-            for x, y in graphs[t].items():
-                if y in graphs[s]:
-                    if x not in graphs[st] or graphs[st][x] != graphs[s][y]:
-                        raise CompositionNotRestriction(
-                            f"theta_{S.name(s)} o theta_{S.name(t)} is not a restriction of theta_{S.name(st)}",
-                            (s, t, x),
-                        )
-    for s in range(n):
-        for t in range(n):
-            if s != t and natural_leq(S, s, t):
-                for x, y in graphs[s].items():
-                    if x not in graphs[t] or graphs[t][x] != y:
-                        raise OrderNotPreserved(
-                            f"{S.name(s)} <= {S.name(t)} but theta_{S.name(s)} is not a restriction",
-                            (s, t, x),
-                        )
+    if not _homomorphic_over_gens(S, graphs):
+        _check_laws(S, graphs, npts)
     covered = set()
     for e in S.idempotents:
         covered.update(domains[e])
@@ -126,6 +127,61 @@ def validate_partial_action(semigroup, carrier, domains, maps):
         set(domains[S.inv(s)]) == set(domains[S.mul(S.inv(s), s)]) for s in range(n)
     )
     return PartialAction(S, carrier, domains, tuple(graphs), is_global)
+
+
+def _homomorphic_over_gens(S, graphs):
+    """theta_a theta_t == theta_at for every a in S.gens and every t."""
+    for a in S.gens:
+        theta_a = graphs[a]
+        row_a = S.table[a]
+        for t, theta_t in enumerate(graphs):
+            if {x: theta_a[y] for x, y in theta_t.items() if y in theta_a} != graphs[row_a[t]]:
+                return False
+    return True
+
+
+def _check_laws(S, graphs, npts):
+    """Raise on the least (s, t, x) where theta_s theta_t is not a
+    restriction of theta_st, then on the least where s <= t but theta_s is
+    not a restriction of theta_t; x runs in the order of the map's graph.
+
+    The composition law goes point by point: each (t, x) meets only the s
+    defined at theta_t(x), and a failure at s rules out every s' >= s later.
+    """
+    n = len(S)
+    acting = [[] for _ in range(npts)]  # y -> the s with y in dom theta_s
+    for s, theta_s in enumerate(graphs):
+        for y in theta_s:
+            acting[y].append(s)
+    table = S.table
+    least = None
+    for t, theta_t in enumerate(graphs):
+        for x, y in theta_t.items():
+            for s in acting[y]:
+                if least is not None and s >= least[0]:
+                    break
+                if graphs[table[s][t]].get(x) != graphs[s][y]:
+                    least = (s, t, x)
+                    break
+    if least is not None:
+        s, t, x = least
+        raise CompositionNotRestriction(
+            f"theta_{S.name(s)} o theta_{S.name(t)} is not a restriction of theta_{S.name(S.mul(s, t))}",
+            least,
+        )
+    above = [[] for _ in range(n)]  # s -> the t > s, in index order
+    for t in range(n):
+        for s in members(S.below[t]):
+            if s != t:
+                above[s].append(t)
+    for s, theta_s in enumerate(graphs):
+        for t in above[s]:
+            for x, y in theta_s.items():
+                if graphs[t].get(x) != y:
+                    raise OrderNotPreserved(
+                        f"{S.name(s)} <= {S.name(t)} but theta_{S.name(s)} is not a restriction",
+                        (s, t, x),
+                    )
 
 
 # --- dynamics ------------------------------------------------------------------

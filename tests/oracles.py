@@ -7,7 +7,55 @@ checks that germkit now makes another way.
 from itertools import permutations
 
 from germkit import algebra, germs, paction
+from germkit.invsemi import natural_leq
 from germkit.rings import NotAField
+
+
+# --- partial-action laws: every pair (s, t) -----------------------------------
+
+def first_law_failure(S, graphs):
+    """(exception class, message, witness) of the first failure of the
+    partial-action laws, or None when both hold; tries all |S|^2 pairs.
+
+    First the least (s, t, x), s then t in index order and x in the order of
+    graphs[t], where theta_s theta_t is not a restriction of theta_st; then
+    the least (s, t, x) with s <= t, x in the order of graphs[s], where
+    theta_s is not a restriction of theta_t.
+    """
+    n = len(S)
+    for s in range(n):
+        for t in range(n):
+            st = S.mul(s, t)
+            for x, y in graphs[t].items():
+                if y in graphs[s]:
+                    if x not in graphs[st] or graphs[st][x] != graphs[s][y]:
+                        return (
+                            paction.CompositionNotRestriction,
+                            f"theta_{S.name(s)} o theta_{S.name(t)} is not a restriction of theta_{S.name(st)}",
+                            (s, t, x),
+                        )
+    for s in range(n):
+        for t in range(n):
+            if s != t and natural_leq(S, s, t):
+                for x, y in graphs[s].items():
+                    if x not in graphs[t] or graphs[t][x] != y:
+                        return (
+                            paction.OrderNotPreserved,
+                            f"{S.name(s)} <= {S.name(t)} but theta_{S.name(s)} is not a restriction",
+                            (s, t, x),
+                        )
+    return None
+
+
+# --- germs: the paper's relation ----------------------------------------------
+
+def germ_equivalent(theta, s, t, x):
+    """(s,x) ~ (t,x): some idempotent e has x in X_e and se = te."""
+    S = theta.semigroup
+    return any(
+        x in theta.maps[e] and S.mul(s, e) == S.mul(t, e)
+        for e in S.idempotents
+    )
 
 
 # --- associativity: every triple, in index order ------------------------------

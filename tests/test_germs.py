@@ -449,7 +449,7 @@ def test_validate_groupoid_rejects_inverse_of_wrong_type():
 # --- germ classes by key against the paper's relation ------------------------------
 
 def _classes_by_relation(theta):
-    """pair_class, reps and unit_of_point from germ_equivalent alone: a
+    """pair_class, reps and unit_of_point from the germ relation alone: a
     union-find over every pair of elements acting at the same point, classes
     numbered by their least pair."""
     S = theta.semigroup
@@ -463,7 +463,7 @@ def _classes_by_relation(theta):
         for x, acting in by_point.items()
         for s in acting
         for t in acting
-        if s < t and germs.germ_equivalent(theta, s, t, x)
+        if s < t and oracles.germ_equivalent(theta, s, t, x)
     ))
     roots = sorted(set(root))
     number = {r: k for k, r in enumerate(roots)}

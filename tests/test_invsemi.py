@@ -551,6 +551,16 @@ def test_symmetric_inverse_semigroup_of_five_points():
         assert maps[S.inv(i)] == invsemi.invert_partial(maps[i])
 
 
+def test_munn_action_of_five_points_validates():
+    # 19091 pairs: the equality over the 3 generators proves the laws that
+    # the all-pairs scan would check on |S| * |L| = 29.5M items
+    S, _ = invsemi.symmetric_inverse_semigroup(5, max_elements=1546)
+    m = invsemi.munn_representation(S)
+    assert len(m.carrier) == 32
+    assert len(m.pairs()) == 19091
+    assert m.is_global
+
+
 def test_symmetric_too_large_is_refused_before_enumerating():
     # |I_10| = 234662231: counted in closed form, never listed
     with pytest.raises(invsemi.TooLarge, match=r"^\|I\(X\)\| = 234662231 exceeds 600$"):

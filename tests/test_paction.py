@@ -1,3 +1,7 @@
+import random
+from itertools import product
+
+import oracles
 import pytest
 
 from germkit import catalog, germs, invsemi, paction, rings
@@ -50,6 +54,127 @@ def test_degenerate_detected():
             Z2, ("x", "y"), ((0,), (0,)), ({0: 0}, {0: 0})
         )
     assert exc.value.witness == 1
+
+
+def _cyclic(n):
+    """Z_n validated over the one generator 1."""
+    tbl = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return invsemi.validate_inverse_semigroup([str(i) for i in range(n)], tbl, gens=[1])
+
+
+def test_generator_inclusions_do_not_make_an_action():
+    # every theta_1 theta_t <= theta_(1+t) holds, yet theta_2 theta_2 = id on
+    # {a} is not a restriction of theta_4 = {}: inclusion over the generators
+    # is not enough, the equality over them is what proves the laws
+    Z5 = _cyclic(5)
+    assert Z5.gens == (1,)
+    ida = {0: 0}
+    maps = ({0: 0, 1: 1, 2: 2}, {}, ida, ida, {})
+    domains = tuple(tuple(sorted(m.values())) for m in maps)
+    for t in range(5):
+        composed = {x: maps[1][y] for x, y in maps[t].items() if y in maps[1]}
+        assert composed.items() <= maps[(1 + t) % 5].items()
+    with pytest.raises(paction.CompositionNotRestriction) as exc:
+        paction.validate_partial_action(Z5, ("a", "b", "c"), domains, maps)
+    assert str(exc.value) == "theta_2 o theta_2 is not a restriction of theta_4"
+    assert exc.value.witness == (2, 2, 0)
+
+
+def test_order_not_preserved_detected():
+    # e1 <= 1 in chain2; every theta_s theta_t <= theta_st holds, but
+    # theta_e1 = id is not a restriction of theta_1 = {}
+    C2 = catalog.semigroup("chain2")
+    maps = ({}, {0: 0})
+    assert oracles.first_law_failure(C2, maps)[0] is paction.OrderNotPreserved
+    with pytest.raises(paction.OrderNotPreserved) as exc:
+        paction.validate_partial_action(C2, ("x",), ((), (0,)), maps)
+    assert str(exc.value) == "e1 <= 1 but theta_e1 is not a restriction"
+    assert exc.value.witness == (1, 0, 0)
+
+
+def _inverse_closed_candidates(S, npts):
+    """Every maps tuple on npts points with theta_{s*} = theta_s^-1: an
+    involution for each s = s*, a partial bijection for one of each pair
+    {s, s*}, its inverse for the other."""
+    pbs = [f.as_dict() for f in invsemi.symmetric_inverse_semigroup(npts)[1]]
+    involutions = [f for f in pbs if all(f.get(y) == x for x, y in f.items())]
+    free = [s for s in range(len(S)) if S.inv(s) >= s]
+    for combo in product(*(involutions if S.inv(s) == s else pbs for s in free)):
+        maps = [None] * len(S)
+        for s, f in zip(free, combo):
+            maps[s] = f
+            maps[S.inv(s)] = {y: x for x, y in f.items()}
+        yield tuple(maps)
+
+
+def _validated(S, npts, maps):
+    """(exception type, message, witness), or (domains, maps, is_global)."""
+    carrier = tuple(f"p{x}" for x in range(npts))
+    domains = tuple(tuple(sorted(f.values())) for f in maps)
+    try:
+        theta = paction.validate_partial_action(S, carrier, domains, maps)
+    except paction.ActionError as err:
+        return type(err), str(err), err.witness
+    return theta.domains, theta.maps, theta.is_global
+
+
+def _agrees_with_all_pairs_scan(S, npts, maps):
+    expected = oracles.first_law_failure(S, maps)
+    if expected is None:
+        domains = tuple(tuple(sorted(f.values())) for f in maps)
+        covered = set().union(*(domains[e] for e in S.idempotents))
+        bare = [x for x in range(npts) if x not in covered]
+        if bare:
+            expected = (paction.Degenerate,
+                        f"carrier point p{bare[0]} lies in no idempotent domain", bare[0])
+        else:
+            is_global = all(set(maps[s]) == set(maps[S.mul(S.inv(s), s)]) for s in range(len(S)))
+            expected = (domains, maps, is_global)
+    return _validated(S, npts, maps) == expected
+
+
+# (semigroup, points, candidates): exhaustive except i2 on 2 points, whose
+# 5^5 * 7 = 21875 candidates are sampled
+_SWEEP = [
+    *((name, 2, count) for name, count in (
+        ("z2", 25), ("z3", 35), ("chain2", 25), ("chain3", 125), ("sz2", 125),
+        ("se-edge", 4375))),
+    ("z2", 3, 196), ("z3", 3, 476), ("chain2", 3, 196),
+    ("Z4", 3, 6664), ("Z5", 3, 16184), ("Z6", 2, 1225),
+]
+
+
+@pytest.mark.parametrize("name,npts,count", _SWEEP, ids=[f"{n}-{k}pt" for n, k, _ in _SWEEP])
+def test_validation_agrees_with_all_pairs_scan(name, npts, count):
+    S = _cyclic(int(name[1:])) if name[0] == "Z" else catalog.semigroup(name)
+    cands = list(_inverse_closed_candidates(S, npts))
+    assert len(cands) == count
+    failures = [maps for maps in cands if not _agrees_with_all_pairs_scan(S, npts, maps)]
+    assert failures == []
+
+
+def test_validation_agrees_with_all_pairs_scan_on_i2_sample():
+    S = catalog.semigroup("i2")
+    cands = list(_inverse_closed_candidates(S, 2))
+    assert len(cands) == 21875
+    sample = random.Random(11).sample(cands, 2000)
+    assert all(_agrees_with_all_pairs_scan(S, 2, maps) for maps in sample)
+
+
+def test_sweep_reaches_every_outcome():
+    # the sweep above meets homomorphisms, true partial actions, both law
+    # failures and degenerate carriers, so each path of the check is compared
+    seen = set()
+    for name in ("z2", "chain2"):
+        S = catalog.semigroup(name)
+        for maps in _inverse_closed_candidates(S, 2):
+            first, _, last = _validated(S, 2, maps)
+            if isinstance(first, type):
+                seen.add(first.__name__)
+            else:
+                seen.add("global" if last else "partial")
+    assert seen == {"global", "partial", "CompositionNotRestriction", "OrderNotPreserved",
+                    "Degenerate"}
 
 
 def test_dynamics_self_action_of_e_unitary_free():
