@@ -116,7 +116,7 @@ def validate_partial_action(semigroup, carrier, domains, maps):
         if graphs[S.inv(s)] != inv:
             raise InverseMismatch(f"theta_{S.name(S.inv(s))} is not the inverse of theta_{S.name(s)}", s)
     if not _homomorphic_over_gens(S, graphs):
-        _check_laws(S, graphs, npts)
+        _check_laws(S, graphs)
     covered = set()
     for e in S.idempotents:
         covered.update(domains[e])
@@ -140,48 +140,31 @@ def _homomorphic_over_gens(S, graphs):
     return True
 
 
-def _check_laws(S, graphs, npts):
-    """Raise on the least (s, t, x) where theta_s theta_t is not a
-    restriction of theta_st, then on the least where s <= t but theta_s is
-    not a restriction of theta_t; x runs in the order of the map's graph.
-
-    The composition law goes point by point: each (t, x) meets only the s
-    defined at theta_t(x), and a failure at s rules out every s' >= s later.
-    """
+def _check_laws(S, graphs):
+    """Raise on the least (s, t, x), s then t in index order and x in the
+    order of theta_t's graph, where theta_s theta_t is not a restriction of
+    theta_st; then on the least (s, t, x) where s <= t but theta_s is not a
+    restriction of theta_t."""
     n = len(S)
-    acting = [[] for _ in range(npts)]  # y -> the s with y in dom theta_s
-    for s, theta_s in enumerate(graphs):
-        for y in theta_s:
-            acting[y].append(s)
-    table = S.table
-    least = None
-    for t, theta_t in enumerate(graphs):
-        for x, y in theta_t.items():
-            for s in acting[y]:
-                if least is not None and s >= least[0]:
-                    break
-                if graphs[table[s][t]].get(x) != graphs[s][y]:
-                    least = (s, t, x)
-                    break
-    if least is not None:
-        s, t, x = least
-        raise CompositionNotRestriction(
-            f"theta_{S.name(s)} o theta_{S.name(t)} is not a restriction of theta_{S.name(S.mul(s, t))}",
-            least,
-        )
-    above = [[] for _ in range(n)]  # s -> the t > s, in index order
-    for t in range(n):
-        for s in members(S.below[t]):
-            if s != t:
-                above[s].append(t)
-    for s, theta_s in enumerate(graphs):
-        for t in above[s]:
-            for x, y in theta_s.items():
-                if graphs[t].get(x) != y:
-                    raise OrderNotPreserved(
-                        f"{S.name(s)} <= {S.name(t)} but theta_{S.name(s)} is not a restriction",
-                        (s, t, x),
-                    )
+    for s in range(n):
+        for t in range(n):
+            st = S.mul(s, t)
+            for x, y in graphs[t].items():
+                if y in graphs[s]:
+                    if x not in graphs[st] or graphs[st][x] != graphs[s][y]:
+                        raise CompositionNotRestriction(
+                            f"theta_{S.name(s)} o theta_{S.name(t)} is not a restriction of theta_{S.name(st)}",
+                            (s, t, x),
+                        )
+    for s in range(n):
+        for t in range(n):
+            if s != t and natural_leq(S, s, t):
+                for x, y in graphs[s].items():
+                    if x not in graphs[t] or graphs[t][x] != y:
+                        raise OrderNotPreserved(
+                            f"{S.name(s)} <= {S.name(t)} but theta_{S.name(s)} is not a restriction",
+                            (s, t, x),
+                        )
 
 
 # --- dynamics ------------------------------------------------------------------
