@@ -8,7 +8,6 @@ over Q, Z or Z/n, on the classes of the relation that N's generators impose
 on the basis of L.
 """
 
-import random
 from dataclasses import dataclass
 
 from . import germs, paction, rings
@@ -118,15 +117,13 @@ def diagonal_subalgebra(G, ring):
     return tuple(SteinbergElement.indicator(G, ring, [u]) for u in G.units)
 
 
-def indicator_representation_check(G, ring, ample=None, sample=None, rng=None):
+def indicator_representation_check(G, ring, ample=None):
     """Verify 1_U * 1_V = 1_{UV} and additivity over disjoint unions on all
-    (or sampled) bisection pairs; returns a report whose violation list is
-    expected to be empty."""
+    bisection pairs; returns a report whose violation list is expected to be
+    empty."""
     amp = ample or germs.ample_semigroup(G)
     bis = list(amp.bisections)
     pairs = [(i, j) for i in range(len(bis)) for j in range(len(bis))]
-    if sample is not None and len(pairs) > sample:
-        pairs = rng.sample(pairs, sample)
     violations = []
     for i, j in pairs:
         left = convolve(
@@ -214,26 +211,6 @@ class CrossedProduct:
     quotient_dim: int
     quotient_basis: tuple
 
-    def reduce(self, terms):
-        """Canonical form of the sum of c * basis[i] over the (i, c) in terms:
-        each coefficient summed onto its class representative, zeros dropped."""
-        ring = self.ring
-        out = {}
-        for i, c in terms:
-            r = self.rep[i]
-            out[r] = ring.add(out.get(r, ring.zero), c)
-        return {r: c for r, c in out.items() if c != ring.zero}
-
-    def delta(self, s, x):
-        """The class of 1_x delta_s."""
-        return self.basis_element(self.basis_index[(s, x)])
-
-    def basis_element(self, i):
-        return CrossedProductElement(self, {self.rep[i]: self.ring.one})
-
-    def zero(self):
-        return CrossedProductElement(self, {})
-
     def mono_mul(self, a, b):
         """(1_x delta_s)(1_y delta_t) = 1_x delta_st when theta_{s*}(x) = y, else None."""
         (s, x), (t, y) = self.basis[a], self.basis[b]
@@ -243,14 +220,30 @@ class CrossedProduct:
         return self.basis_index[(S.mul(s, t), x)]
 
 
-def crossed_product_build(alg, check_associativity=200, rng=None):
+def crossed_product_build(alg):
     """Build L, the classes of N's generators and the quotient for an
     algebraic partial action whose ideals are spanned by point indicators
-    (dual actions always are).  Associativity of L is verified on basis triples."""
+    (dual actions always are).
+
+    theta is read off alg and must pass `paction.validate_partial_action`;
+    any ActionError is raised again as CrossedProductError with its witness.
+    That is exactly L's associativity plus N's generators lying in L.  Take
+    i = 1_x delta_s, j = 1_y delta_t, k = 1_z delta_u with ij != 0, that is
+    theta_{s*}(x) = y.  Then (ij)k != 0 iff theta_{(st)*}(x) = z, and
+    i(jk) != 0 iff theta_{t*}(y) = z; when both are nonzero they are
+    1_x delta_stu, as S is associative.  So L is associative iff
+    theta_{t*} theta_{s*} is a restriction of theta_{(st)*} for all s, t,
+    the composition law: for the converse take k = 1_{z'} delta_{(st)*}
+    with z' = theta_{(st)*}(x).  N's generators 1_x delta_r - 1_x delta_s,
+    r <= s, need X_r inside X_s, which the order law gives.
+    """
     ring = alg.ring
     S = alg.semigroup
-    theta = _indicator_maps(alg)
-    supports = [sorted(paction.ideal_support(ring, alg.ideal_gens[s])) for s in range(len(S))]
+    supports = [paction.ideal_support(alg.ideal_gens[s]) for s in range(len(S))]
+    try:
+        action = paction.validate_partial_action(S, alg.carrier, supports, _indicator_maps(alg))
+    except paction.ActionError as err:
+        raise CrossedProductError(str(err), err.witness) from err
     basis = tuple((s, x) for s in range(len(S)) for x in supports[s])
     index = {sx: i for i, sx in enumerate(basis)}
     root = union_find(len(basis), (
@@ -265,124 +258,39 @@ def crossed_product_build(alg, check_associativity=200, rng=None):
     rep = tuple(largest[r] for r in root)
     qbasis = tuple(i for i in range(len(basis)) if rep[i] == i)
     pivots = tuple(i for i in range(len(basis)) if rep[i] != i)
-    cp = CrossedProduct(alg, ring, basis, index, theta, rep, pivots, len(qbasis), qbasis)
-    _check_l_associativity(cp, check_associativity, rng)
-    return cp
+    return CrossedProduct(alg, ring, basis, index, action.maps, rep, pivots, len(qbasis), qbasis)
 
 
 def _indicator_maps(alg):
-    """theta graphs read off an indicator-basis algebraic action."""
-    ring = alg.ring
+    """theta graphs read off an indicator-form algebraic action: alpha_s
+    sends the k-th generator 1_y of D_{s*} to its k-th image 1_x."""
     S = alg.semigroup
+
+    def point(vec, s):
+        if len(vec) == 1:
+            ((x, v),) = vec.items()
+            if v == alg.ring.one:
+                return x
+        raise CrossedProductError(
+            "ideals are not in point-indicator form; recover the action first", s
+        )
+
     maps = []
     for s in range(len(S)):
-        dom = sorted(paction.ideal_support(ring, alg.ideal_gens[S.inv(s)]))
-        graph = {}
-        for k, y in enumerate(dom):
-            img = alg.alpha_images[s][k]
-            pts = [x for x, v in enumerate(img) if v != ring.zero]
-            if len(pts) != 1 or img[pts[0]] != ring.one:
-                raise CrossedProductError(
-                    "ideals are not in point-indicator form; recover the action first", s
-                )
-            graph[y] = pts[0]
-        maps.append(graph)
+        maps.append({
+            point(g, s): point(img, s)
+            for g, img in zip(alg.ideal_gens[S.inv(s)], alg.alpha_images[s])
+        })
     return tuple(maps)
-
-
-def _check_l_associativity(cp, budget, rng):
-    """(ab)c = a(bc) on all basis triples, or on budget of them drawn by index."""
-    n = len(cp.basis)
-    triples = range(n ** 3)
-    if budget is not None and len(triples) > budget:
-        if rng is None:
-            rng = random.Random(0)
-        triples = rng.sample(triples, budget)
-    for t in triples:
-        a, rest = divmod(t, n * n)
-        b, c = divmod(rest, n)
-        ab = cp.mono_mul(a, b)
-        bc = cp.mono_mul(b, c)
-        left = cp.mono_mul(ab, c) if ab is not None else None
-        right = cp.mono_mul(a, bc) if bc is not None else None
-        if left != right:
-            raise CrossedProductError("L is not associative", (a, b, c))
-
-
-class CrossedProductElement:
-    """Sparse canonical form {class representative: nonzero coefficient}."""
-
-    __slots__ = ("cp", "coeffs")
-
-    def __init__(self, cp, coeffs):
-        self.cp = cp
-        self.coeffs = coeffs
-
-    @property
-    def vec(self):
-        """Dense coordinates over the basis of L, zero off the representatives."""
-        v = [self.cp.ring.zero] * len(self.cp.basis)
-        for i, c in self.coeffs.items():
-            v[i] = c
-        return tuple(v)
-
-    def _check(self, other):
-        if not isinstance(other, CrossedProductElement) or self.cp is not other.cp:
-            raise CrossedProductError("elements from different structures")
-
-    def __add__(self, other):
-        self._check(other)
-        return CrossedProductElement(
-            self.cp, self.cp.reduce([*self.coeffs.items(), *other.coeffs.items()])
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + other.scale(self.cp.ring.neg(self.cp.ring.one))
-
-    def scale(self, c):
-        ring = self.cp.ring
-        return CrossedProductElement(
-            self.cp, self.cp.reduce((i, ring.mul(c, a)) for i, a in self.coeffs.items())
-        )
-
-    def __mul__(self, other):
-        return cp_multiply(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, CrossedProductElement) and self.cp is other.cp and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self):
-        return not self.coeffs
-
-
-def cp_multiply(x, y):
-    """Multiply in L monomial-by-monomial over the two supports, then reduce modulo N."""
-    x._check(y)
-    cp = x.cp
-    ring = cp.ring
-    terms = []
-    for i, ci in x.coeffs.items():
-        for j, cj in y.coeffs.items():
-            k = cp.mono_mul(i, j)
-            if k is not None:
-                terms.append((k, ring.mul(ci, cj)))
-    return CrossedProductElement(cp, cp.reduce(terms))
-
-
-def cp_equal(x, y):
-    x._check(y)
-    return x.coeffs == y.coeffs
 
 
 # --- the Steinberg / crossed product comparison ----------------------------------------
 
-def verify_steinberg_crossed(theta, ring, rng=None):
+def verify_steinberg_crossed(theta, ring):
     """Build the groupoid of germs and the crossed product of the dual action,
     then verify the mutually inverse maps Phi and Psi between their algebras.
+    The build has already decided L's associativity exactly, by the
+    partial-action laws of the action the dual algebra carries.
 
     Both send basis elements to basis elements with coefficient one, so they
     are index maps: Phi sends i = 1_x delta_s to arrow_of[i] = [s, theta_{s*}(x)],
@@ -398,7 +306,7 @@ def verify_steinberg_crossed(theta, ring, rng=None):
     G = gg.groupoid
     S = theta.semigroup
     alg = paction.dual_action(theta, ring)
-    cp = crossed_product_build(alg, rng=rng)
+    cp = crossed_product_build(alg)
     index, rep = cp.basis_index, cp.rep
 
     if cp.quotient_dim != len(G.arrows):

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on pass, 1 on mathematical failure (with a witness in the
 report), 2 on input or usage errors.  Reports are emitted as JSON on stdout
-with sorted keys, so identical inputs and seeds give byte-identical output;
-a one-line human summary goes to stderr.
+with sorted keys, so identical inputs give byte-identical output; a one-line
+human summary goes to stderr.
 """
 
 import argparse
@@ -367,11 +367,8 @@ def cmd_exel(args):
 def cmd_verify_steinberg(args):
     theta = _load(args.input, "action", args.lenient)
     ring = rings.parse_ring_spec(args.ring)
-    import random
-
-    rng = random.Random(args.seed)
     try:
-        rep = algebra.verify_steinberg_crossed(theta, ring, rng=rng)
+        rep = algebra.verify_steinberg_crossed(theta, ring)
     except (algebra.SteinbergError, algebra.CrossedProductError, rings.RingError) as err:
         return emit(
             {"command": "verify steinberg-crossed", "ok": False, "error": str(err)},
@@ -547,7 +544,7 @@ def _tpath_json(g, p):
 
 
 def cmd_catalog_run(args):
-    reports = acceptance.run_all(seed=args.seed)
+    reports = acceptance.run_all()
     ok = all(r["ok"] for r in reports)
     # wall-clock fields are dropped so reports are byte-identical across runs
     reports = [{k: v for k, v in r.items() if k != "elapsed_s"} for r in reports]
@@ -600,7 +597,6 @@ def make_parser():
     q = vs.add_parser("steinberg-crossed")
     q.add_argument("input")
     q.add_argument("--ring", default="Q")
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_verify_steinberg)
 
     p = sub.add_parser("coe")

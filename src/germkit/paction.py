@@ -263,8 +263,9 @@ class RecoveryFailed(AlgebraError):
 class AlgebraicPartialAction:
     """Partial action on the function algebra R^X by ideals and isomorphisms.
 
-    ideal_gens[s] generates D_s as an R-module; alpha_images[s][k] is the
-    image under alpha_s of the k-th generator of D_{s*}.
+    Functions are sparse {point: nonzero coefficient} dicts.  ideal_gens[s]
+    generates D_s as an R-module; alpha_images[s][k] is the image under
+    alpha_s of the k-th generator of D_{s*}.
     """
 
     semigroup: invsemi.InverseSemigroup
@@ -274,24 +275,18 @@ class AlgebraicPartialAction:
     alpha_images: tuple
 
 
-def indicator(ring, dim, points):
-    v = [ring.zero] * dim
-    for x in points:
-        v[x] = ring.one
-    return tuple(v)
+def indicator(ring, points):
+    return {x: ring.one for x in points}
 
 
-def indicator_ideal(ring, dim, subset):
+def indicator_ideal(ring, subset):
     """I(U): the ideal of functions supported in U, via its point indicators."""
-    return tuple(indicator(ring, dim, [x]) for x in sorted(subset))
+    return tuple(indicator(ring, [x]) for x in sorted(subset))
 
 
-def ideal_support(ring, gens):
+def ideal_support(gens):
     """U(I): the union of the supports of the ideal's elements."""
-    supp = set()
-    for g in gens:
-        supp.update(x for x, v in enumerate(g) if v != ring.zero)
-    return tuple(sorted(supp))
+    return tuple(sorted({x for g in gens for x in g}))
 
 
 def spans_equal(ring, gens_a, gens_b):
@@ -304,17 +299,12 @@ def dual_action(theta, ring):
     """D_s = functions supported in X_s; alpha_s(f) = f o theta_{s*}, extended
     by zero.  On point indicators: alpha_s(1_y) = 1_{theta_s(y)}."""
     S = theta.semigroup
-    dim = len(theta.carrier)
-    ideal_gens = []
-    for s in range(len(S)):
-        ideal_gens.append(indicator_ideal(ring, dim, theta.domains[s]))
-    alpha_images = []
-    for s in range(len(S)):
-        dom_pts = sorted(theta.domains[S.inv(s)])
-        alpha_images.append(
-            tuple(indicator(ring, dim, [theta.theta(s, y)]) for y in dom_pts)
-        )
-    return AlgebraicPartialAction(S, ring, theta.carrier, tuple(ideal_gens), tuple(alpha_images))
+    ideal_gens = tuple(indicator_ideal(ring, theta.domains[s]) for s in range(len(S)))
+    alpha_images = tuple(
+        tuple(indicator(ring, [theta.theta(s, y)]) for y in sorted(theta.domains[S.inv(s)]))
+        for s in range(len(S))
+    )
+    return AlgebraicPartialAction(S, ring, theta.carrier, ideal_gens, alpha_images)
 
 
 def recover_action_from_dual(alg):
@@ -324,40 +314,36 @@ def recover_action_from_dual(alg):
     if not ring.is_indecomposable():
         raise rings.DecomposableRing(f"{ring!r} has nontrivial idempotents")
     S = alg.semigroup
-    dim = len(alg.carrier)
     supports = []
     solvers = []
     for s in range(len(S)):
         gens = alg.ideal_gens[s]
         solve = rings.span_solver(ring, gens)
-        supp = ideal_support(ring, gens)
+        supp = ideal_support(gens)
         for g in gens:
-            for x in range(dim):
-                if g[x] != ring.zero:
-                    proj = [ring.zero] * dim
-                    proj[x] = g[x]
-                    if solve(proj) is None:
-                        raise NotAnIdeal(
-                            f"D_{S.name(s)} is not closed under multiplication by functions", s
-                        )
-        if supp and solve(indicator(ring, dim, supp)) is None:
+            for x, v in g.items():
+                if solve({x: v}) is None:
+                    raise NotAnIdeal(
+                        f"D_{S.name(s)} is not closed under multiplication by functions", s
+                    )
+        if supp and solve(indicator(ring, supp)) is None:
             raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
         supports.append(supp)
         solvers.append(solve)
-    domains = tuple(supports)
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
         theta = {}
         for y in supports[s_star]:
-            coeffs = solvers[s_star](indicator(ring, dim, [y]))
+            coeffs = solvers[s_star]({y: ring.one})
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
-            img = [ring.zero] * dim
+            img = {}
             for c, vec in zip(coeffs, alg.alpha_images[s]):
                 if c != ring.zero:
-                    img = [ring.add(a, ring.mul(c, b)) for a, b in zip(img, vec)]
-            pts = [x for x in range(dim) if img[x] != ring.zero]
+                    for x, b in vec.items():
+                        img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
+            pts = [x for x, v in img.items() if v != ring.zero]
             if len(pts) != 1 or img[pts[0]] != ring.one:
                 raise RecoveryFailed(
                     f"alpha_{S.name(s)} does not map a point indicator to a point indicator",
@@ -365,7 +351,7 @@ def recover_action_from_dual(alg):
                 )
             theta[y] = pts[0]
         maps.append(theta)
-    return validate_partial_action(S, alg.carrier, domains, tuple(maps))
+    return validate_partial_action(S, alg.carrier, tuple(supports), tuple(maps))
 
 
 # --- induced actions --------------------------------------------------------------

@@ -4,9 +4,9 @@ Ring values are plain Python objects: Fraction for Q, int for Z and Z/n
 (normalized to 0..n-1).  All arithmetic is exact; there are no tolerances
 anywhere in this package.
 
-Span membership has one elimination: `span_solver` reduces sparse rows by
-division with remainder, the same loop over Q, Z/p and Z, once per
-generator set.
+Vectors are sparse {column: nonzero entry} dicts.  Span membership has one
+elimination: `span_solver` reduces them as rows by division with remainder,
+the same loop over Q, Z/p and Z, once per generator set.
 """
 
 from fractions import Fraction
@@ -171,22 +171,29 @@ def span_solver(ring, gens):
     coefficients expressing it in the R-module span of gens, or None when it
     is not in the span.  Over Z/n with composite n this raises NotAField.
 
-    Rows are sparse {column: entry}; key n + j holds the row's coefficient of
-    generator j, so each row carries its combination.  A row is reduced at
-    its leftmost column by the quotient a * inv(b) over a field and a // b
-    over Z; over Z a nonzero remainder takes the pivot's place and the old
-    pivot is reduced in turn, which is Euclid's algorithm on that column.
+    Vectors are sparse {column: entry}, columns nonnegative ints; a column a
+    vector lacks is a zero entry, and a target column that no generator has
+    is not in the span.  Key n + j, n past every generator column, holds a
+    row's coefficient of generator j, so each row carries its combination.
+    A row is reduced at its leftmost column by the quotient a * inv(b) over
+    a field and a // b over Z; over Z a nonzero remainder takes the pivot's
+    place and the old pivot is reduced in turn, which is Euclid's algorithm
+    on that column.
     """
     if ring.kind == "Zmod" and not ring.is_field():
         raise NotAField(f"span solving is not supported over {ring!r}")
-    gens = list(gens)
-    n = len(gens[0]) if gens else None
 
     def quotient(a, b):
         return a // b if ring.kind == "Z" else ring.mul(a, ring.inv(b))
 
     def sparse(vec):
-        return {c: a for c, a in enumerate(map(ring.normalize, vec)) if a}
+        out = {}
+        for c, a in vec.items():
+            if not isinstance(c, int) or c < 0:
+                raise RingError(f"column {c!r} is not a nonnegative integer")
+            if a := ring.normalize(a):
+                out[c] = a
+        return out
 
     def subtract(u, q, v):
         """u -= q * v in place, dropping the entries that vanish."""
@@ -197,11 +204,10 @@ def span_solver(ring, gens):
             else:
                 u.pop(c, None)
 
+    rows = [sparse(g) for g in gens]
+    n = 1 + max((c for row in rows for c in row), default=-1)
     pivots = {}
-    for j, g in enumerate(gens):
-        if len(g) != n:
-            raise RingError(f"generator {j} has length {len(g)}, expected {n}")
-        row = sparse(g)
+    for j, row in enumerate(rows):
         row[n + j] = ring.one
         while (col := min(row)) < n:
             piv = pivots.setdefault(col, row)
@@ -212,17 +218,16 @@ def span_solver(ring, gens):
                 pivots[col], row = row, piv
 
     def solve(target):
-        width = len(target)
-        if gens and width != n:
-            raise RingError(f"target has length {width}, generators have length {n}")
         t = sparse(target)
-        while t and (col := min(t)) < width:
+        if t and max(t) >= n:
+            return None
+        while t and (col := min(t)) < n:
             piv = pivots.get(col)
             if piv is None:
                 return None
             subtract(t, quotient(t[col], piv[col]), piv)
             if col in t:
                 return None
-        return [ring.neg(t.get(width + j, 0)) for j in range(len(gens))]
+        return [ring.neg(t[n + j]) if n + j in t else ring.zero for j in range(len(rows))]
 
     return solve

@@ -1,12 +1,14 @@
 """Plain reference implementations that the tests compare germkit against.
 
 Nothing in `src/` calls these: they are the slow, obviously-correct forms of
-checks that germkit now makes another way.
+checks that germkit now makes another way, and the crossed-product element
+arithmetic that only tests use.
 """
 
-from itertools import permutations
+from itertools import permutations, product
+from types import SimpleNamespace
 
-from germkit import algebra, germs, paction
+from germkit import algebra, germs, invsemi, paction
 from germkit.invsemi import natural_leq
 from germkit.rings import NotAField
 
@@ -45,6 +47,21 @@ def first_law_failure(S, graphs):
                             (s, t, x),
                         )
     return None
+
+
+def inverse_closed_candidates(S, npts):
+    """Every maps tuple on npts points with theta_{s*} = theta_s^-1: an
+    involution for each s = s*, a partial bijection for one of each pair
+    {s, s*}, its inverse for the other."""
+    pbs = [f.as_dict() for f in invsemi.symmetric_inverse_semigroup(npts)[1]]
+    involutions = [f for f in pbs if all(f.get(y) == x for x, y in f.items())]
+    free = [s for s in range(len(S)) if S.inv(s) >= s]
+    for combo in product(*(involutions if S.inv(s) == s else pbs for s in free)):
+        maps = [None] * len(S)
+        for s, f in zip(free, combo):
+            maps[s] = f
+            maps[S.inv(s)] = {y: x for x, y in f.items()}
+        yield tuple(maps)
 
 
 # --- germs: the paper's relation ----------------------------------------------
@@ -112,6 +129,139 @@ def phi_not_multiplicative(theta, ring):
             if (arrow_of[k] if k is not None else None) != ab:
                 return i, j
     return None
+
+
+# --- crossed products: L's associativity on every triple ----------------------
+
+def unvalidated_l(S, maps):
+    """L's basis (s, x), x in X_s, and the theta graphs of a maps tuple that
+    need not be a partial action, in the fields l_associativity_failure reads."""
+    basis = tuple((s, x) for s in range(len(S)) for x in sorted(maps[s].values()))
+    return SimpleNamespace(
+        action=SimpleNamespace(semigroup=S), basis=basis,
+        basis_index={sx: i for i, sx in enumerate(basis)}, theta_maps=tuple(maps),
+    )
+
+
+def l_associativity_failure(cp):
+    """The least basis triple (i, j, k) of L, in index order, with
+    (ij)k != i(jk), or None; tries all |L|^3 triples.  A nonzero product
+    1_x delta_st whose (st, x) is not in L's basis counts as a failure."""
+    S = cp.action.semigroup
+    outside = object()
+
+    def mul(i, j):
+        """The product's basis index, None when it is zero."""
+        if outside in (i, j):
+            return outside
+        if None in (i, j):
+            return None
+        (s, x), (t, y) = cp.basis[i], cp.basis[j]
+        if cp.theta_maps[S.inv(s)].get(x) != y:
+            return None
+        return cp.basis_index.get((S.mul(s, t), x), outside)
+
+    n = len(cp.basis)
+    for i, j, k in product(range(n), repeat=3):
+        left, right = mul(mul(i, j), k), mul(i, mul(j, k))
+        if outside in (left, right) or left != right:
+            return i, j, k
+    return None
+
+
+# --- crossed-product elements: sparse canonical forms modulo N -----------------
+
+def cp_reduce(cp, terms):
+    """Canonical form of the sum of c * basis[i] over the (i, c) in terms:
+    each coefficient summed onto its class representative, zeros dropped."""
+    ring = cp.ring
+    out = {}
+    for i, c in terms:
+        r = cp.rep[i]
+        out[r] = ring.add(out.get(r, ring.zero), c)
+    return {r: c for r, c in out.items() if c != ring.zero}
+
+
+class CrossedProductElement:
+    """Sparse canonical form {class representative: nonzero coefficient}."""
+
+    __slots__ = ("cp", "coeffs")
+
+    def __init__(self, cp, coeffs):
+        self.cp = cp
+        self.coeffs = coeffs
+
+    @property
+    def vec(self):
+        """Dense coordinates over the basis of L, zero off the representatives."""
+        v = [self.cp.ring.zero] * len(self.cp.basis)
+        for i, c in self.coeffs.items():
+            v[i] = c
+        return tuple(v)
+
+    def _check(self, other):
+        if not isinstance(other, CrossedProductElement) or self.cp is not other.cp:
+            raise algebra.CrossedProductError("elements from different structures")
+
+    def __add__(self, other):
+        self._check(other)
+        return CrossedProductElement(
+            self.cp, cp_reduce(self.cp, [*self.coeffs.items(), *other.coeffs.items()])
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        return self + other.scale(self.cp.ring.neg(self.cp.ring.one))
+
+    def scale(self, c):
+        ring = self.cp.ring
+        return CrossedProductElement(
+            self.cp, cp_reduce(self.cp, ((i, ring.mul(c, a)) for i, a in self.coeffs.items()))
+        )
+
+    def __mul__(self, other):
+        return cp_multiply(self, other)
+
+    def __eq__(self, other):
+        return isinstance(other, CrossedProductElement) and self.cp is other.cp and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def is_zero(self):
+        return not self.coeffs
+
+
+def cp_basis_element(cp, i):
+    return CrossedProductElement(cp, {cp.rep[i]: cp.ring.one})
+
+
+def cp_delta(cp, s, x):
+    """The class of 1_x delta_s."""
+    return cp_basis_element(cp, cp.basis_index[(s, x)])
+
+
+def cp_zero(cp):
+    return CrossedProductElement(cp, {})
+
+
+def cp_multiply(x, y):
+    """Multiply in L monomial-by-monomial over the two supports, then reduce modulo N."""
+    x._check(y)
+    cp = x.cp
+    ring = cp.ring
+    terms = []
+    for i, ci in x.coeffs.items():
+        for j, cj in y.coeffs.items():
+            k = cp.mono_mul(i, j)
+            if k is not None:
+                terms.append((k, ring.mul(ci, cj)))
+    return CrossedProductElement(cp, cp_reduce(cp, terms))
+
+
+def cp_equal(x, y):
+    x._check(y)
+    return x.coeffs == y.coeffs
 
 
 # --- groupoid isomorphism: every arrow bijection ------------------------------

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import oracles
 import pytest
@@ -8,6 +7,10 @@ from germkit import catalog, germs, invsemi, paction, rings
 
 
 Z2 = catalog.semigroup("z2")
+
+
+def _sparse(vec):
+    return {x: v for x, v in enumerate(vec) if v}
 
 
 def test_munn_actions_validate_global():
@@ -92,21 +95,6 @@ def test_order_not_preserved_detected():
     assert exc.value.witness == (1, 0, 0)
 
 
-def _inverse_closed_candidates(S, npts):
-    """Every maps tuple on npts points with theta_{s*} = theta_s^-1: an
-    involution for each s = s*, a partial bijection for one of each pair
-    {s, s*}, its inverse for the other."""
-    pbs = [f.as_dict() for f in invsemi.symmetric_inverse_semigroup(npts)[1]]
-    involutions = [f for f in pbs if all(f.get(y) == x for x, y in f.items())]
-    free = [s for s in range(len(S)) if S.inv(s) >= s]
-    for combo in product(*(involutions if S.inv(s) == s else pbs for s in free)):
-        maps = [None] * len(S)
-        for s, f in zip(free, combo):
-            maps[s] = f
-            maps[S.inv(s)] = {y: x for x, y in f.items()}
-        yield tuple(maps)
-
-
 def _validated(S, npts, maps):
     """(exception type, message, witness), or (domains, maps, is_global)."""
     carrier = tuple(f"p{x}" for x in range(npts))
@@ -147,7 +135,7 @@ _SWEEP = [
 @pytest.mark.parametrize("name,npts,count", _SWEEP, ids=[f"{n}-{k}pt" for n, k, _ in _SWEEP])
 def test_validation_agrees_with_all_pairs_scan(name, npts, count):
     S = _cyclic(int(name[1:])) if name[0] == "Z" else catalog.semigroup(name)
-    cands = list(_inverse_closed_candidates(S, npts))
+    cands = list(oracles.inverse_closed_candidates(S, npts))
     assert len(cands) == count
     failures = [maps for maps in cands if not _agrees_with_all_pairs_scan(S, npts, maps)]
     assert failures == []
@@ -155,7 +143,7 @@ def test_validation_agrees_with_all_pairs_scan(name, npts, count):
 
 def test_validation_agrees_with_all_pairs_scan_on_i2_sample():
     S = catalog.semigroup("i2")
-    cands = list(_inverse_closed_candidates(S, 2))
+    cands = list(oracles.inverse_closed_candidates(S, 2))
     assert len(cands) == 21875
     sample = random.Random(11).sample(cands, 2000)
     assert all(_agrees_with_all_pairs_scan(S, 2, maps) for maps in sample)
@@ -167,7 +155,7 @@ def test_sweep_reaches_every_outcome():
     seen = set()
     for name in ("z2", "chain2"):
         S = catalog.semigroup(name)
-        for maps in _inverse_closed_candidates(S, 2):
+        for maps in oracles.inverse_closed_candidates(S, 2):
             first, _, last = _validated(S, 2, maps)
             if isinstance(first, type):
                 seen.add(first.__name__)
@@ -220,8 +208,8 @@ def test_dual_dimensions_match_domains():
 def test_dual_trivial_singleton():
     theta = paction.one_point_trivial_action(catalog.semigroup("chain2"))
     alg = paction.dual_action(theta, rings.RING_Q)
-    assert alg.ideal_gens[0] == ((rings.RING_Q.one,),)
-    assert alg.alpha_images[0] == ((rings.RING_Q.one,),)
+    assert alg.ideal_gens[0] == (_sparse((rings.RING_Q.one,)),)
+    assert alg.alpha_images[0] == (_sparse((rings.RING_Q.one,)),)
 
 
 def test_dual_swap_is_permutation():
@@ -231,7 +219,7 @@ def test_dual_swap_is_permutation():
     dom = sorted(theta.domains[1])
     for k, y in enumerate(dom):
         img = alg.alpha_images[1][k]
-        assert [i for i, v in enumerate(img) if v != 0] == [theta.theta(1, y)]
+        assert [i for i, v in img.items() if v != 0] == [theta.theta(1, y)]
 
 
 @pytest.mark.parametrize("ringspec", ["Q", "Zp:5", "Z"])
@@ -258,9 +246,9 @@ def test_lattice_bijection_on_four_points():
     ring = rings.RING_Q
     for mask in range(16):
         subset = [i for i in range(4) if mask >> i & 1]
-        ideal = paction.indicator_ideal(ring, 4, subset)
-        assert list(paction.ideal_support(ring, ideal)) == subset
-        again = paction.indicator_ideal(ring, 4, paction.ideal_support(ring, ideal))
+        ideal = paction.indicator_ideal(ring, subset)
+        assert list(paction.ideal_support(ideal)) == subset
+        again = paction.indicator_ideal(ring, paction.ideal_support(ideal))
         assert paction.spans_equal(ring, ideal, again)
 
 
@@ -279,8 +267,8 @@ def test_recover_rejects_non_ideal_span():
         Z2,
         rings.RING_Q,
         ("x", "y"),
-        (((1, 1),), ((1, 1),)),
-        (((1, 1),), ((1, 1),)),
+        ((_sparse((1, 1)),), (_sparse((1, 1)),)),
+        ((_sparse((1, 1)),), (_sparse((1, 1)),)),
     )
     with pytest.raises(paction.NotAnIdeal):
         paction.recover_action_from_dual(bad)
@@ -292,8 +280,8 @@ def test_recover_rejects_missing_local_units_over_z():
         Z2,
         rings.RING_Z,
         ("x",),
-        (((2,),), ((2,),)),
-        (((2,),), ((2,),)),
+        ((_sparse((2,)),), (_sparse((2,)),)),
+        ((_sparse((2,)),), (_sparse((2,)),)),
     )
     with pytest.raises(paction.NoLocalUnits):
         paction.recover_action_from_dual(bad)
