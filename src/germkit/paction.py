@@ -7,9 +7,10 @@ notion (interior, closure, density) is evaluated literally.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import invsemi, rings
-from .invsemi import members, natural_leq
+from .invsemi import natural_leq
 
 
 class ActionError(ValueError):
@@ -189,7 +190,13 @@ def trivially_fixed(theta, s, x):
 
 def dynamics_report(theta):
     """Lambda, freeness, effectiveness and topological principality, each
-    computed from its own definition; they agree on discrete carriers."""
+    computed from its own definition; they agree on discrete carriers.
+
+    Lambda is also computed from its pairwise reformulation, as the
+    cross-check `lambda_by_pairs`.  At each point x only the pairs s, t with
+    the same image theta_s(x) are tested, and "some u <= s, t acts at x" is
+    one bitmask, below[s] & below[t] & (elements acting at x).
+    """
     S = theta.semigroup
     X = range(len(theta.carrier))
     lam = []
@@ -217,22 +224,21 @@ def dynamics_report(theta):
             break
     # topological principality: Lambda dense, i.e. Lambda = X when discrete
     top_principal = set(lam) == set(X)
-    # cross-check via the pairwise reformulation
+    # cross-check via the pairwise reformulation: x is in Lambda iff any s, t
+    # acting at x with theta_s(x) = theta_t(x) have some u <= s, t acting at x
+    acting_at = [[] for _ in X]
+    for s, graph in enumerate(theta.maps):
+        for x in graph:
+            acting_at[x].append(s)
     lam2 = []
     for x in X:
-        ok = True
-        acting = theta.acting_elements(x)
-        for s in acting:
-            for t in acting:
-                if theta.theta(s, x) == theta.theta(t, x):
-                    if not any(
-                        x in theta.maps[u] for u in members(S.below[s] & S.below[t])
-                    ):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        acts_x = sum(1 << s for s in acting_at[x])
+        by_image = {}
+        for s in acting_at[x]:
+            by_image.setdefault(theta.maps[s][x], []).append(S.below[s] & acts_x)
+        if all(below_s & below_t
+               for group in by_image.values()
+               for below_s, below_t in combinations(group, 2)):
             lam2.append(x)
     lam2 = tuple(lam2)
     consistent = lam == lam2 and free == effective == top_principal

@@ -75,6 +75,25 @@ def germ_equivalent(theta, s, t, x):
     )
 
 
+# --- dynamics: Lambda by every pair acting at a point --------------------------
+
+def lambda_by_all_pairs(theta):
+    """Lambda from its pairwise reformulation: x is in it iff any s, t acting
+    at x with theta_s(x) = theta_t(x) have some u <= s, t acting at x; tries
+    every pair of elements acting at each point."""
+    S = theta.semigroup
+    lam = []
+    for x in range(len(theta.carrier)):
+        acting = theta.acting_elements(x)
+        if all(
+            any(x in theta.maps[u] for u in invsemi.members(S.below[s] & S.below[t]))
+            for s in acting for t in acting
+            if theta.theta(s, x) == theta.theta(t, x)
+        ):
+            lam.append(x)
+    return tuple(lam)
+
+
 # --- associativity: every triple, in index order ------------------------------
 
 def first_non_associative(elements, table):
@@ -91,6 +110,23 @@ def first_non_associative(elements, table):
                         f"{elements[i]}*({elements[j]}*{elements[k]})"
                     )
                     return msg, (i, j, k)
+    return None
+
+
+def groupoid_associativity_failure(source, target, compose):
+    """The least composable triple (a, b, c) in index order with
+    (ab)c != a(bc), or None; walks every composable triple.  compose must be
+    defined on exactly the composable pairs."""
+    n = len(source)
+    by_target = {}
+    for b in range(n):
+        by_target.setdefault(target[b], []).append(b)
+    for a in range(n):
+        for b in by_target[source[a]]:
+            ab = compose[(a, b)]
+            for c in by_target[source[b]]:
+                if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
+                    return a, b, c
     return None
 
 

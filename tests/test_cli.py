@@ -131,6 +131,19 @@ def test_verify_steinberg_crossed_catalog_output_unchanged(capsys):
     assert digest.hexdigest() == "6e063dd085ded635403f941c971bc645ab56e1c12eeb4fab1b1fbd36b1ce2932"
 
 
+def test_germs_and_catalog_run_output_unchanged(capsys):
+    # one sha256 over the exit code and stdout of `germs` on every catalog
+    # action and of `catalog run --seed 0`, recorded while groupoid
+    # associativity was still checked on every composable triple
+    digest = hashlib.sha256()
+    for argv in [("germs", f"catalog:{name}") for name in catalog.ACTION_NAMES] + [
+            ("catalog", "run", "--seed", "0")]:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert len(catalog.ACTION_NAMES) == 17
+    assert digest.hexdigest() == "33b0f5c00f67ca85d140a3dd397ba3578ff7adba9b8c64eaf31487266742ab4d"
+
+
 def test_verify_steinberg_crossed_has_no_seed(capsys):
     code, _, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--seed", "1")
     assert code == 2

@@ -620,3 +620,133 @@ def test_iso_search_tells_swapped_isotropy_groups_apart():
     for X, Y in ((G, _orbit_groupoid([(2, V4), (1, Z4)])), (H, _shuffled(H, seed=8))):
         iso = germs.groupoid_iso_search(X, Y)
         assert iso is not None and germs.verify_groupoid_iso(iso)
+
+
+# --- associativity by Light's test: generation, corrupted composites, the oracle ------
+
+def _derived_generators(G):
+    rows, cols = invsemi.partial_rows(len(G.arrows), G.compose)
+    return invsemi.partial_generating_set(rows, cols)
+
+
+def _generated(G, gens):
+    """Every arrow that is a product of arrows in gens."""
+    reached = set(gens)
+    while True:
+        new = {G.compose[(x, y)] for x in reached for y in reached if G.composable(x, y)}
+        if new <= reached:
+            return reached
+        reached |= new
+
+
+def _cyclic_partial_action(n, carrier, maps):
+    """Z/n = <g> acting on carrier by the partial bijections maps[k] for g^k
+    (theta_1 the identity, every other g^k empty unless given)."""
+    Zn = invsemi.validate_inverse_semigroup(
+        ["1"] + [f"g{k}" for k in range(1, n)],
+        [[(i + j) % n for j in range(n)] for i in range(n)])
+    graphs = [dict(maps.get(k, {})) for k in range(n)]
+    graphs[0] = {x: x for x in range(len(carrier))}
+    return paction.validate_partial_action(
+        Zn, carrier, [sorted(f.values()) for f in graphs], graphs)
+
+
+def test_germs_of_gens_need_not_generate_the_germ_groupoid():
+    # Z/3 on {0, 1}, theta_g = {0 -> 1}, theta_g2 = {1 -> 0}: [g2, 1] is no
+    # product of germs of S.gens = (1, g), but the derived arrows generate
+    theta = _cyclic_partial_action(3, ("0", "1"), {1: {0: 1}, 2: {1: 0}})
+    gg = germs.groupoid_of_germs(theta)
+    G, S = gg.groupoid, theta.semigroup
+    assert S.gens == (0, 1)
+    of_gens = {gg.germ(s, x) for s in S.gens for x in theta.dom(s)}
+    assert gg.germ(2, 1) not in _generated(G, of_gens)
+    assert _generated(G, _derived_generators(G)) == set(range(len(G.arrows)))
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names())
+def test_derived_generators_reach_every_arrow(name):
+    G = catalog.groupoid(name)
+    assert _generated(G, _derived_generators(G)) == set(range(len(G.arrows)))
+
+
+def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
+    # Z/6 on {0, 1, 2}: g moves 0 to 1, g2 and g4 fix 2, so the isotropy at 2
+    # is {[1,2], [g2,2], [g4,2]} and no germ of S.gens = (1, g) reaches it;
+    # a corrupted [g2,2][g2,2] must still be found
+    theta = _cyclic_partial_action(6, ("0", "1", "2"),
+                                   {1: {0: 1}, 5: {1: 0}, 2: {2: 2}, 4: {2: 2}})
+    built = []
+    compose_table = germs.compose_table
+
+    def corrupted(source, target, mul):
+        # [g2,2][g2,2] = [g4,2] becomes [g2,2]: the first square that is no unit
+        table = compose_table(source, target, mul)
+        h = next(a for a, _ in table if table.get((a, a), source[a]) != source[a])
+        table[(h, h)] = h
+        built.append((source, target, table))
+        return table
+
+    monkeypatch.setattr(germs, "compose_table", corrupted)
+    with pytest.raises(germs.GroupoidError) as err:
+        germs.groupoid_of_germs(theta)
+    witness = oracles.groupoid_associativity_failure(*built[0])
+    assert witness is not None
+    assert (str(err.value), err.value.witness) == ("composition is not associative", witness)
+
+
+@pytest.fixture(scope="module")
+def munn_action_i4():
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    return germs.groupoid_of_germs(invsemi.munn_representation(S4)).groupoid
+
+
+def _corrupted(G, seed):
+    """G's fields with one composite ab replaced by another arrow from s(ab)
+    to t(ab), at a seeded pair of non-units with b != a^-1, so that every
+    check but associativity still passes."""
+    rng = random.Random(seed)
+    units = set(G.units)
+    hom = {}
+    for c in range(len(G.arrows)):
+        hom.setdefault((G.source[c], G.target[c]), []).append(c)
+    pairs = [(a, b) for (a, b), c in G.compose.items()
+             if a not in units and b not in units and b != G.inverse[a]
+             and len(hom[(G.source[c], G.target[c])]) > 1]
+    a, b = rng.choice(pairs)
+    ab = G.compose[(a, b)]
+    compose = dict(G.compose)
+    compose[(a, b)] = rng.choice([c for c in hom[(G.source[ab], G.target[ab])] if c != ab])
+    return dict(arrows=G.arrows, units=G.units, source=G.source, target=G.target,
+                inverse=G.inverse, compose=compose)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["munn-I4", "rp-I4", "germ-munn-z3"])
+def test_validate_groupoid_rejects_a_corrupted_composite(name, seed, request):
+    if name == "munn-I4":
+        G = request.getfixturevalue("munn_action_i4")
+    elif name == "rp-I4":
+        G = invsemi.restricted_product_groupoid(invsemi.symmetric_inverse_semigroup(4)[0])
+    else:
+        G = catalog.groupoid(name)
+    f = _corrupted(G, seed)
+    witness = oracles.groupoid_associativity_failure(f["source"], f["target"], f["compose"])
+    assert witness is not None
+    assert _raises(f) == ("composition is not associative", witness)
+
+
+def test_principal_groupoids_admit_no_corrupted_composite(self_action_i4):
+    # one arrow per (source, target), so a composite typed like the true one
+    # is the true one: self actions are free (st = t forces tt* <= s), and
+    # the boundary groupoids are equivalence relations
+    for G in [self_action_i4] + [catalog.groupoid(name) for name in ("pair", "boundary-edge")]:
+        ends = list(zip(G.source, G.target))
+        assert len(set(ends)) == len(ends)
+
+
+def test_germ_groupoid_of_munn_action_i5():
+    S5, _ = invsemi.symmetric_inverse_semigroup(5, max_elements=2000)
+    G = germs.groupoid_of_germs(invsemi.munn_representation(S5)).groupoid
+    assert len(G.arrows) == 1546
+    assert len(G.units) == 32
+    assert len(G.compose) == 126526

@@ -196,6 +196,23 @@ def test_dynamics_formulations_agree_everywhere():
         assert rep.lambda_points == rep.lambda_by_pairs
 
 
+def _lambda_cases():
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    cases = [pytest.param(lambda name=name: catalog.action(name), id=name)
+             for name in catalog.ACTION_NAMES]
+    cases.append(pytest.param(lambda: invsemi.munn_representation(S3), id="munn-I3"))
+    cases.append(pytest.param(lambda: invsemi.canonical_self_action(S3), id="self-I3"))
+    cases.append(pytest.param(lambda: invsemi.munn_representation(S4), id="munn-I4"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _lambda_cases())
+def test_lambda_by_pairs_matches_every_pair_oracle(make):
+    theta = make()
+    assert paction.dynamics_report(theta).lambda_by_pairs == oracles.lambda_by_all_pairs(theta)
+
+
 # --- dual actions and recovery ---------------------------------------------------
 
 def test_dual_dimensions_match_domains():
