@@ -38,27 +38,21 @@ def exel_words_closure(G, max_len):
     index = {w: i for i, w in enumerate(words)}
 
     def related(w):
+        # Contractions only, each one symbol shorter and never empty: an
+        # expansion w -> w2 that fits the universe is the contraction w2 -> w
+        # at the same position, and union_find ignores direction.
         for p in range(len(w)):
             # [s][1] = [s] and [1][s] = [s]
             if w[p] == one and len(w) >= 2:
                 yield w[:p] + w[p + 1:]
-            # [s^-1][s][t] = [s^-1][st], both directions
+            # [s^-1][s][t] = [s^-1][st]
             if p + 2 < len(w) and w[p] == G.inv(w[p + 1]):
                 yield w[: p + 1] + (G.mul(w[p + 1], w[p + 2]),) + w[p + 3:]
-            if p + 1 < len(w):
-                a, m = w[p], w[p + 1]
-                yield w[: p + 1] + (G.inv(a), G.mul(a, m)) + w[p + 2:]
-            # [s][t][t^-1] = [st][t^-1], both directions
+            # [s][t][t^-1] = [st][t^-1]
             if p + 2 < len(w) and w[p + 2] == G.inv(w[p + 1]):
                 yield w[:p] + (G.mul(w[p], w[p + 1]), w[p + 2]) + w[p + 3:]
-            if p + 1 < len(w):
-                # [st][t^-1] expands with t = b^-1, s = m b
-                m, b = w[p], w[p + 1]
-                yield w[:p] + (G.mul(m, b), G.inv(b), b) + w[p + 2:]
 
-    root = invsemi.union_find(len(words), (
-        (index[w], index[w2]) for w in words for w2 in related(w) if w2 and len(w2) <= max_len
-    ))
+    root = invsemi.union_find(len(words), ((index[w], index[w2]) for w in words for w2 in related(w)))
     class_of = {w: root[i] for i, w in enumerate(words)}
     classes = sorted(set(class_of.values()))
     return classes, class_of

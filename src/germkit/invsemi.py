@@ -476,10 +476,10 @@ class GroupImage:
 
 def max_group_image(S):
     """Quotient by s ~ t iff s,t have a common lower bound (the minimum group
-    congruence), computed by union-find with transitive closure."""
+    congruence), computed by union-find over the pairs u <= s: u ~ s, and
+    since ~ is transitive, the pairs generate it."""
     n = len(S)
-    below = S.below
-    root = union_find(n, ((s, t) for s in range(n) for t in range(s + 1, n) if below[s] & below[t]))
+    root = union_find(n, ((u, s) for s in range(n) for u in members(S.below[s])))
     reps = sorted(set(root))
     rep_index = {r: k for k, r in enumerate(reps)}
     class_of = tuple(rep_index[r] for r in root)

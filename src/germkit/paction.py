@@ -315,41 +315,52 @@ def dual_action(theta, ring):
 
 def recover_action_from_dual(alg):
     """Invert dual_action: X_s = U(D_s) and theta_s read off from the action
-    of alpha_s on point indicators.  Needs an indecomposable coefficient ring."""
+    of alpha_s on point indicators.  Needs an indecomposable coefficient ring.
+
+    Each point indicator 1_x, x in U(D_s), is solved once and its sparse
+    coefficients are kept for theta.  The ideal check solves v * 1_x only
+    when 1_x is not in D_s, since a multiple of a member is a member, and
+    the local-unit check solves 1_U only when some 1_x is not in D_s, since
+    1_U is the sum of the 1_x.  So the checks fail exactly where solving
+    every entry and 1_U would, with the same messages and witnesses.
+    """
     ring = alg.ring
     if not ring.is_indecomposable():
         raise rings.DecomposableRing(f"{ring!r} has nontrivial idempotents")
     S = alg.semigroup
     supports = []
-    solvers = []
+    point_coeffs = []
     for s in range(len(S)):
         gens = alg.ideal_gens[s]
         solve = rings.span_solver(ring, gens)
         supp = ideal_support(gens)
+        coeffs = {x: solve({x: ring.one}) for x in supp}
         for g in gens:
             for x, v in g.items():
-                if solve({x: v}) is None:
+                if coeffs[x] is None and solve({x: v}) is None:
                     raise NotAnIdeal(
                         f"D_{S.name(s)} is not closed under multiplication by functions", s
                     )
-        if supp and solve(indicator(ring, supp)) is None:
+        if None in coeffs.values() and solve(indicator(ring, supp)) is None:
             raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
         supports.append(supp)
-        solvers.append(solve)
+        point_coeffs.append(coeffs)
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
+        images = alg.alpha_images[s]
         theta = {}
         for y in supports[s_star]:
-            coeffs = solvers[s_star]({y: ring.one})
+            coeffs = point_coeffs[s_star][y]
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
             img = {}
-            for c, vec in zip(coeffs, alg.alpha_images[s]):
-                if c != ring.zero:
-                    for x, b in vec.items():
+            for j, c in coeffs.items():
+                # generators past the end of a short image list map to nothing
+                if j < len(images):
+                    for x, b in images[j].items():
                         img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
-            pts = [x for x, v in img.items() if v != ring.zero]
+            pts = [x for x, v in img.items() if v]
             if len(pts) != 1 or img[pts[0]] != ring.one:
                 raise RecoveryFailed(
                     f"alpha_{S.name(s)} does not map a point indicator to a point indicator",

@@ -6,7 +6,9 @@ anywhere in this package.
 
 Vectors are sparse {column: nonzero entry} dicts.  Span membership has one
 elimination: `span_solver` reduces them as rows by division with remainder,
-the same loop over Q, Z/p and Z, once per generator set.
+the same loop over Q, Z/p and Z, once per generator set.  Its solutions are
+sparse too, {generator index: nonzero coefficient}, and over a field each
+pivot's leading entry is inverted once, when the elimination ends.
 """
 
 from fractions import Fraction
@@ -179,12 +181,19 @@ def span_solver(ring, gens):
     a field and a // b over Z; over Z a nonzero remainder takes the pivot's
     place and the old pivot is reduced in turn, which is Euclid's algorithm
     on that column.
+
+    The coefficients come back sparse, {j: c} with c nonzero and j in
+    range(len(gens)): a target's cost follows the pivots it meets, not the
+    number of generators.  Over a field the pivots are final once the
+    elimination ends, so each leading entry is inverted then, once, and a
+    target's reduction steps multiply by the cached inverse.
     """
     if ring.kind == "Zmod" and not ring.is_field():
         raise NotAField(f"span solving is not supported over {ring!r}")
+    field = ring.kind != "Z"
 
     def quotient(a, b):
-        return a // b if ring.kind == "Z" else ring.mul(a, ring.inv(b))
+        return ring.mul(a, ring.inv(b)) if field else a // b
 
     def sparse(vec):
         out = {}
@@ -216,6 +225,7 @@ def span_solver(ring, gens):
             subtract(row, quotient(row[col], piv[col]), piv)
             if col in row:
                 pivots[col], row = row, piv
+    inverse = {col: ring.inv(piv[col]) for col, piv in pivots.items()} if field else {}
 
     def solve(target):
         t = sparse(target)
@@ -225,9 +235,9 @@ def span_solver(ring, gens):
             piv = pivots.get(col)
             if piv is None:
                 return None
-            subtract(t, quotient(t[col], piv[col]), piv)
+            subtract(t, ring.mul(t[col], inverse[col]) if field else t[col] // piv[col], piv)
             if col in t:
                 return None
-        return [ring.neg(t[n + j]) if n + j in t else ring.zero for j in range(len(rows))]
+        return {c - n: ring.neg(a) for c, a in t.items()}
 
     return solve

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 from germkit import algebra, germs, invsemi, paction
 from germkit.invsemi import natural_leq
-from germkit.rings import NotAField
+from germkit.rings import DecomposableRing, NotAField, RingError
 
 
 # --- partial-action laws: every pair (s, t) -----------------------------------
@@ -366,3 +366,162 @@ def reduce_vector(ring, vec, rows, pivots):
         if c != ring.zero:
             v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
     return v
+
+
+# --- span solving with dense coefficients ---------------------------------------
+
+def dense_span_solver(ring, gens):
+    """rings.span_solver as it was before its coefficients went sparse: the
+    same elimination, a quotient a * inv(b) at every reduction step over a
+    field, and a dense coefficient list of length len(gens)."""
+    if ring.kind == "Zmod" and not ring.is_field():
+        raise NotAField(f"span solving is not supported over {ring!r}")
+
+    def quotient(a, b):
+        return a // b if ring.kind == "Z" else ring.mul(a, ring.inv(b))
+
+    def sparse(vec):
+        out = {}
+        for c, a in vec.items():
+            if not isinstance(c, int) or c < 0:
+                raise RingError(f"column {c!r} is not a nonnegative integer")
+            if a := ring.normalize(a):
+                out[c] = a
+        return out
+
+    def subtract(u, q, v):
+        for c, b in v.items():
+            a = ring.sub(u.get(c, 0), ring.mul(q, b))
+            if a:
+                u[c] = a
+            else:
+                u.pop(c, None)
+
+    rows = [sparse(g) for g in gens]
+    n = 1 + max((c for row in rows for c in row), default=-1)
+    pivots = {}
+    for j, row in enumerate(rows):
+        row[n + j] = ring.one
+        while (col := min(row)) < n:
+            piv = pivots.setdefault(col, row)
+            if piv is row:
+                break
+            subtract(row, quotient(row[col], piv[col]), piv)
+            if col in row:
+                pivots[col], row = row, piv
+
+    def solve(target):
+        t = sparse(target)
+        if t and max(t) >= n:
+            return None
+        while t and (col := min(t)) < n:
+            piv = pivots.get(col)
+            if piv is None:
+                return None
+            subtract(t, quotient(t[col], piv[col]), piv)
+            if col in t:
+                return None
+        return [ring.neg(t[n + j]) if n + j in t else ring.zero for j in range(len(rows))]
+
+    return solve
+
+
+# --- dual recovery: every entry and every point solved again --------------------
+
+def recover_by_two_solves(alg):
+    """paction.recover_action_from_dual as a plain loop: solve v * 1_x for
+    every entry of every generator and 1_U for every D_s, then solve each
+    1_y again for theta, with dense coefficients."""
+    ring = alg.ring
+    if not ring.is_indecomposable():
+        raise DecomposableRing(f"{ring!r} has nontrivial idempotents")
+    S = alg.semigroup
+    supports = []
+    solvers = []
+    for s in range(len(S)):
+        gens = alg.ideal_gens[s]
+        solve = dense_span_solver(ring, gens)
+        supp = paction.ideal_support(gens)
+        for g in gens:
+            for x, v in g.items():
+                if solve({x: v}) is None:
+                    raise paction.NotAnIdeal(
+                        f"D_{S.name(s)} is not closed under multiplication by functions", s
+                    )
+        if supp and solve(paction.indicator(ring, supp)) is None:
+            raise paction.NoLocalUnits(f"D_{S.name(s)} has no local units", s)
+        supports.append(supp)
+        solvers.append(solve)
+    maps = []
+    for s in range(len(S)):
+        s_star = S.inv(s)
+        theta = {}
+        for y in supports[s_star]:
+            coeffs = solvers[s_star]({y: ring.one})
+            if coeffs is None:
+                raise paction.RecoveryFailed(
+                    f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
+            img = {}
+            for c, vec in zip(coeffs, alg.alpha_images[s]):
+                if c != ring.zero:
+                    for x, b in vec.items():
+                        img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
+            pts = [x for x, v in img.items() if v != ring.zero]
+            if len(pts) != 1 or img[pts[0]] != ring.one:
+                raise paction.RecoveryFailed(
+                    f"alpha_{S.name(s)} does not map a point indicator to a point indicator",
+                    (s, y),
+                )
+            theta[y] = pts[0]
+        maps.append(theta)
+    return paction.validate_partial_action(S, alg.carrier, tuple(supports), tuple(maps))
+
+
+# --- the Exel word closure with both expansion rules -----------------------------
+
+def exel_words_closure_with_expansions(G, max_len):
+    """acceptance.exel_words_closure as it was when `related` also yielded
+    the two expansions [a][m] -> [a][a^-1][am] and [m][b] -> [mb][b^-1][b],
+    the relations [s^-1][s][t] = [s^-1][st] and [s][t][t^-1] = [st][t^-1]
+    read from right to left."""
+    one = G.idempotents[0]
+    n = len(G)
+    words = []
+    layer = [()]
+    for _ in range(max_len):
+        layer = [w + (g,) for w in layer for g in range(n)]
+        words.extend(layer)
+    index = {w: i for i, w in enumerate(words)}
+
+    def related(w):
+        for p in range(len(w)):
+            if w[p] == one and len(w) >= 2:
+                yield w[:p] + w[p + 1:]
+            if p + 2 < len(w) and w[p] == G.inv(w[p + 1]):
+                yield w[: p + 1] + (G.mul(w[p + 1], w[p + 2]),) + w[p + 3:]
+            if p + 1 < len(w):
+                a, m = w[p], w[p + 1]
+                yield w[: p + 1] + (G.inv(a), G.mul(a, m)) + w[p + 2:]
+            if p + 2 < len(w) and w[p + 2] == G.inv(w[p + 1]):
+                yield w[:p] + (G.mul(w[p], w[p + 1]), w[p + 2]) + w[p + 3:]
+            if p + 1 < len(w):
+                m, b = w[p], w[p + 1]
+                yield w[:p] + (G.mul(m, b), G.inv(b), b) + w[p + 2:]
+
+    root = invsemi.union_find(len(words), (
+        (index[w], index[w2]) for w in words for w2 in related(w) if w2 and len(w2) <= max_len
+    ))
+    class_of = {w: root[i] for i, w in enumerate(words)}
+    classes = sorted(set(class_of.values()))
+    return classes, class_of
+
+
+# --- maximal group image: every pair tested for a common lower bound -------------
+
+def min_group_congruence_by_pairs(S):
+    """Least member of each class of s ~ t iff s and t have a common lower
+    bound, by union-find over all n^2/2 pairs."""
+    n = len(S)
+    below = S.below
+    return invsemi.union_find(
+        n, ((s, t) for s in range(n) for t in range(s + 1, n) if below[s] & below[t]))

@@ -2,6 +2,8 @@
 of a group: the product rule used by the construction is only trusted because
 these closures confirm it."""
 
+import oracles
+
 from germkit import acceptance, catalog, invsemi
 
 
@@ -74,3 +76,13 @@ def test_closure_is_converged_across_universes():
         return {w: rep[class_of[w]] for w in short}
 
     assert restricted_labeling(c7, 5) == restricted_labeling(c8, 5)
+
+
+def test_closure_without_expansions_matches_oracle():
+    # every expansion is the contraction of its result at the same position,
+    # so dropping the expansions leaves each word's class as it was
+    for gname in ("z2", "z3"):
+        G = catalog.semigroup(gname)
+        for max_len in range(5, 9):
+            classes, class_of = acceptance.exel_words_closure(G, max_len)
+            assert (classes, class_of) == oracles.exel_words_closure_with_expansions(G, max_len)

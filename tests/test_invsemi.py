@@ -693,3 +693,60 @@ def test_inverses_of_inverse_semigroup_are_read_along_generators(monkeypatch):
     T = invsemi.validate_inverse_semigroup(S.elements, S.table)
     assert T.inverse == S.inverse
     assert len(searched) == len(invsemi.generating_set(S.table)) < len(S)
+
+
+def _seeded_subsemigroup(seed, npts=4):
+    """The inverse subsemigroup of I_npts generated by seeded partial
+    bijections and their inverses: for an even seed two random ones, which
+    mostly generate a zero; for an odd seed a permutation and the identity
+    on a union of its cycles, which leave a nontrivial group image."""
+    import random
+
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        maps = []
+        for _ in range(2):
+            dom = rng.sample(range(npts), rng.randint(1, npts))
+            maps.append(tuple(sorted(zip(dom, rng.sample(range(npts), len(dom))))))
+    else:
+        perm = rng.sample(range(npts), npts)
+        block, x = {0}, perm[0]
+        while x not in block:
+            block.add(x)
+            x = perm[x]
+        maps = [tuple(enumerate(perm)), tuple((x, x) for x in sorted(block))]
+    gens = []
+    for mapping in maps:
+        f = invsemi.PartialBijection(mapping)
+        gens += [f, invsemi.invert_partial(f)]
+    items = list(dict.fromkeys(gens))
+    seen = set(items)
+    for x in items:  # grows while scanned: closure under right products
+        for g in gens:
+            y = invsemi.compose_partial(x, g)
+            if y not in seen:
+                seen.add(y)
+                items.append(y)
+    names = [str(f.mapping) for f in items]
+    tbl = invsemi.tabulate(items, invsemi.compose_partial, gens)
+    return invsemi.validate_inverse_semigroup(names, tbl, gens=[items.index(g) for g in gens])
+
+
+def _group_image_instances():
+    instances = {name: catalog.semigroup(name) for name in catalog.SEMIGROUP_NAMES}
+    for n in (3, 4):
+        instances[f"i{n}"] = invsemi.symmetric_inverse_semigroup(n)[0]
+    for n in (5, 6, 7):
+        instances[f"sz{n}"] = invsemi.exel_semigroup(_cyclic(n)).semigroup
+    for seed in range(8):
+        instances[f"sub-i4-{seed}"] = _seeded_subsemigroup(seed)
+    return instances
+
+
+def test_max_group_image_classes_match_pair_scan():
+    # union-find over u <= s gives the classes of the all-pairs common lower
+    # bound scan, numbered by least member
+    for name, S in _group_image_instances().items():
+        root = oracles.min_group_congruence_by_pairs(S)
+        number = {r: k for k, r in enumerate(sorted(set(root)))}
+        assert invsemi.max_group_image(S).class_of == tuple(number[r] for r in root), name

@@ -275,33 +275,115 @@ def test_recover_rejects_decomposable_ring():
         paction.recover_action_from_dual(alg)
 
 
-def test_recover_rejects_non_ideal_span():
-    theta = paction.one_point_trivial_action(Z2)
-    alg = paction.dual_action(theta, rings.RING_Q)
-    # replace D_1 by the diagonal line in R^2 worth of data: fake a 2-point
-    # carrier whose ideal generators are not coordinate-decomposable
-    bad = paction.AlgebraicPartialAction(
-        Z2,
-        rings.RING_Q,
-        ("x", "y"),
-        ((_sparse((1, 1)),), (_sparse((1, 1)),)),
-        ((_sparse((1, 1)),), (_sparse((1, 1)),)),
-    )
-    with pytest.raises(paction.NotAnIdeal):
-        paction.recover_action_from_dual(bad)
-    del alg
+def _recovery_outcome(recover, alg):
+    """("ok", theta) or (exception class, message, witness) of one recovery."""
+    try:
+        return "ok", recover(alg)
+    except (paction.AlgebraError, paction.ActionError, rings.RingError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
 
 
-def test_recover_rejects_missing_local_units_over_z():
-    bad = paction.AlgebraicPartialAction(
-        Z2,
-        rings.RING_Z,
-        ("x",),
+def _replace(items, k, value):
+    return items[:k] + (value,) + items[k + 1:]
+
+
+def _corrupted_duals(alg):
+    """The dual with one ideal generator or one alpha-image changed, for the
+    first s whose D_{s*} has a generator: each change keeps the data well
+    typed, so recovery has to find what is wrong with it."""
+    ring, n = alg.ring, len(alg.carrier)
+    s = next((s for s in range(len(alg.semigroup)) if alg.alpha_images[s]), None)
+    if s is None:
+        return
+    s_star = alg.semigroup.inv(s)
+    gens, images = alg.ideal_gens[s_star], alg.alpha_images[s]
+    (x, v), = images[0].items()
+    two = ring.normalize(2)
+
+    def with_images(new):
+        return paction.AlgebraicPartialAction(
+            alg.semigroup, ring, alg.carrier, alg.ideal_gens, _replace(alg.alpha_images, s, new))
+
+    def with_gens(new):
+        return paction.AlgebraicPartialAction(
+            alg.semigroup, ring, alg.carrier, _replace(alg.ideal_gens, s_star, new), alg.alpha_images)
+
+    yield "image-times-2", with_images(_replace(images, 0, {x: ring.mul(two, v)}))
+    if n > 1:
+        yield "image-two-points", with_images(_replace(images, 0, {x: v, (x + 1) % n: ring.one}))
+    yield "image-dropped", with_images(images[:-1])
+    if len(images) > 1:
+        yield "images-swapped", with_images((images[1], images[0]) + images[2:])
+    yield "generator-times-2", with_gens(_replace(gens, 0, {y: ring.mul(two, b) for y, b in gens[0].items()}))
+    if len(gens) > 1:
+        merged = dict(gens[0])
+        for y, b in gens[1].items():
+            merged[y] = ring.add(merged.get(y, ring.zero), b)
+        yield "generators-merged", with_gens((merged,) + gens[2:])
+
+
+def _recovery_cases():
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    actions = [(name, catalog.action(name)) for name in catalog.ACTION_NAMES]
+    actions += [("munn-I3", invsemi.munn_representation(S3)), ("self-I3", invsemi.canonical_self_action(S3))]
+    for spec in ("Q", "Zp:5", "Z"):
+        ring = rings.parse_ring_spec(spec)
+        for name, theta in actions:
+            alg = paction.dual_action(theta, ring)
+            yield f"{name}/{spec}", alg
+            for label, bad in _corrupted_duals(alg):
+                yield f"{name}/{spec}/{label}", bad
+
+
+def test_recovery_agrees_with_two_solve_oracle():
+    # the same theta, or the same exception class, message and witness, as
+    # solving every entry, every 1_U and every point again with dense
+    # coefficients; the corrupted duals reach each exception class
+    reached = set()
+    for label, alg in _recovery_cases():
+        got = _recovery_outcome(paction.recover_action_from_dual, alg)
+        assert got == _recovery_outcome(oracles.recover_by_two_solves, alg), label
+        reached.add(got[0])
+    assert {"ok", paction.NotAnIdeal, paction.NoLocalUnits, paction.RecoveryFailed} <= reached
+
+
+def _two_points(ring, image):
+    """Z/2 acting on {x, y} with D_1 = D_g = R^2, alpha_1 the identity and
+    alpha_g sending 1_x to image and 1_y to 1_x."""
+    unit = ({0: ring.one}, {1: ring.one})
+    return paction.AlgebraicPartialAction(
+        Z2, ring, ("x", "y"), (unit, unit), (unit, (image, {0: ring.one})))
+
+
+MALFORMED_DUALS = {
+    # the diagonal line in R^2: its generator is not coordinate-decomposable
+    "non-ideal-span": (paction.AlgebraicPartialAction(
+        Z2, rings.RING_Q, ("x", "y"),
+        ((_sparse((1, 1)),), (_sparse((1, 1)),)),
+        ((_sparse((1, 1)),), (_sparse((1, 1)),))), paction.NotAnIdeal),
+    "no-local-units-over-Z": (paction.AlgebraicPartialAction(
+        Z2, rings.RING_Z, ("x",),
         ((_sparse((2,)),), (_sparse((2,)),)),
-        ((_sparse((2,)),), (_sparse((2,)),)),
-    )
-    with pytest.raises(paction.NoLocalUnits):
-        paction.recover_action_from_dual(bad)
+        ((_sparse((2,)),), (_sparse((2,)),))), paction.NoLocalUnits),
+    "image-2x-over-Q": (_two_points(rings.RING_Q, {1: 2}), paction.RecoveryFailed),
+    "image-2x-over-Z": (_two_points(rings.RING_Z, {1: 2}), paction.RecoveryFailed),
+    "image-x-plus-y": (_two_points(rings.ring_zmod(5), {0: 1, 1: 1}), paction.RecoveryFailed),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DUALS)
+def test_malformed_dual_is_rejected_as_by_the_oracle(name):
+    alg, exc = MALFORMED_DUALS[name]
+    got = _recovery_outcome(paction.recover_action_from_dual, alg)
+    assert got[0] is exc
+    assert got == _recovery_outcome(oracles.recover_by_two_solves, alg)
+
+
+@pytest.mark.parametrize("ringspec", ["Q", "Zp:5"])
+def test_recover_self_action_of_i4(ringspec):
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = invsemi.canonical_self_action(S4)
+    assert paction.recover_action_from_dual(paction.dual_action(theta, rings.parse_ring_spec(ringspec))) == theta
 
 
 # --- induced actions --------------------------------------------------------------

@@ -87,19 +87,20 @@ def test_solve_in_span_field():
     gens = [[1, 1, 0], [0, 1, 1]]
     gens = [[R.normalize(v) for v in g] for g in gens]
     coeffs = rings.span_solver(R, map(_sparse, gens))(_sparse([R.normalize(v) for v in [1, 2, 1]]))
-    assert coeffs == [1, 1]
+    assert coeffs == {0: 1, 1: 1}
     assert rings.span_solver(R, map(_sparse, gens))(_sparse([R.normalize(v) for v in [1, 0, 1]])) is None
 
 
 def test_solve_in_span_integers():
     Z = rings.RING_Z
-    assert rings.span_solver(Z, map(_sparse, [[2, 0], [0, 3]]))(_sparse([4, 3])) == [2, 1]
+    assert rings.span_solver(Z, map(_sparse, [[2, 0], [0, 3]]))(_sparse([4, 3])) == {0: 2, 1: 1}
     assert rings.span_solver(Z, map(_sparse, [[2, 0], [0, 3]]))(_sparse([1, 0])) is None
     assert rings.span_solver(Z, map(_sparse, [[2, 4]]))(_sparse([1, 2])) is None
     # gcd combination: 3*(2,4) - 1*(5,10) = (1,2)
     coeffs = rings.span_solver(Z, map(_sparse, [[2, 4], [5, 10]]))(_sparse([1, 2]))
     assert coeffs is not None
-    got = [coeffs[0] * 2 + coeffs[1] * 5, coeffs[0] * 4 + coeffs[1] * 10]
+    _assert_sparse(coeffs, 2)
+    got = [coeffs.get(0, 0) * 2 + coeffs.get(1, 0) * 5, coeffs.get(0, 0) * 4 + coeffs.get(1, 0) * 10]
     assert got == [1, 2]
 
 
@@ -108,11 +109,8 @@ def test_solve_coefficients_reconstruct():
     gens = [[1, 2, 0], [0, 1, 4]]
     target = [2, 0, 4]  # 2*(1,2,0) + 1*(0,1,4) mod 5
     coeffs = rings.span_solver(R, map(_sparse, gens))(_sparse(target))
-    assert coeffs is not None
-    got = [R.zero] * 3
-    for c, g in zip(coeffs, gens):
-        got = [R.add(a, R.mul(c, b)) for a, b in zip(got, g)]
-    assert got == [R.normalize(v) for v in target]
+    assert coeffs == {0: 2, 1: 1}
+    assert _combine(R, coeffs, gens, 3) == [R.normalize(v) for v in target]
 
 
 def _random_gens(rng, R, m, n):
@@ -134,17 +132,24 @@ def _random_gens(rng, R, m, n):
 
 
 def _combine(R, coeffs, gens, n):
+    """The dense vector sum of c * gens[j] over the {j: c} coefficients."""
     out = [R.zero] * n
-    for c, g in zip(coeffs, gens):
-        out = [R.add(a, R.mul(c, b)) for a, b in zip(out, g)]
+    for j, c in coeffs.items():
+        out = [R.add(a, R.mul(c, b)) for a, b in zip(out, gens[j])]
     return out
+
+
+def _assert_sparse(coeffs, m):
+    """A solution names only generators that exist, with nonzero coefficients."""
+    assert all(c != 0 for c in coeffs.values())
+    assert all(j in range(m) for j in coeffs)
 
 
 def _targets(rng, R, gens, n):
     """Combinations of the generators, which lie in the span, and random vectors."""
     out = []
     for _ in range(6):
-        coeffs = [R.normalize(rng.randint(-3, 3)) for _ in gens]
+        coeffs = {j: R.normalize(rng.randint(-3, 3)) for j in range(len(gens))}
         out.append(_combine(R, coeffs, gens, n))
         out.append([R.normalize(rng.randint(-3, 3)) for _ in range(n)])
     return out
@@ -180,7 +185,7 @@ def test_span_solver_coefficients_rebuild_target(spec, seed):
         if k % 2 == 0:
             assert coeffs is not None  # a combination of the generators
         if coeffs is not None:
-            assert len(coeffs) == len(gens)
+            _assert_sparse(coeffs, len(gens))
             assert _combine(R, coeffs, gens, n) == target
 
 
@@ -196,7 +201,7 @@ def test_span_solver_reused_matches_fresh(spec):
 
 def test_span_solver_edge_cases():
     R = rings.RING_Q
-    assert rings.span_solver(R, [])(_sparse([R.zero] * 3)) == []
+    assert rings.span_solver(R, [])(_sparse([R.zero] * 3)) == {}
     assert rings.span_solver(R, [])(_sparse([R.zero, R.one])) is None
     # a target column that no generator has is not in the span
     assert rings.span_solver(R, [{0: 1}])({0: 1, 5: 1}) is None
@@ -208,3 +213,23 @@ def test_span_solver_edge_cases():
         rings.span_solver(rings.ring_zmod(6), map(_sparse, [[1, 2]]))
     with pytest.raises(rings.NotAField):
         rings.span_solver(rings.ring_zmod(6), [])
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5", "Z"])
+@pytest.mark.parametrize("seed", range(12))
+def test_span_solver_matches_dense_coefficient_oracle(spec, seed):
+    # the cached pivot inverses and the sparse return change no coefficient:
+    # the solution spread over range(len(gens)) is the dense oracle's list
+    R = RING_CASES[spec]
+    rng = random.Random(200 + seed)
+    n = rng.randint(1, 6)
+    gens = _random_gens(rng, R, rng.randint(0, 7), n)
+    solve = rings.span_solver(R, map(_sparse, gens))
+    dense = oracles.dense_span_solver(R, map(_sparse, gens))
+    for target in _targets(rng, R, gens, n) + [[R.zero] * n]:
+        coeffs, expected = solve(_sparse(target)), dense(_sparse(target))
+        if expected is None:
+            assert coeffs is None
+        else:
+            _assert_sparse(coeffs, len(gens))
+            assert [coeffs.get(j, R.zero) for j in range(len(gens))] == expected
