@@ -7,6 +7,7 @@ human summary goes to stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -565,7 +566,12 @@ def cmd_catalog_list(args):
     return emit(report, "catalog listed", 0)
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process and shared by every main
+    call: parse_args returns a fresh Namespace with fresh defaults each time,
+    and no argument has a mutable default or an append action.  Callers
+    must not add arguments or defaults to it."""
     ap = argparse.ArgumentParser(prog="germkit")
     ap.add_argument("--lenient", action="store_true", help="warn on unknown fields instead of rejecting")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -483,21 +483,51 @@ def max_group_image(S):
     reps = sorted(set(root))
     rep_index = {r: k for k, r in enumerate(reps)}
     class_of = tuple(rep_index[r] for r in root)
-    m = len(reps)
-    tbl = [[None] * m for _ in range(m)]
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            tbl[a][b] = class_of[S.mul(ra, rb)]
     # the congruence property makes the table member-independent; check it
-    for s in range(n):
-        for t in range(n):
-            if class_of[S.mul(s, t)] != tbl[class_of[s]][class_of[t]]:
-                raise SemigroupError("group congruence failed", (s, t))
+    witness = congruence_failure(S, class_of)
+    if witness is not None:
+        raise SemigroupError("group congruence failed", witness)
+    tbl = [[class_of[S.mul(ra, rb)] for rb in reps] for ra in reps]
     names = tuple(f"[{S.elements[r]}]" for r in reps)
     G = validate_inverse_semigroup(names, tbl)
     if len(G.idempotents) != 1:
         raise SemigroupError("maximal group image is not a group")
     return GroupImage(G, class_of)
+
+
+def congruence_failure(S, class_of):
+    """The first pair (s, t), s outer and t inner, with st not in the class
+    of r(s)r(t), where class_of labels a partition of S and r(s) is the least
+    member of s's class; None when the partition is a congruence.
+
+    Decided over A = S.gens in O(|A| n): write s ~ t for "same class" and
+    check sa ~ r(s)a and as ~ ar(s) for every s and every a in A.  If that
+    holds, s ~ t gives r(s) = r(t), so sa ~ r(s)a = r(t)a ~ ta and likewise
+    as ~ at: ~ is compatible with every generator on either side.  Every u
+    in S is a product a1...ak of generators (validation checked that A
+    generates S), so by induction on k and associativity s ~ t gives
+    su ~ tu and us ~ ut, hence st ~ r(s)t ~ r(s)r(t) for every pair.
+    Conversely the pair condition gives sa ~ r(s)r(a) ~ r(s)a, as
+    r(r(s)) = r(s), and as ~ ar(s) the same way.  So the check over A fails
+    exactly when some pair fails, and only then are all n^2 pairs scanned,
+    for the first witness.
+    """
+    n = len(S)
+    least = {}
+    for s in range(n):
+        least.setdefault(class_of[s], s)
+    r = [least[c] for c in class_of]
+    tbl = S.table
+    if all(class_of[tbl[s][a]] == class_of[tbl[r[s]][a]]
+           and class_of[tbl[a][s]] == class_of[tbl[a][r[s]]]
+           for a in S.gens for s in range(n)):
+        return None
+    for s in range(n):
+        row_s, row_r = tbl[s], tbl[r[s]]
+        for t in range(n):
+            if class_of[row_s[t]] != class_of[row_r[r[t]]]:
+                return s, t
+    return None
 
 
 def union_find(n, pairs):

@@ -525,3 +525,18 @@ def min_group_congruence_by_pairs(S):
     below = S.below
     return invsemi.union_find(
         n, ((s, t) for s in range(n) for t in range(s + 1, n) if below[s] & below[t]))
+
+
+def congruence_failure_by_pairs(S, class_of):
+    """The all-pairs congruence scan: the first (s, t), s outer, whose product
+    is not in the class read off the least members of the classes of s and t."""
+    n = len(S)
+    reps = {}
+    for s in range(n):
+        reps.setdefault(class_of[s], s)
+    tbl = {(a, b): class_of[S.mul(ra, rb)] for a, ra in reps.items() for b, rb in reps.items()}
+    for s in range(n):
+        for t in range(n):
+            if class_of[S.mul(s, t)] != tbl[class_of[s], class_of[t]]:
+                return s, t
+    return None

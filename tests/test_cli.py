@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -460,3 +464,48 @@ def test_action_document_names_catalog_semigroup(capsys, tmp_path):
 def test_leavitt_document_with_unknown_catalog_graph_is_input_error(capsys, tmp_path):
     doc = {"schema": "leavitt-expr", "version": 1, "graph": "catalog:nosuch", "expr": "v"}
     _input_error(capsys, tmp_path, ["graph", "leavitt", None], doc, "unknown catalog graph 'nosuch'")
+
+
+# --- one parser per process ------------------------------------------------------
+
+def test_parser_is_reused_without_leaking_state(capsys, tmp_path):
+    # each call of an interleaved sequence gives the stdout and exit code of
+    # the same command's first call: no flag or default carries over
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"schema": "semigroup", "version": 1, "elements": ["1"],
+                                 "table": [[0]], "note": "hi"}))
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(_z2_swap_doc()))
+    calls = [
+        ["validate", str(extra)],
+        ["--lenient", "validate", str(extra)],
+        ["validate", str(action)],
+        ["validate", "--kind", "semigroup", str(action)],
+        ["analyze", "catalog:se-edge"],
+        ["germs", "catalog:munn-chain2"],
+        ["verify", "steinberg-crossed", "catalog:munn-chain2", "--ring", "Zp:5"],
+        ["verify", "steinberg-crossed", "catalog:munn-chain2"],
+        ["coe", "extract", "catalog:munn-chain2", "catalog:self-chain2"],
+        ["coe", "extract", "catalog:munn-chain2", "catalog:self-chain2", "--timeout-nodes", "1"],
+        ["validate", "--kind", "bogus", "catalog:z2"],
+    ]
+    cli.make_parser.cache_clear()
+    first = {}
+    for argv in calls + calls[::-1] + calls:
+        code, out, _ = run(capsys, *argv)
+        assert first.setdefault(tuple(argv), (code, out)) == (code, out), argv
+    assert cli.make_parser() is cli.make_parser()
+    codes = [first[tuple(argv)][0] for argv in calls]
+    # strict then lenient; auto then forced semigroup; a usage error
+    assert codes == [2, 0, 0, 2, 0, 0, 0, 0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("argv", [["validate", "catalog:z2"], ["nonsense"]])
+def test_one_shot_run_matches_in_process(capsys, monkeypatch, argv):
+    # usage lines wrap at the terminal width; pin it for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "germkit.cli", *argv], env=env, capture_output=True)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

@@ -750,3 +750,40 @@ def test_max_group_image_classes_match_pair_scan():
         root = oracles.min_group_congruence_by_pairs(S)
         number = {r: k for k, r in enumerate(sorted(set(root)))}
         assert invsemi.max_group_image(S).class_of == tuple(number[r] for r in root), name
+
+
+def _partitions(S, seed):
+    """Labelled partitions of S: the minimum group congruence, the trivial and
+    universal ones, Green's L and R (one-sided congruences only), and two
+    seeded merges of a few classes of the trivial partition."""
+    import random
+
+    n = len(S)
+    rng = random.Random(seed)
+    yield "group", invsemi.max_group_image(S).class_of
+    yield "trivial", tuple(range(n))
+    yield "universal", (0,) * n
+    yield "L", tuple(S.mul(S.inv(s), s) for s in range(n))
+    yield "R", tuple(S.mul(s, S.inv(s)) for s in range(n))
+    for k in range(2):
+        label = list(range(n))
+        for _ in range(1 + k):
+            s, t = rng.randrange(n), rng.randrange(n)
+            old = label[t]
+            label = [label[s] if c == old else c for c in label]
+        yield f"merge{k}", tuple(label)
+
+
+def test_congruence_failure_matches_pair_scan():
+    # the check over S.gens with the pair scan as its fallback gives the scan's
+    # verdict and first witness, on congruences and on partitions that are not
+    failing = 0
+    for seed, (name, S) in enumerate(_group_image_instances().items()):
+        for kind, class_of in _partitions(S, seed):
+            want = oracles.congruence_failure_by_pairs(S, class_of)
+            assert invsemi.congruence_failure(S, class_of) == want, (name, kind)
+            failing += want is not None
+            if kind in ("group", "trivial", "universal"):
+                assert want is None, (name, kind)
+    assert failing >= 20
+
