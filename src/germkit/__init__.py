@@ -8,8 +8,10 @@ loads only what invsemi needs."""
 import importlib
 
 __all__ = [
+    "acceptance",
     "algebra",
     "catalog",
+    "cli",
     "germs",
     "graph",
     "invsemi",

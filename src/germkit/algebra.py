@@ -108,10 +108,6 @@ def convolve(f, g):
     return SteinbergElement(G, ring, out)
 
 
-def units_indicator(G, ring):
-    return SteinbergElement.indicator(G, ring, G.units)
-
-
 def diagonal_subalgebra(G, ring):
     """Basis of D_R(G): one indicator per unit arrow."""
     return tuple(SteinbergElement.indicator(G, ring, [u]) for u in G.units)

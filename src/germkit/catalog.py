@@ -1,10 +1,10 @@
 """Built-in catalog: the semigroups, actions, graphs and groupoids that the
 acceptance sweep and the CLI operate on.  Every instance passes its validator
-at construction time."""
+at construction time.  Only the graph-backed instances import graph."""
 
 from functools import lru_cache
 
-from . import germs, graph, invsemi, paction
+from . import germs, invsemi, paction
 
 
 def _cyclic_group(n, names):
@@ -35,6 +35,8 @@ def semigroup(name):
     if name == "sz2":
         return invsemi.exel_semigroup(semigroup("z2")).semigroup
     if name == "se-edge":
+        from . import graph
+
         return graph.graph_semigroup(graphs("edge"))[0]
     raise KeyError(f"unknown catalog semigroup {name!r}")
 
@@ -44,6 +46,8 @@ SEMIGROUP_NAMES = ("z2", "z3", "chain2", "chain3", "i2", "sz2", "se-edge")
 
 @lru_cache(maxsize=None)
 def graphs(name):
+    from . import graph
+
     name = name.lower()
     if name == "loop":
         return graph.make_graph(["v"], [("e", "v", "v")])
@@ -83,10 +87,10 @@ def action(name):
         return paction.induced_exel_action(_z2_swap())[0]
     if name == "z2-trivial-pt":
         return paction.one_point_trivial_action(semigroup("z2"))
-    if name == "edge-boundary":
-        return graph.canonical_graph_action(graphs("edge"))[0]
-    if name == "fan-boundary":
-        return graph.canonical_graph_action(graphs("fan"))[0]
+    if name in ("edge-boundary", "fan-boundary"):
+        from . import graph
+
+        return graph.canonical_graph_action(graphs(name.removesuffix("-boundary")))[0]
     if name == "pair-bisections":
         amp = germs.ample_semigroup(groupoid("pair"))
         return germs.canonical_bisection_action(amp)
@@ -140,6 +144,8 @@ def groupoid(name):
     if name.startswith("germ-"):
         return germs.groupoid_of_germs(action(name[5:])).groupoid
     if name == "boundary-edge":
+        from . import graph
+
         return graph.boundary_groupoid(graphs("edge"))[0]
     raise KeyError(f"unknown catalog groupoid {name!r}")
 

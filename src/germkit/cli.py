@@ -11,8 +11,6 @@ import functools
 import json
 import sys
 
-from . import acceptance, algebra, catalog, germs, graph, invsemi, orbit, paction, rings
-
 
 class ParseError(ValueError):
     def __init__(self, msg, line=None, col=None):
@@ -87,6 +85,8 @@ def _names(value, field):
 
 
 def build_semigroup(doc):
+    from . import invsemi
+
     elements = doc["elements"]
     table = doc["table"]
     if not isinstance(elements, list):
@@ -106,6 +106,8 @@ def build_semigroup(doc):
 
 
 def build_action(doc):
+    from . import paction
+
     sg = doc["semigroup"]
     if isinstance(sg, str):
         S = _catalog("semigroup", sg)
@@ -132,6 +134,8 @@ def build_action(doc):
 
 
 def build_graph(doc):
+    from . import graph
+
     if not isinstance(doc["edges"], list):
         raise ParseError("edges is not a list")
     edges = []
@@ -142,6 +146,8 @@ def build_graph(doc):
 
 
 def build_action_coe(doc, theta, gamma):
+    from . import orbit
+
     px = {p: i for i, p in enumerate(theta.carrier)}
     py = {p: i for i, p in enumerate(gamma.carrier)}
     sx = {n: i for i, n in enumerate(theta.semigroup.elements)}
@@ -165,6 +171,8 @@ def build_action_coe(doc, theta, gamma):
 
 def _parse_tpath(g, spec, field):
     """A path is a vertex name (length 0) or a nonempty list of edge names."""
+    from . import graph
+
     if not isinstance(spec, list):
         if _name(spec, field) not in g.vertices:
             raise ParseError(f"{field} names unknown vertex {spec!r}")
@@ -179,6 +187,8 @@ def _parse_tpath(g, spec, field):
 
 
 def build_graph_coe(doc, E, F):
+    from . import graph
+
     def rules_of(field, g_in, g_out):
         if not isinstance(doc[field], list):
             raise ParseError(f"{field} is not a list")
@@ -201,14 +211,17 @@ def build_graph_coe(doc, E, F):
     return T, Tinv, doc["k"], doc["l"], doc["kprime"], doc["lprime"], doc["depth"]
 
 
-CATALOG = {"semigroup": catalog.semigroup, "action": catalog.action, "graph": catalog.graphs}
-
-
 def _catalog(kind, name):
     """The catalog instance of this kind named by 'catalog:<name>' or by a
-    bare name; an unknown name is an input error."""
+    bare name; an unknown name or a kind the catalog does not serve is an
+    input error."""
+    from . import catalog
+
+    build = {"semigroup": catalog.semigroup, "action": catalog.action, "graph": catalog.graphs}.get(kind)
+    if build is None:
+        raise ParseError(f"catalog does not serve {kind!r} inputs")
     try:
-        return CATALOG[kind](name.removeprefix("catalog:"))
+        return build(name.removeprefix("catalog:"))
     except KeyError as err:
         raise ParseError(str(err))
 
@@ -216,8 +229,6 @@ def _catalog(kind, name):
 def _load(arg, expect, lenient=False):
     """Resolve 'catalog:<name>' or a file path into a built object."""
     if arg.startswith("catalog:"):
-        if expect not in CATALOG:
-            raise ParseError(f"catalog does not serve {expect!r} inputs")
         return _catalog(expect, arg)
     return _build(expect, _load_doc(arg, expect, lenient))
 
@@ -258,6 +269,31 @@ def groupoid_json(G):
     }
 
 
+# The germkit errors a command reports with exit code 1, named by module and
+# class: every mathematical failure, and the subset that makes a document
+# INVALID.
+MATHEMATICAL = frozenset(f"{__package__}.{error}" for error in (
+    "invsemi.SemigroupError",
+    "paction.ActionError",
+    "paction.AlgebraError",
+    "germs.GroupoidError",
+    "graph.GraphError",
+    "orbit.CoeError",
+    "algebra.SteinbergError",
+    "algebra.CrossedProductError",
+    "rings.RingError",
+))
+INVALID = frozenset(f"{__package__}.{error}" for error in (
+    "invsemi.SemigroupError", "paction.ActionError", "graph.GraphError"))
+
+
+def _is_one_of(err, errors):
+    """Whether err is an instance of a class that errors names.  Matching by
+    name imports nothing: err's classes are loaded, and a module that was
+    never loaded cannot have raised it."""
+    return any(f"{c.__module__}.{c.__qualname__}" in errors for c in type(err).__mro__)
+
+
 def emit(report, summary, code):
     print(json.dumps(report, sort_keys=True, default=str))
     print(summary, file=sys.stderr)
@@ -271,6 +307,8 @@ def cmd_validate(args):
     doc = None
     if kind == "auto":
         if args.input.startswith("catalog:"):
+            from . import catalog
+
             name = args.input[8:].lower()
             for k, reg in (
                 ("semigroup", catalog.SEMIGROUP_NAMES),
@@ -287,7 +325,9 @@ def cmd_validate(args):
             kind = doc["schema"]
     try:
         obj = _load(args.input, kind, args.lenient) if doc is None else _build(kind, doc)
-    except (invsemi.SemigroupError, paction.ActionError, graph.GraphError) as err:
+    except ValueError as err:
+        if not _is_one_of(err, INVALID):
+            raise
         return emit(
             {"command": "validate", "ok": False, "error": str(err), "witness": getattr(err, "witness", None)},
             f"INVALID: {err}",
@@ -308,6 +348,8 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
+    from . import invsemi
+
     S = _load(args.input, "semigroup", args.lenient)
     eu, wit = invsemi.is_e_unitary(S)
     gi = invsemi.max_group_image(S)
@@ -328,6 +370,8 @@ def cmd_analyze(args):
 
 
 def cmd_germs(args):
+    from . import germs
+
     theta = _load(args.input, "action", args.lenient)
     gg = germs.groupoid_of_germs(theta)
     report = groupoid_json(gg.groupoid)
@@ -336,6 +380,8 @@ def cmd_germs(args):
 
 
 def cmd_maxgroup(args):
+    from . import invsemi
+
     S = _load(args.input, "semigroup", args.lenient)
     gi = invsemi.max_group_image(S)
     report = {
@@ -349,6 +395,8 @@ def cmd_maxgroup(args):
 
 
 def cmd_exel(args):
+    from . import invsemi
+
     G = _load(args.input, "semigroup", args.lenient)
     try:
         ex = invsemi.exel_semigroup(G, max_elements=args.max_elements)
@@ -366,6 +414,8 @@ def cmd_exel(args):
 
 
 def cmd_verify_steinberg(args):
+    from . import algebra, rings
+
     theta = _load(args.input, "action", args.lenient)
     ring = rings.parse_ring_spec(args.ring)
     try:
@@ -382,6 +432,8 @@ def cmd_verify_steinberg(args):
 
 
 def cmd_coe_verify(args):
+    from . import orbit
+
     theta = _load(args.action_a, "action", args.lenient)
     gamma = _load(args.action_b, "action", args.lenient)
     doc = _load_doc(args.coe, "coe", args.lenient)
@@ -398,6 +450,8 @@ def cmd_coe_verify(args):
 
 
 def cmd_coe_extract(args):
+    from . import germs, orbit
+
     theta = _load(args.action_a, "action", args.lenient)
     gamma = _load(args.action_b, "action", args.lenient)
     ga = germs.groupoid_of_germs(theta)
@@ -433,6 +487,8 @@ def _cocycle_json(table, src, dst):
 
 
 def cmd_graph_analyze(args):
+    from . import graph
+
     g = _load(args.input, "graph", args.lenient)
     rep = graph.graph_analyze(g)
     rep["command"] = "graph analyze"
@@ -445,6 +501,8 @@ def cmd_graph_analyze(args):
 
 
 def cmd_graph_leavitt(args):
+    from . import graph, rings
+
     doc = _load_doc(args.input, "leavitt-expr", args.lenient)
     gdoc = doc["graph"]
     if isinstance(gdoc, str) and gdoc.startswith("catalog:"):
@@ -470,6 +528,8 @@ def cmd_graph_leavitt(args):
 
 
 def cmd_graph_coe_verify(args):
+    from . import graph
+
     E = _load(args.graph_e, "graph", args.lenient)
     F = _load(args.graph_f, "graph", args.lenient)
     doc = _load_doc(args.coe, "graph-coe", args.lenient)
@@ -492,6 +552,8 @@ def cmd_graph_coe_verify(args):
 
 
 def cmd_graph_coe_search(args):
+    from . import graph
+
     E = _load(args.graph_e, "graph", args.lenient)
     F = _load(args.graph_f, "graph", args.lenient)
     try:
@@ -545,6 +607,8 @@ def _tpath_json(g, p):
 
 
 def cmd_catalog_run(args):
+    from . import acceptance
+
     reports = acceptance.run_all()
     ok = all(r["ok"] for r in reports)
     # wall-clock fields are dropped so reports are byte-identical across runs
@@ -555,6 +619,8 @@ def cmd_catalog_run(args):
 
 
 def cmd_catalog_list(args):
+    from . import catalog
+
     report = {
         "command": "catalog list",
         "ok": True,
@@ -664,17 +730,9 @@ def main(argv=None):
         print(json.dumps({"ok": False, "error": f"{err}{where}", "kind": "input"}, sort_keys=True))
         print(f"input error: {err}{where}", file=sys.stderr)
         return 2
-    except (
-        invsemi.SemigroupError,
-        paction.ActionError,
-        paction.AlgebraError,
-        germs.GroupoidError,
-        graph.GraphError,
-        orbit.CoeError,
-        algebra.SteinbergError,
-        algebra.CrossedProductError,
-        rings.RingError,
-    ) as err:
+    except ValueError as err:
+        if not _is_one_of(err, MATHEMATICAL):
+            raise
         print(
             json.dumps(
                 {"ok": False, "error": str(err), "witness": str(getattr(err, "witness", None)), "kind": "mathematical"},

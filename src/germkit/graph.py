@@ -749,15 +749,6 @@ class PrefixTransducer:
     rules: tuple
 
 
-def identity_transducer(g):
-    rules = []
-    for e in range(len(g.edge_names)):
-        rules.append(TransducerRule("q", Path(g.esrc[e], (e,)), Path(g.esrc[e], (e,)), "q"))
-    for v in g.sinks():
-        rules.append(TransducerRule("q", Path(v, ()), Path(v, ()), "q"))
-    return PrefixTransducer(g, g, "q", tuple(rules))
-
-
 def validate_transducer(T):
     gi, go = T.graph_in, T.graph_out
     by_state_vertex = {}

@@ -640,10 +640,6 @@ def compose_partial(f, g):
     return PartialBijection(pairs)
 
 
-def invert_partial(f):
-    return PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))
-
-
 def symmetric_inverse_semigroup(n, max_elements=600):
     """I({1..n}): all partial bijections of an n-point set.
 

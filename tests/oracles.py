@@ -1,14 +1,16 @@
 """Plain reference implementations that the tests compare germkit against.
 
 Nothing in `src/` calls these: they are the slow, obviously-correct forms of
-checks that germkit now makes another way, and the crossed-product element
-arithmetic that only tests use.
+checks that germkit now makes another way, the crossed-product element
+arithmetic that only tests use, and small constructions (inverse partial
+bijections, the identity transducer, the unit of a Steinberg algebra) that
+tests build their cases from.
 """
 
 from itertools import permutations, product
 from types import SimpleNamespace
 
-from germkit import algebra, germs, invsemi, paction
+from germkit import algebra, germs, graph, invsemi, paction
 from germkit.invsemi import natural_leq
 from germkit.rings import DecomposableRing, NotAField, RingError
 
@@ -540,3 +542,26 @@ def congruence_failure_by_pairs(S, class_of):
             if class_of[S.mul(s, t)] != tbl[class_of[s], class_of[t]]:
                 return s, t
     return None
+
+
+# --- small constructions the tests build cases from ------------------------------
+
+def invert_partial(f):
+    """The inverse of the partial bijection f."""
+    return invsemi.PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))
+
+
+def units_indicator(G, ring):
+    """1 of the Steinberg algebra of G: the indicator of the unit space."""
+    return algebra.SteinbergElement.indicator(G, ring, G.units)
+
+
+def identity_transducer(g):
+    """The transducer that copies every boundary path of g edge by edge."""
+    Path, Rule = graph.Path, graph.TransducerRule
+    rules = []
+    for e in range(len(g.edge_names)):
+        rules.append(Rule("q", Path(g.esrc[e], (e,)), Path(g.esrc[e], (e,)), "q"))
+    for v in g.sinks():
+        rules.append(Rule("q", Path(v, ()), Path(v, ()), "q"))
+    return graph.PrefixTransducer(g, g, "q", tuple(rules))

@@ -33,7 +33,7 @@ def test_matrix_units_convolution():
 
 def test_units_indicator_is_identity():
     rng = random.Random(0)
-    one = algebra.units_indicator(PAIR, Q)
+    one = oracles.units_indicator(PAIR, Q)
     for _ in range(20):
         f = SteinbergElement(PAIR, Q, {a: rng.randint(-3, 3) for a in range(4)})
         assert convolve(f, one) == f

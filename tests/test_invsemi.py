@@ -233,7 +233,7 @@ def test_symmetric_inverse_semigroup_sizes():
 def test_symmetric_inverse_is_function_inverse():
     S, maps = invsemi.symmetric_inverse_semigroup(2)
     for i, f in enumerate(maps):
-        assert maps[S.inv(i)] == invsemi.invert_partial(f)
+        assert maps[S.inv(i)] == oracles.invert_partial(f)
 
 
 def test_munn_semilattice_is_identity_on_downset():
@@ -548,7 +548,7 @@ def test_symmetric_inverse_semigroup_of_five_points():
     assert len(S) == len(maps) == 1546
     assert len(S.idempotents) == 32
     for i in (0, 1, 200, 1545):
-        assert maps[S.inv(i)] == invsemi.invert_partial(maps[i])
+        assert maps[S.inv(i)] == oracles.invert_partial(maps[i])
 
 
 def test_munn_action_of_five_points_validates():
@@ -580,7 +580,7 @@ def test_order_and_inverses_match_defining_formulas_on_five_points():
     S, maps = invsemi.symmetric_inverse_semigroup(5, max_elements=1546)
     n = len(S)
     for s in range(n):
-        assert maps[S.inv(s)] == invsemi.invert_partial(maps[s])
+        assert maps[S.inv(s)] == oracles.invert_partial(maps[s])
     for s in range(0, n, 13):  # every rank, by the defining formula s = t s* s
         ss = S.mul(S.inv(s), s)
         above = [t for t in range(n) if S.mul(t, ss) == s]
@@ -718,7 +718,7 @@ def _seeded_subsemigroup(seed, npts=4):
     gens = []
     for mapping in maps:
         f = invsemi.PartialBijection(mapping)
-        gens += [f, invsemi.invert_partial(f)]
+        gens += [f, oracles.invert_partial(f)]
     items = list(dict.fromkeys(gens))
     seen = set(items)
     for x in items:  # grows while scanned: closure under right products
