@@ -9,6 +9,7 @@ relation-rewriting oracle.
 """
 
 import time
+from itertools import chain, product
 
 from . import algebra, catalog, germs, graph, invsemi, orbit, paction, rings
 
@@ -27,35 +28,61 @@ def exel_words_closure(G, max_len):
 
     Returns (classes, class_of) where class_of maps each word (tuple of group
     element indices) to its congruence class id.
+
+    Only contractions are applied, each one symbol shorter and never empty:
+    an expansion w -> w2 that fits the universe is the contraction w2 -> w
+    at the same position, and union_find ignores direction.
+
+    A word w of length L is coded as off[L] + sum_i w_i n^(L-1-i), its index
+    in length-major lexicographic order, so a class id is the index of the
+    class's least word.  A rule rewrites a window of k symbols, coded u, to
+    one of k-1 symbols, coded v.  At position p of the words of length L it
+    relates pre+window+suf to pre+image+suf for every prefix of length p and
+    suffix of length m = L-p-k, and both codes are affine in (pre, suf):
+    off[L] + u n^m + pre n^(k+m) + suf and off[L-1] + v n^m + pre n^(k-1+m)
+    + suf.  So the pairs come as two arithmetic progressions zipped, run
+    along whichever of prefix and suffix has more values.
     """
     one = G.idempotents[0]
     n = len(G)
-    words = []
-    layer = [()]
-    for _ in range(max_len):
-        layer = [w + (g,) for w in layer for g in range(n)]
-        words.extend(layer)
-    index = {w: i for i, w in enumerate(words)}
+    inv, mul = G.inv, G.mul
+    off = [0, 0]
+    for length in range(1, max_len + 1):
+        off.append(off[-1] + n ** length)
+    # (k, u, v): the window of k symbols coded u contracts to the one coded v.
+    # [s][1] = [s] and [1][s] = [s] drop a [1]
+    rules = [(1, one, 0)]
+    for s in range(n):
+        for t in range(n):
+            st = mul(s, t)
+            # [s^-1][s][t] = [s^-1][st] and [s][t][t^-1] = [st][t^-1]
+            rules.append((3, (inv(s) * n + s) * n + t, inv(s) * n + st))
+            rules.append((3, (s * n + t) * n + inv(t), st * n + inv(t)))
 
-    def related(w):
-        # Contractions only, each one symbol shorter and never empty: an
-        # expansion w -> w2 that fits the universe is the contraction w2 -> w
-        # at the same position, and union_find ignores direction.
-        for p in range(len(w)):
-            # [s][1] = [s] and [1][s] = [s]
-            if w[p] == one and len(w) >= 2:
-                yield w[:p] + w[p + 1:]
-            # [s^-1][s][t] = [s^-1][st]
-            if p + 2 < len(w) and w[p] == G.inv(w[p + 1]):
-                yield w[: p + 1] + (G.mul(w[p + 1], w[p + 2]),) + w[p + 3:]
-            # [s][t][t^-1] = [st][t^-1]
-            if p + 2 < len(w) and w[p + 2] == G.inv(w[p + 1]):
-                yield w[:p] + (G.mul(w[p], w[p + 1]), w[p + 2]) + w[p + 3:]
+    def progressions():
+        for length in range(2, max_len + 1):
+            for k, u, v in rules:
+                for p in range(length - k + 1):
+                    n_suf = n ** (length - p - k)
+                    n_pre = n ** p
+                    a = off[length] + u * n_suf
+                    b = off[length - 1] + v * n_suf
+                    step_a = n ** k * n_suf
+                    step_b = n ** (k - 1) * n_suf
+                    if n_suf >= n_pre:
+                        for pre in range(n_pre):
+                            x, y = a + pre * step_a, b + pre * step_b
+                            yield zip(range(x, x + n_suf), range(y, y + n_suf))
+                    else:
+                        for suf in range(n_suf):
+                            x, y = a + suf, b + suf
+                            yield zip(range(x, x + n_pre * step_a, step_a),
+                                      range(y, y + n_pre * step_b, step_b))
 
-    root = invsemi.union_find(len(words), ((index[w], index[w2]) for w in words for w2 in related(w)))
-    class_of = {w: root[i] for i, w in enumerate(words)}
-    classes = sorted(set(class_of.values()))
-    return classes, class_of
+    root = invsemi.union_find(off[max_len + 1], chain.from_iterable(progressions()))
+    words = chain.from_iterable(product(range(n), repeat=length) for length in range(1, max_len + 1))
+    class_of = dict(zip(words, root))
+    return sorted(set(root)), class_of
 
 
 def exel_agrees_with_closure(G, report_len, max_len):
@@ -285,13 +312,11 @@ def criterion_6():
     """Orbit equivalence <-> groupoid isomorphism round trips on all pairs of
     topologically principal catalog actions with isomorphic groupoids of
     germs (every action is also paired with itself)."""
-    principal = _principal_actions()
+    principal = [(name, theta, germs.groupoid_of_germs(theta)) for name, theta in _principal_actions()]
     pairs_checked = 0
     failures = []
-    for i, (na, ta) in enumerate(principal):
-        for nb, tb in principal[i:]:
-            ga = germs.groupoid_of_germs(ta)
-            gb = germs.groupoid_of_germs(tb)
+    for i, (na, ta, ga) in enumerate(principal):
+        for nb, tb, gb in principal[i:]:
             if len(ga.groupoid.arrows) != len(gb.groupoid.arrows):
                 continue
             iso = germs.groupoid_iso_search(ga.groupoid, gb.groupoid)
@@ -307,7 +332,7 @@ def criterion_6():
                 failures.append((na, nb, str(err)))
             pairs_checked += 1
     known = [("munn-chain2", "self-chain2"), ("z2-swap", "z2-swap-exel")]
-    names = [n for n, _ in principal]
+    names = [n for n, _, _ in principal]
     for a, b in known:
         if a not in names or b not in names:
             failures.append((a, b, "expected principal pair missing"))

@@ -183,7 +183,10 @@ def _parse_tpath(g, spec, field):
     if unknown:
         raise ParseError(f"{field} names unknown edge {unknown[0]!r}")
     edges = tuple(g.edge_names.index(e) for e in spec)
-    return graph.make_path(g, g.esrc[edges[0]], edges)
+    try:
+        return graph.make_path(g, g.esrc[edges[0]], edges)
+    except graph.GraphError as err:
+        raise ParseError(f"{field}: {err}")
 
 
 def build_graph_coe(doc, E, F):
@@ -223,6 +226,17 @@ def _catalog(kind, name):
     try:
         return build(name.removeprefix("catalog:"))
     except KeyError as err:
+        raise ParseError(err.args[0])
+
+
+def _ring(spec):
+    """The ring a --ring flag names; a Zp:<n> whose n is not an integer >= 2
+    is an input error."""
+    from . import rings
+
+    try:
+        return rings.parse_ring_spec(spec)
+    except rings.BadModulus as err:
         raise ParseError(str(err))
 
 
@@ -417,7 +431,7 @@ def cmd_verify_steinberg(args):
     from . import algebra, rings
 
     theta = _load(args.input, "action", args.lenient)
-    ring = rings.parse_ring_spec(args.ring)
+    ring = _ring(args.ring)
     try:
         rep = algebra.verify_steinberg_crossed(theta, ring)
     except (algebra.SteinbergError, algebra.CrossedProductError, rings.RingError) as err:
@@ -501,7 +515,7 @@ def cmd_graph_analyze(args):
 
 
 def cmd_graph_leavitt(args):
-    from . import graph, rings
+    from . import graph
 
     doc = _load_doc(args.input, "leavitt-expr", args.lenient)
     gdoc = doc["graph"]
@@ -509,7 +523,7 @@ def cmd_graph_leavitt(args):
         g = _catalog("graph", gdoc)
     else:
         g = build_graph(_object(gdoc, "graph", SCHEMAS["graph"]))
-    ring = rings.parse_ring_spec(args.ring)
+    ring = _ring(args.ring)
     el = graph.parse_leavitt_expr(g, ring, doc["expr"])
     depth = args.depth if args.depth is not None else el.depth
     el = el.at_depth(max(depth, el.depth))

@@ -535,23 +535,26 @@ def union_find(n, pairs):
 
     Returns a tuple mapping each i to the least member of its class; the
     result does not depend on the order of the pairs.
+
+    Finds halve paths inline.  The smaller root wins every union, so each
+    root stays the least of its class and parent[i] <= i throughout (halving
+    only lowers a parent).  Hence one forward pass resolves every root: when
+    i is reached, parent[i] <= i is either i itself or a member already
+    pointing at its root.
     """
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            # the smaller root wins, so each root stays the least of its class
-            if rj < ri:
-                ri, rj = rj, ri
-            parent[rj] = ri
-    return tuple(find(i) for i in range(n))
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return tuple(parent)
 
 
 def is_group(S):

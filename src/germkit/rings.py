@@ -149,14 +149,24 @@ def ring_zmod(n):
     return Ring("Zmod", n)
 
 
+class BadModulus(RingError):
+    """A 'Zp:<n>' ring spec whose n is not an integer >= 2."""
+
+
 def parse_ring_spec(spec):
-    """CLI ring flag: 'Q', 'Z', or 'Zp:<n>'."""
+    """CLI ring flag: 'Q', 'Z', or 'Zp:<n>' with n an integer >= 2."""
     if spec == "Q":
         return RING_Q
     if spec == "Z":
         return RING_Z
     if spec.startswith("Zp:"):
-        return ring_zmod(int(spec[3:]))
+        try:
+            modulus = int(spec[3:])
+        except ValueError:
+            modulus = 0
+        if modulus < 2:
+            raise BadModulus(f"ring spec {spec!r}: the modulus must be an integer >= 2")
+        return ring_zmod(modulus)
     raise RingError(f"unknown ring spec {spec!r} (expected Q, Z, or Zp:<p>)")
 
 

@@ -518,6 +518,29 @@ def exel_words_closure_with_expansions(G, max_len):
     return classes, class_of
 
 
+# --- equivalence classes: a graph search from every point -----------------------
+
+def connected_components(n, pairs):
+    """The least member of the class of each i in range(n) under the
+    equivalence generated by pairs, by a depth-first search of the
+    undirected graph the pairs span, started once per class."""
+    adj = [set() for _ in range(n)]
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    least = [None] * n
+    for i in range(n):
+        if least[i] is None:
+            least[i] = i
+            stack = [i]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if least[b] is None:
+                        least[b] = i
+                        stack.append(b)
+    return tuple(least)
+
+
 # --- maximal group image: every pair tested for a common lower bound -------------
 
 def min_group_congruence_by_pairs(S):

@@ -451,6 +451,14 @@ def test_malformed_graph_coe_document_is_input_error(capsys, tmp_path, path, val
     _input_error(capsys, tmp_path, argv, doc, where)
 
 
+def test_graph_coe_rule_whose_edges_do_not_concatenate_is_input_error(capsys, tmp_path):
+    # catalog:edge's one edge e runs v -> w, so e e is no path
+    doc = _edge_coe_doc()
+    _set(doc, ("rules", 1, "consume"), ["e", "e"])
+    argv = ["graph", "coe-verify", "catalog:edge", "catalog:edge", None]
+    _input_error(capsys, tmp_path, argv, doc, "rules entry 1 consume: edges do not concatenate")
+
+
 def test_action_document_names_catalog_semigroup(capsys, tmp_path):
     doc = _z2_swap_doc()
     doc["semigroup"] = "catalog:z2"
@@ -464,6 +472,25 @@ def test_action_document_names_catalog_semigroup(capsys, tmp_path):
 def test_leavitt_document_with_unknown_catalog_graph_is_input_error(capsys, tmp_path):
     doc = {"schema": "leavitt-expr", "version": 1, "graph": "catalog:nosuch", "expr": "v"}
     _input_error(capsys, tmp_path, ["graph", "leavitt", None], doc, "unknown catalog graph 'nosuch'")
+
+
+def test_unknown_catalog_name_is_reported_without_extra_quotes(capsys):
+    code, out, err = run(capsys, "germs", "catalog:nosuch")
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "error": "unknown catalog action 'nosuch'", "kind": "input"}
+    assert err == "input error: unknown catalog action 'nosuch'\n"
+
+
+@pytest.mark.parametrize("spec", ["Zp:x", "Zp:0", "Zp:1"])
+def test_ring_modulus_that_is_not_an_integer_at_least_2_is_input_error(capsys, tmp_path, spec):
+    expected = {"ok": False, "kind": "input",
+                "error": f"ring spec {spec!r}: the modulus must be an integer >= 2"}
+    code, out, _ = run(capsys, "verify", "steinberg-crossed", "catalog:z2-swap", "--ring", spec)
+    assert (code, json.loads(out)) == (2, expected)
+    f = tmp_path / "expr.json"
+    f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop", "expr": "v"}))
+    code, out, _ = run(capsys, "graph", "leavitt", str(f), "--ring", spec)
+    assert (code, json.loads(out)) == (2, expected)
 
 
 # --- one parser per process ------------------------------------------------------
@@ -550,6 +577,14 @@ def test_one_shot_run_matches_in_process(capsys, monkeypatch, tmp_path, argv, co
     assert (proc.returncode, proc.stdout, proc.stderr) == (result[0], result[1].encode(), result[2].encode())
 
 
+def test_package_runs_as_a_module(capsys, tmp_path):
+    env = _one_shot_env(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "germkit", "catalog", "list"], env=env, capture_output=True)
+    code, out, err = run(capsys, "catalog", "list")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), err.encode())
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [["validate", "{dir}/semigroup.json"], ["analyze", "{dir}/semigroup.json"]])
 def test_value_error_that_germkit_does_not_define_propagates(monkeypatch, tmp_path, argv):
     # not a verdict: it leaves main as raised, past validate's INVALID
@@ -599,7 +634,8 @@ def test_one_shot_run_loads_only_what_its_command_runs(tmp_path, argv, loaded):
 def test_package_resolves_every_submodule_on_first_use(tmp_path):
     env = _one_shot_env(tmp_path)
     src = pathlib.Path(env["PYTHONPATH"]) / "germkit"
-    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    # __main__ is the `python -m germkit` entry point, not a submodule
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem not in ("__init__", "__main__"))
     probe = "import germkit, sys; print([getattr(germkit, m).__name__ for m in sys.argv[1:]])"
     proc = subprocess.run([sys.executable, "-c", probe, *modules], env=env, capture_output=True, text=True)
     assert proc.stdout.strip() == str([f"germkit.{m}" for m in modules]), proc.stderr

@@ -86,3 +86,23 @@ def test_closure_without_expansions_matches_oracle():
         for max_len in range(5, 9):
             classes, class_of = acceptance.exel_words_closure(G, max_len)
             assert (classes, class_of) == oracles.exel_words_closure_with_expansions(G, max_len)
+
+
+def _group(n, mul):
+    """The group on range(n) with product mul, as a validated table."""
+    return invsemi.validate_inverse_semigroup(
+        tuple(str(a) for a in range(n)), [[mul(a, b) for b in range(n)] for a in range(n)])
+
+
+def test_closure_matches_oracle_on_z4_and_klein_four():
+    # words are coded in base n: n = 4 on two groups, the second one with
+    # every element its own inverse
+    z4 = _group(4, lambda a, b: (a + b) % 4)
+    klein = _group(4, lambda a, b: a ^ b)
+    for G in (z4, klein):
+        for max_len in (4, 5):
+            classes, class_of = acceptance.exel_words_closure(G, max_len)
+            want_classes, want_class_of = oracles.exel_words_closure_with_expansions(G, max_len)
+            assert classes == want_classes
+            # in the same length-major lexicographic order of words
+            assert list(class_of.items()) == list(want_class_of.items())

@@ -2,6 +2,8 @@ from math import comb, factorial
 
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germkit import catalog, invsemi, paction
 
@@ -436,6 +438,26 @@ def test_union_find_least_member_roots():
     noisy = pairs + [(i, i) for i in range(n)] + pairs
     assert invsemi.union_find(n, noisy) == root
     assert invsemi.union_find(n, []) == tuple(range(n))
+
+
+@st.composite
+def _sized_pairs(draw):
+    n = draw(st.integers(1, 60))
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=3 * n))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sized_pairs())
+@example((1, []))
+@example((1, [(0, 0)]))
+@example((5, []))
+@example((5, [(3, 3), (1, 1)]))
+@example((6, [(4, 2), (4, 2), (2, 4), (5, 0), (0, 5)]))
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_union_find_matches_graph_search(case):
+    n, pairs = case
+    assert invsemi.union_find(n, pairs) == oracles.connected_components(n, pairs)
 
 
 # --- associativity: Light's test against the exhaustive triple scan -----------

@@ -67,6 +67,9 @@ def test_parse_ring_spec():
     assert rings.parse_ring_spec("Zp:7") == rings.ring_zmod(7)
     with pytest.raises(rings.RingError):
         rings.parse_ring_spec("R")
+    for spec in ("Zp:x", "Zp:", "Zp:0", "Zp:1", "Zp:-5"):
+        with pytest.raises(rings.BadModulus, match="modulus must be an integer >= 2"):
+            rings.parse_ring_spec(spec)
 
 
 def test_rref_known_matrix():
