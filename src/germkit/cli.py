@@ -230,13 +230,13 @@ def _catalog(kind, name):
 
 
 def _ring(spec):
-    """The ring a --ring flag names; a Zp:<n> whose n is not an integer >= 2
-    is an input error."""
+    """The ring a --ring flag names; a spec that names no ring (an unknown
+    kind, or a Zp:<n> whose n is not an integer >= 2) is an input error."""
     from . import rings
 
     try:
         return rings.parse_ring_spec(spec)
-    except rings.BadModulus as err:
+    except rings.RingError as err:
         raise ParseError(str(err))
 
 

@@ -2,9 +2,10 @@
 
 An orbit equivalence is a carrier bijection phi together with total cocycle
 tables a : S*X -> T and b : T*Y -> S intertwining the two actions.  On
-discrete carriers continuity is vacuous; the germ-level identities stand in
-for the limit arguments and are asserted when both actions are topologically
-principal.
+discrete carriers continuity is vacuous, and the germ-level identities that
+stand in for the limit arguments need no check of their own: when both
+actions are topologically principal they follow from the pointwise
+identities (the proof is in `verify_orbit_equivalence`).
 """
 
 from dataclasses import dataclass
@@ -22,19 +23,11 @@ class IdentityFails(CoeError):
     pass
 
 
-class GermIdentityFails(CoeError):
-    pass
-
-
 class NoCoveringElement(CoeError):
     pass
 
 
 class NotTopPrincipal(CoeError):
-    pass
-
-
-class NotWellDefined(CoeError):
     pass
 
 
@@ -52,10 +45,32 @@ def identity_orbit_equivalence(theta):
     return OrbitEquivalence(phi, a, dict(a))
 
 
-def verify_orbit_equivalence(theta, gamma, oe, check_germ_identities=None):
-    """Check the two defining identities pointwise, and the germ identities
-    (well-definedness, cocycle, inversion) when both actions are
-    topologically principal.  Raises with a witness on the first failure."""
+def verify_orbit_equivalence(theta, gamma, oe):
+    """Check the two defining identities pointwise; raises with a witness
+    on the first failure.  When both actions are topologically principal,
+    the germ identities (a) well-definedness, (b) cocycle and (c) inversion
+    hold as well, by proof rather than by a check:
+    - `dynamics_report(theta).top_principal` says that every (s, x) with
+      theta_s(x) = x has an idempotent e <= s with x in X_e.  Then e_x <= e
+      (e_x, the least idempotent acting at x, keys the germs), so s e_x =
+      s e e_x = e e_x = e_x: [s, x] is the unit at x, and every isotropy
+      group of the germ groupoid is trivial.
+    - So two germs with the same source and the same target are equal: for
+      [s, x] and [t, x] with theta_s(x) = theta_t(x), [t, x]^-1 [s, x] =
+      [t*s, x] fixes x, so it is the unit and [s, x] = [t, x].
+    - Given the pointwise identities and the validated law theta_s theta_t
+      <= theta_st, each side of each identity is a germ at the same point
+      with the same target:
+      (a) [s1, x] = [s2, x] gives theta_s1(x) = theta_s2(x), and then
+          [a(s1, x), phi(x)] and [a(s2, x), phi(x)] both end at
+          phi(theta_s1(x));
+      (b) with y = theta_s2(x), a(s1 s2, x) and a(s1, y) a(s2, x) both act
+          at phi(x) and send it to phi(theta_s1(y));
+      (c) b(a(s, x), phi(x)) acts at x and sends it to theta_s(x), as s
+          does.
+    So `germ_identities_checked` equals `top_principal`: the identities are
+    claimed exactly when the proof applies, and no germ groupoid is built.
+    """
     X = range(len(theta.carrier))
     Y = range(len(gamma.carrier))
     phi = oe.phi
@@ -96,50 +111,10 @@ def verify_orbit_equivalence(theta, gamma, oe, check_germ_identities=None):
         paction.dynamics_report(theta).top_principal
         and paction.dynamics_report(gamma).top_principal
     )
-    if check_germ_identities is None:
-        check_germ_identities = principal
-    germ_checked = False
-    if check_germ_identities:
-        gx = germs.groupoid_of_germs(theta)
-        gy = germs.groupoid_of_germs(gamma)
-        S = theta.semigroup
-        T = gamma.semigroup
-        for x in X:
-            acting = theta.acting_elements(x)
-            fx = phi[x]
-            for s1 in acting:
-                for s2 in acting:
-                    if gx.germ(s1, x) == gx.germ(s2, x):
-                        if gy.germ(oe.a[(s1, x)], fx) != gy.germ(oe.a[(s2, x)], fx):
-                            raise GermIdentityFails(
-                                "equal germs map to different germs",
-                                ("a", s1, s2, x),
-                            )
-        for x in X:
-            for s2 in theta.acting_elements(x):
-                mid = theta.theta(s2, x)
-                for s1 in theta.acting_elements(mid):
-                    s12 = S.mul(s1, s2)
-                    lhs = gy.germ(oe.a[(s12, x)], phi[x])
-                    t12 = T.mul(oe.a[(s1, mid)], oe.a[(s2, x)])
-                    rhs = gy.germ(t12, phi[x])
-                    if lhs != rhs:
-                        raise GermIdentityFails(
-                            "cocycle identity fails",
-                            ("b", s1, s2, x),
-                        )
-        for s, x in theta.pairs():
-            back = oe.b[(oe.a[(s, x)], phi[x])]
-            if gx.germ(back, x) != gx.germ(s, x):
-                raise GermIdentityFails(
-                    "b(a(s,x), phi(x)) has a different germ than s",
-                    ("c", s, x),
-                )
-        germ_checked = True
     return {
         "identities": "ok",
         "top_principal": principal,
-        "germ_identities_checked": germ_checked,
+        "germ_identities_checked": principal,
     }
 
 
@@ -183,26 +158,16 @@ def coe_from_groupoid_iso(iso, germ_x, germ_y):
     return oe
 
 
-def iso_from_coe(theta, gamma, oe):
-    """Phi[s,x] = [a(s,x), phi(x)], well-defined for topologically principal
-    actions; returns the verified groupoid isomorphism."""
-    if not paction.dynamics_report(theta).top_principal or not paction.dynamics_report(gamma).top_principal:
+def iso_from_coe(germ_x, germ_y, oe):
+    """Phi[s, x] = [a(s, x), phi(x)], read off the representatives of the
+    germs of theta; it is well defined by identity (a), which holds once
+    `verify_orbit_equivalence` passes on topologically principal actions.
+    Returns the verified groupoid isomorphism."""
+    rep = verify_orbit_equivalence(germ_x.action, germ_y.action, oe)
+    if not rep["top_principal"]:
         raise NotTopPrincipal("both actions must be topologically principal")
-    gx = germs.groupoid_of_germs(theta)
-    gy = germs.groupoid_of_germs(gamma)
-    amap = [None] * len(gx.groupoid.arrows)
-    for (s, x), arrow in gx.pair_class.items():
-        image = gy.germ(oe.a[(s, x)], oe.phi[x])
-        if amap[arrow] is None:
-            amap[arrow] = image
-        elif amap[arrow] != image:
-            raise NotWellDefined(
-                "two representatives of one germ map to different germs",
-                (arrow, (s, x)),
-            )
-    if sorted(amap) != list(range(len(gy.groupoid.arrows))):
-        raise CoeError("induced germ map is not a bijection")
-    iso = germs.GroupoidIso(gx.groupoid, gy.groupoid, tuple(amap))
+    amap = tuple(germ_y.germ(oe.a[(s, x)], oe.phi[x]) for s, x in germ_x.reps)
+    iso = germs.GroupoidIso(germ_x.groupoid, germ_y.groupoid, amap)
     if not germs.verify_groupoid_iso(iso):
         raise CoeError("induced germ map is not an isomorphism")
-    return iso, gx, gy
+    return iso

@@ -96,6 +96,40 @@ def lambda_by_all_pairs(theta):
     return tuple(lam)
 
 
+# --- orbit equivalence: the germ identities on every pair acting at a point ----
+
+def germ_identity_failure(theta, gamma, oe):
+    """(message, witness) of the first failure of the germ identities of an
+    orbit equivalence whose pointwise identities hold, or None: (a) equal
+    germs of theta map to equal germs of gamma, (b) the cocycle identity
+    and (c) b(a(s, x), phi(x)) has the germ of s, each tried on every pair
+    of elements acting at a point, with both germ groupoids built."""
+    gx = germs.groupoid_of_germs(theta)
+    gy = germs.groupoid_of_germs(gamma)
+    S, T, phi = theta.semigroup, gamma.semigroup, oe.phi
+    X = range(len(theta.carrier))
+    for x in X:
+        acting = theta.acting_elements(x)
+        for s1 in acting:
+            for s2 in acting:
+                if gx.germ(s1, x) == gx.germ(s2, x):
+                    if gy.germ(oe.a[(s1, x)], phi[x]) != gy.germ(oe.a[(s2, x)], phi[x]):
+                        return "equal germs map to different germs", ("a", s1, s2, x)
+    for x in X:
+        for s2 in theta.acting_elements(x):
+            mid = theta.theta(s2, x)
+            for s1 in theta.acting_elements(mid):
+                lhs = gy.germ(oe.a[(S.mul(s1, s2), x)], phi[x])
+                rhs = gy.germ(T.mul(oe.a[(s1, mid)], oe.a[(s2, x)]), phi[x])
+                if lhs != rhs:
+                    return "cocycle identity fails", ("b", s1, s2, x)
+    for s, x in theta.pairs():
+        back = oe.b[(oe.a[(s, x)], phi[x])]
+        if gx.germ(back, x) != gx.germ(s, x):
+            return "b(a(s,x), phi(x)) has a different germ than s", ("c", s, x)
+    return None
+
+
 # --- associativity: every triple, in index order ------------------------------
 
 def first_non_associative(elements, table):

@@ -217,6 +217,45 @@ def test_coe_extract_non_isomorphic_exits_1(capsys):
     assert "not isomorphic" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "path, value, stdout",
+    [
+        (("phi", "y"), "x",
+         '{"command": "coe verify", "error": "phi is not a carrier bijection", "ok": false, "witness": null}'),
+        (("a", "g", "x"), None,
+         '{"command": "coe verify", "error": "a is undefined at (g, x)", "ok": false, "witness": null}'),
+        (("b", "[g]", "y"), None,
+         '{"command": "coe verify", "error": "b is undefined at ([g], y)", "ok": false, "witness": null}'),
+        (("a", "1", "z"), "[g]",
+         '{"command": "coe verify", "error": "a(1, z) does not act at phi(x)", "ok": false, "witness": ["a", 0, 2]}'),
+        (("b", "[1]", "z"), "g",
+         '{"command": "coe verify", "error": "b([1], z) does not act at phi^-1(y)", "ok": false, '
+         '"witness": ["b", 0, 2]}'),
+        (("a", "g", "x"), "[1]",
+         '{"command": "coe verify", "error": "phi(theta_s(x)) != gamma_a(s,x)(phi(x)) at (g, x)", "ok": false, '
+         '"witness": ["a", 1, 0]}'),
+        (("b", "[g]", "x"), "1",
+         '{"command": "coe verify", "error": "phi^-1(gamma_t(y)) != theta_b(t,y)(phi^-1(y)) at ([g], x)", '
+         '"ok": false, "witness": ["b", 1, 0]}'),
+    ],
+    ids=["phi-not-bijective", "a-undefined", "b-undefined", "a-not-acting", "b-not-acting", "a-image", "b-image"],
+)
+def test_coe_verify_failure_stdout_is_pinned(capsys, tmp_path, path, value, stdout):
+    # one edit of the extracted z2-swap -> z2-swap-exel document per failure
+    # branch; a value of None deletes the entry
+    actions = ("catalog:z2-swap", "catalog:z2-swap-exel")
+    doc = json.loads(run(capsys, "coe", "extract", *actions)[1])
+    for k in ("command", "ok"):
+        doc.pop(k)
+    if value is None:
+        _get(doc, path[:-1]).pop(path[-1])
+    else:
+        _set(doc, path, value)
+    f = tmp_path / "bad-coe.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "coe", "verify", *actions, str(f))[:2] == (1, stdout + "\n")
+
+
 def test_graph_coe_search_then_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "graph", "coe-search", "catalog:edge", "catalog:edge")
     assert code == 0
@@ -293,10 +332,14 @@ def _z2_swap_doc():
     }
 
 
-def _set(doc, path, value):
-    for key in path[:-1]:
+def _get(doc, path):
+    for key in path:
         doc = doc[key]
-    doc[path[-1]] = value
+    return doc
+
+
+def _set(doc, path, value):
+    _get(doc, path[:-1])[path[-1]] = value
 
 
 def _input_error(capsys, tmp_path, argv, doc, where):
@@ -399,19 +442,16 @@ def _action_json(theta, perm, cperm, prefix):
     }
 
 
-def test_coe_extract_munn_i4_against_relabeled_copy(capsys, tmp_path):
+def _coe_round_trip_against_relabeled_copy(capsys, tmp_path, theta):
     import random
 
-    from germkit import invsemi
-
-    S4, _ = invsemi.symmetric_inverse_semigroup(4)
-    theta = invsemi.munn_representation(S4)
+    S = theta.semigroup
     rng = random.Random(4)
-    perm, cperm = list(range(len(S4))), list(range(len(theta.carrier)))
+    perm, cperm = list(range(len(S))), list(range(len(theta.carrier)))
     rng.shuffle(perm)
     rng.shuffle(cperm)
     pa, pb, pc = (tmp_path / n for n in ("a.json", "b.json", "coe.json"))
-    pa.write_text(json.dumps(_action_json(theta, range(len(S4)), range(len(theta.carrier)), "")))
+    pa.write_text(json.dumps(_action_json(theta, range(len(S)), range(len(theta.carrier)), "")))
     pb.write_text(json.dumps(_action_json(theta, perm, cperm, "r")))
     code, out, _ = run(capsys, "coe", "extract", str(pa), str(pb), "--timeout-nodes", "20000")
     assert code == 0
@@ -421,6 +461,21 @@ def test_coe_extract_munn_i4_against_relabeled_copy(capsys, tmp_path):
     pc.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "coe", "verify", str(pa), str(pb), str(pc))
     assert code == 0 and json.loads(out)["ok"]
+
+
+def test_coe_extract_munn_i4_against_relabeled_copy(capsys, tmp_path):
+    from germkit import invsemi
+
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    _coe_round_trip_against_relabeled_copy(capsys, tmp_path, invsemi.munn_representation(S4))
+
+
+def test_coe_extract_self_i4_against_relabeled_copy(capsys, tmp_path):
+    # |L| = 13617 pairs: verified without building a germ groupoid
+    from germkit import invsemi
+
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    _coe_round_trip_against_relabeled_copy(capsys, tmp_path, invsemi.canonical_self_action(S4))
 
 
 def _edge_coe_doc():
@@ -493,6 +548,16 @@ def test_ring_modulus_that_is_not_an_integer_at_least_2_is_input_error(capsys, t
     assert (code, json.loads(out)) == (2, expected)
 
 
+def test_unknown_ring_spec_is_input_error(capsys, tmp_path):
+    expected = {"ok": False, "kind": "input", "error": "unknown ring spec 'R' (expected Q, Z, or Zp:<p>)"}
+    code, out, _ = run(capsys, "verify", "steinberg-crossed", "catalog:z2-swap", "--ring", "R")
+    assert (code, json.loads(out)) == (2, expected)
+    f = tmp_path / "expr.json"
+    f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop", "expr": "v"}))
+    code, out, _ = run(capsys, "graph", "leavitt", str(f), "--ring", "R")
+    assert (code, json.loads(out)) == (2, expected)
+
+
 # --- one parser per process ------------------------------------------------------
 
 def test_parser_is_reused_without_leaking_state(capsys, tmp_path):
@@ -557,7 +622,7 @@ def _one_shot_env(tmp_path):
         pytest.param(["validate", "catalog:z2"], 0, id="argv0"),
         pytest.param(["nonsense"], 2, id="argv1"),
         pytest.param(["validate", "{dir}/bad.json"], 1, id="invalid-semigroup"),
-        pytest.param(["verify", "steinberg-crossed", "{dir}/action.json", "--ring", "R"], 1, id="ring-error"),
+        pytest.param(["verify", "steinberg-crossed", "{dir}/action.json", "--ring", "R"], 2, id="ring-error"),
         pytest.param(["coe", "extract", "catalog:munn-chain2", "catalog:self-chain2", "--timeout-nodes", "1"], 1,
                      id="timeout-catalog"),
         pytest.param(["coe", "extract", "{dir}/action.json", "{dir}/action.json", "--timeout-nodes", "1"], 1,
