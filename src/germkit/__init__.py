@@ -23,6 +23,18 @@ __all__ = [
 __version__ = "0.1.0"
 
 
+class GermkitError(ValueError):
+    """A claim germkit refuted, such as a table that is not an inverse
+    semigroup or a map that is not an isomorphism; witness, when not None,
+    is what refutes it.  Every error class of the germkit modules but
+    cli.ParseError, which marks malformed input, derives from this one; a
+    CLI command that ends on one exits 1."""
+
+    def __init__(self, msg, witness=None):
+        super().__init__(msg)
+        self.witness = witness
+
+
 def __getattr__(name):
     if name in __all__:
         return importlib.import_module(f"{__name__}.{name}")

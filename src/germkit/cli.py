@@ -1,7 +1,10 @@
 """Command line interface: JSON in, JSON report out.
 
 Exit codes: 0 on pass, 1 on mathematical failure (with a witness in the
-report), 2 on input or usage errors.  Reports are emitted as JSON on stdout
+report), 2 on input or usage errors.  Every germkit error is a
+`germkit.GermkitError`, a ValueError carrying the refuting witness as
+`.witness`, and a command that ends on one exits 1; malformed input raises
+ParseError instead.  Reports are emitted as JSON on stdout
 with sorted keys, so identical inputs give byte-identical output; a one-line
 human summary goes to stderr.
 """
@@ -10,6 +13,8 @@ import argparse
 import functools
 import json
 import sys
+
+from . import GermkitError
 
 
 class ParseError(ValueError):
@@ -72,6 +77,13 @@ def _name(value, field):
     """value, which the document's field must hold as a name."""
     if isinstance(value, (list, dict)):
         raise ParseError(f"{field} is an array or object, not a name")
+    return value
+
+
+def _int(value, field):
+    """value, which the document's field must hold as an integer."""
+    if type(value) is not int:  # JSON true/false load as bool, a subclass of int
+        raise ParseError(f"{field} is not an integer")
     return value
 
 
@@ -211,7 +223,11 @@ def build_graph_coe(doc, E, F):
 
     T = graph.PrefixTransducer(E, F, doc["initial"], rules_of("rules", E, F))
     Tinv = graph.PrefixTransducer(F, E, doc["initial_inverse"], rules_of("rules_inverse", F, E))
-    return T, Tinv, doc["k"], doc["l"], doc["kprime"], doc["lprime"], doc["depth"]
+    cocycles = (
+        {key: _int(n, f"{field}[{key!r}]") for key, n in _object(doc[field], field).items()}
+        for field in ("k", "l", "kprime", "lprime")
+    )
+    return T, Tinv, *cocycles, _int(doc["depth"], "depth")
 
 
 def _catalog(kind, name):
@@ -283,31 +299,6 @@ def groupoid_json(G):
     }
 
 
-# The germkit errors a command reports with exit code 1, named by module and
-# class: every mathematical failure, and the subset that makes a document
-# INVALID.
-MATHEMATICAL = frozenset(f"{__package__}.{error}" for error in (
-    "invsemi.SemigroupError",
-    "paction.ActionError",
-    "paction.AlgebraError",
-    "germs.GroupoidError",
-    "graph.GraphError",
-    "orbit.CoeError",
-    "algebra.SteinbergError",
-    "algebra.CrossedProductError",
-    "rings.RingError",
-))
-INVALID = frozenset(f"{__package__}.{error}" for error in (
-    "invsemi.SemigroupError", "paction.ActionError", "graph.GraphError"))
-
-
-def _is_one_of(err, errors):
-    """Whether err is an instance of a class that errors names.  Matching by
-    name imports nothing: err's classes are loaded, and a module that was
-    never loaded cannot have raised it."""
-    return any(f"{c.__module__}.{c.__qualname__}" in errors for c in type(err).__mro__)
-
-
 def emit(report, summary, code):
     print(json.dumps(report, sort_keys=True, default=str))
     print(summary, file=sys.stderr)
@@ -337,13 +328,14 @@ def cmd_validate(args):
         else:
             doc = _load_doc(args.input, None, args.lenient)
             kind = doc["schema"]
+    # loading reaches only the semigroup, action and graph validators
+    # (catalog builds always pass theirs), so any germkit error here says
+    # the document is invalid
     try:
         obj = _load(args.input, kind, args.lenient) if doc is None else _build(kind, doc)
-    except ValueError as err:
-        if not _is_one_of(err, INVALID):
-            raise
+    except GermkitError as err:
         return emit(
-            {"command": "validate", "ok": False, "error": str(err), "witness": getattr(err, "witness", None)},
+            {"command": "validate", "ok": False, "error": str(err), "witness": err.witness},
             f"INVALID: {err}",
             1,
         )
@@ -456,7 +448,7 @@ def cmd_coe_verify(args):
         rep = orbit.verify_orbit_equivalence(theta, gamma, oe)
     except orbit.CoeError as err:
         return emit(
-            {"command": "coe verify", "ok": False, "error": str(err), "witness": getattr(err, "witness", None)},
+            {"command": "coe verify", "ok": False, "error": str(err), "witness": err.witness},
             f"FAIL: {err}",
             1,
         )
@@ -524,6 +516,8 @@ def cmd_graph_leavitt(args):
     else:
         g = build_graph(_object(gdoc, "graph", SCHEMAS["graph"]))
     ring = _ring(args.ring)
+    if not isinstance(doc["expr"], str):
+        raise ParseError("expr is not a string")
     el = graph.parse_leavitt_expr(g, ring, doc["expr"])
     depth = args.depth if args.depth is not None else el.depth
     el = el.at_depth(max(depth, el.depth))
@@ -554,7 +548,7 @@ def cmd_graph_coe_verify(args):
         rep = graph.verify_graph_coe(E, F, T, Tinv, k, l, kp, lp, depth)
     except graph.GraphError as err:
         return emit(
-            {"command": "graph coe-verify", "ok": False, "error": str(err), "witness": str(getattr(err, "witness", None))},
+            {"command": "graph coe-verify", "ok": False, "error": str(err), "witness": str(err.witness)},
             f"FAIL: {err}",
             1,
         )
@@ -744,12 +738,10 @@ def main(argv=None):
         print(json.dumps({"ok": False, "error": f"{err}{where}", "kind": "input"}, sort_keys=True))
         print(f"input error: {err}{where}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        if not _is_one_of(err, MATHEMATICAL):
-            raise
+    except GermkitError as err:
         print(
             json.dumps(
-                {"ok": False, "error": str(err), "witness": str(getattr(err, "witness", None)), "kind": "mathematical"},
+                {"ok": False, "error": str(err), "witness": str(err.witness), "kind": "mathematical"},
                 sort_keys=True,
             )
         )

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
 
-from . import invsemi
+from . import GermkitError, invsemi
 from .invsemi import natural_leq
 
 
-class GroupoidError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class GroupoidError(GermkitError):
+    pass
 
 
 class Timeout(GroupoidError):

@@ -11,13 +11,11 @@ cylinder sets truncated at a chosen depth.
 
 from dataclasses import dataclass
 
-from . import germs, invsemi, paction
+from . import GermkitError, germs, invsemi, paction
 
 
-class GraphError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class GraphError(GermkitError):
+    pass
 
 
 class NotAcyclic(GraphError):
@@ -659,17 +657,20 @@ def parse_leavitt_expr(g, ring, text):
     integer scalars, + and *."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
 
-    def parse(pos):
+    def token(pos):
         if pos >= len(tokens):
             raise GraphError("unexpected end of expression")
-        tok = tokens[pos]
+        return tokens[pos]
+
+    def parse(pos):
+        tok = token(pos)
         if tok == "(":
-            op = tokens[pos + 1]
+            op = token(pos + 1)
             if op not in ("+", "*"):
                 raise GraphError(f"unknown operator {op!r}")
             args = []
             pos += 2
-            while tokens[pos] != ")":
+            while token(pos) != ")":
                 arg, pos = parse(pos)
                 args.append(arg)
             return (op, args), pos + 1
@@ -690,6 +691,8 @@ def parse_leavitt_expr(g, ring, text):
             if op == "+":
                 if scalars:
                     raise GraphError("cannot add a bare scalar to an element")
+                if not elems:
+                    raise GraphError("empty sum")
                 out = elems[0]
                 for v in elems[1:]:
                     out = out + v

@@ -18,11 +18,11 @@ from itertools import combinations
 from math import comb, factorial
 from operator import itemgetter
 
+from . import GermkitError
 
-class SemigroupError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+
+class SemigroupError(GermkitError):
+    pass
 
 
 class NotAssociative(SemigroupError):

@@ -10,13 +10,11 @@ identities (the proof is in `verify_orbit_equivalence`).
 
 from dataclasses import dataclass
 
-from . import germs, paction
+from . import GermkitError, germs, paction
 
 
-class CoeError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class CoeError(GermkitError):
+    pass
 
 
 class IdentityFails(CoeError):

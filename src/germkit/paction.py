@@ -9,14 +9,12 @@ notion (interior, closure, density) is evaluated literally.
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import invsemi, rings
+from . import GermkitError, invsemi, rings
 from .invsemi import natural_leq
 
 
-class ActionError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class ActionError(GermkitError):
+    pass
 
 
 class NotBijective(ActionError):
@@ -247,10 +245,8 @@ def dynamics_report(theta):
 
 # --- dual algebraic action and its inversion -------------------------------------
 
-class AlgebraError(ValueError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class AlgebraError(GermkitError):
+    pass
 
 
 class NotAnIdeal(AlgebraError):

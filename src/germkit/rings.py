@@ -13,8 +13,10 @@ pivot's leading entry is inverted once, when the elimination ends.
 
 from fractions import Fraction
 
+from . import GermkitError
 
-class RingError(ValueError):
+
+class RingError(GermkitError):
     pass
 
 

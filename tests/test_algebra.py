@@ -489,6 +489,37 @@ def test_verify_steinberg_crossed_detects_corrupted_groupoid(monkeypatch, corrup
         algebra.verify_steinberg_crossed(catalog.action(name), Q)
 
 
+def _reclass(gg, key):
+    pair_class = dict(gg.pair_class)
+    pair_class[key] = (pair_class[key] + 1) % len(gg.groupoid.arrows)
+    return dataclasses.replace(gg, pair_class=pair_class)
+
+
+def _reclass_below(gg):
+    # a representative (r, x) with r < s for some s, where N's generators live
+    S = gg.action.semigroup
+    key = next((r, x) for r, x in gg.reps
+               if any(r != s and invsemi.natural_leq(S, r, s) for s in range(len(S))))
+    return _reclass(gg, key)
+
+
+def _reclass_non_representative(gg):
+    return _reclass(gg, next(k for k, a in gg.pair_class.items() if gg.reps[a] != k))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_reclass_below, "Phi not multiplicative: .* is badly typed"),
+    (_reclass_non_representative, "Phi not multiplicative on basis pair"),
+])
+def test_verify_steinberg_crossed_detects_corrupted_germ_classes(monkeypatch, corrupt, message):
+    # Phi killing N and Psi being constant on germ classes have no check of
+    # their own: the checks that remain must still refuse a wrong germ class
+    real = germs.groupoid_of_germs
+    monkeypatch.setattr(algebra.germs, "groupoid_of_germs", lambda theta: corrupt(real(theta)))
+    with pytest.raises(algebra.VerificationFailed, match=message):
+        algebra.verify_steinberg_crossed(catalog.action("munn-i2"), Q)
+
+
 def test_verify_steinberg_crossed_detects_shared_unit(monkeypatch):
     # the groupoid is intact and every basis pair multiplies correctly, but
     # checking only the pairs at a common point covers the others only when

@@ -497,6 +497,12 @@ def _edge_coe_doc():
          "rules entry 1 is missing fields ['state']"),
         (("rules_inverse", 1, "consume"), ["e", "zz"], "rules_inverse entry 1 consume names unknown edge 'zz'"),
         (("rules", 1, "emit"), [], "rules entry 1 emit is an empty list of edges"),
+        (("depth",), "x", "depth is not an integer"),
+        (("depth",), True, "depth is not an integer"),
+        (("k",), None, "k is not an object"),
+        (("k",), "x", "k is not an object"),
+        (("k", "e"), "x", "k['e'] is not an integer"),
+        (("lprime", "e"), None, "lprime['e'] is not an integer"),
     ],
 )
 def test_malformed_graph_coe_document_is_input_error(capsys, tmp_path, path, value, where):
@@ -527,6 +533,23 @@ def test_action_document_names_catalog_semigroup(capsys, tmp_path):
 def test_leavitt_document_with_unknown_catalog_graph_is_input_error(capsys, tmp_path):
     doc = {"schema": "leavitt-expr", "version": 1, "graph": "catalog:nosuch", "expr": "v"}
     _input_error(capsys, tmp_path, ["graph", "leavitt", None], doc, "unknown catalog graph 'nosuch'")
+
+
+def test_leavitt_expr_that_is_not_a_string_is_input_error(capsys, tmp_path):
+    doc = {"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop", "expr": 5}
+    _input_error(capsys, tmp_path, ["graph", "leavitt", None], doc, "expr is not a string")
+
+
+@pytest.mark.parametrize("expr, error", [
+    ("(+ v", "unexpected end of expression"),
+    ("(", "unexpected end of expression"),
+    ("(+)", "empty sum"),
+])
+def test_malformed_leavitt_expr_is_reported_like_unbalanced_parentheses(capsys, tmp_path, expr, error):
+    f = tmp_path / "expr.json"
+    f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop", "expr": expr}))
+    code, out, _ = run(capsys, "graph", "leavitt", str(f))
+    assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "witness": "None", "kind": "mathematical"})
 
 
 def test_unknown_catalog_name_is_reported_without_extra_quotes(capsys):
@@ -664,6 +687,41 @@ def test_value_error_that_germkit_does_not_define_propagates(monkeypatch, tmp_pa
     with pytest.raises(ValueError, match="not a germkit error") as err:
         cli.main([a.format(dir=tmp_path) for a in argv])
     assert type(err.value) is ValueError
+
+
+def test_every_germkit_error_derives_from_one_base():
+    import germkit
+    from germkit import GermkitError
+
+    errors = {
+        cls
+        for name in germkit.__all__
+        for cls in vars(getattr(germkit, name)).values()
+        if isinstance(cls, type) and issubclass(cls, ValueError)
+    }
+    # ParseError marks malformed input, which is no claim refuted
+    assert {cls for cls in errors if not issubclass(cls, GermkitError)} == {cli.ParseError}
+    witness = (0, 1)
+    assert GermkitError("m", witness).witness is witness
+    assert GermkitError("m").witness is None
+
+
+def test_main_reports_any_germkit_error_as_mathematical(monkeypatch, capsys, tmp_path):
+    # a subclass no module defines: main keys on the base, not on a list of names
+    from germkit import GermkitError, invsemi
+
+    class Refuted(GermkitError):
+        pass
+
+    def refuted(elements, table):
+        raise Refuted("refuted", ["x", 1])
+
+    _write_docs(tmp_path)
+    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", refuted)
+    code, out, err = run(capsys, "analyze", str(tmp_path / "semigroup.json"))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "error": "refuted", "witness": "['x', 1]", "kind": "mathematical"}
+    assert err == "mathematical failure: refuted\n"
 
 
 LOADED = """\

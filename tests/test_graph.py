@@ -2,6 +2,8 @@ import random
 
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germkit import catalog, germs, graph as gr, invsemi, paction, rings
 
@@ -329,6 +331,21 @@ def test_leavitt_expr_parser():
     with pytest.raises(gr.GraphError):
         gr.parse_leavitt_expr(EDGE, Q, "(* unknown v)")
 
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(["(", ")", "+", "*", "v", "w", "e", "e*", "2"]), max_size=12))
+@example(["(", "+", "v"])
+@example(["("])
+@example(["(", "+", ")"])
+def test_leavitt_expr_parses_or_raises_graph_error(tokens):
+    # every malformed expression is refused with a GraphError, never an
+    # error of the parser's own indexing
+    try:
+        el = gr.parse_leavitt_expr(EDGE, Q, " ".join(tokens))
+    except gr.GraphError:
+        return
+    assert isinstance(el, gr.LeavittElement)
 
 # --- transducers ------------------------------------------------------------------------
 
