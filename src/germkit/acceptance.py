@@ -11,7 +11,7 @@ relation-rewriting oracle.
 import time
 from itertools import chain, product
 
-from . import algebra, catalog, germs, graph, invsemi, orbit, paction, rings
+from . import GermkitError, algebra, catalog, germs, graph, invsemi, orbit, paction, rings
 
 
 def _elapsed(fn):
@@ -165,14 +165,7 @@ def criterion_1():
                 try:
                     rep = algebra.verify_steinberg_crossed(theta, ring)
                     dims[f"{name}/{ring.kind}{ring.modulus or ''}"] = rep["dims"]
-                except (
-                    algebra.SteinbergError,
-                    algebra.CrossedProductError,
-                    germs.GroupoidError,
-                    paction.ActionError,
-                    invsemi.SemigroupError,
-                    rings.RingError,
-                ) as err:
+                except GermkitError as err:
                     failures.append((name, repr(ring), str(err)))
 
     _, dt = _elapsed(run)
@@ -325,7 +318,7 @@ def criterion_6():
             try:
                 oe = orbit.coe_from_groupoid_iso(iso, ga, gb)
                 orbit.iso_from_coe(ga, gb, oe)
-            except (orbit.CoeError, germs.GroupoidError) as err:
+            except GermkitError as err:
                 failures.append((na, nb, str(err)))
             pairs_checked += 1
     known = [("munn-chain2", "self-chain2"), ("z2-swap", "z2-swap-exel")]

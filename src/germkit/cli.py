@@ -328,6 +328,8 @@ def cmd_validate(args):
         else:
             doc = _load_doc(args.input, None, args.lenient)
             kind = doc["schema"]
+            if kind not in ("semigroup", "action", "graph"):
+                raise ParseError(f"validate checks semigroup, action and graph documents, not {kind!r}")
     # loading reaches only the semigroup, action and graph validators
     # (catalog builds always pass theirs), so any germkit error here says
     # the document is invalid

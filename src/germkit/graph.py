@@ -9,6 +9,7 @@ checked pointwise; for cyclic graphs the calculus stays at the level of
 cylinder sets truncated at a chosen depth.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import GermkitError, germs, invsemi, paction
@@ -69,9 +70,6 @@ class Graph:
 
     def sinks(self):
         return tuple(v for v in range(len(self.vertices)) if self.is_sink(v))
-
-    def regular_vertices(self):
-        return tuple(v for v in range(len(self.vertices)) if not self.is_sink(v))
 
 
 def make_graph(vertices, edges):
@@ -164,20 +162,31 @@ def all_finite_paths(g, max_count=100000):
 
 
 def has_cycle(g):
-    color = [0] * len(g.vertices)
-
-    def dfs(v):
-        color[v] = 1
-        for e in g.out_edges(v):
-            w = g.edst[e]
-            if color[w] == 1:
-                return True
-            if color[w] == 0 and dfs(w):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color[v] == 0 and dfs(v) for v in range(len(g.vertices)))
+    """Whether g has a directed cycle: a depth-first search, kept on an
+    explicit stack, meets a vertex that is still on the stack."""
+    nv = len(g.vertices)
+    succ = [[] for _ in range(nv)]
+    for e, v in enumerate(g.esrc):
+        succ[v].append(g.edst[e])
+    color = [0] * nv  # 0 unseen, 1 on the stack, 2 done
+    for root in range(nv):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if color[w] == 1:
+                    return True
+                if color[w] == 0:
+                    color[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return False
 
 
 def simple_cycles(g):
@@ -248,16 +257,20 @@ def graph_semigroup(g, max_elements=2000):
     """S_E materialized as an inverse semigroup (acyclic graphs only).
 
     Returns (InverseSemigroup, payload tuple) where payloads are the ZERO
-    marker or (mu, nu) path pairs with common range.
+    marker or (mu, nu) path pairs with common range.  |S_E| = 1 + the sum
+    over vertices v of (paths ending at v)^2 is counted, and checked against
+    max_elements, before any pair is built.
     """
     paths = all_finite_paths(g)
+    ends = Counter(path_end(g, p) for p in paths)
+    size = 1 + sum(c * c for c in ends.values())
+    if size > max_elements:
+        raise TooLarge(f"|S_E| = {size} exceeds {max_elements}")
     elems = [ZERO]
     for mu in paths:
         for nu in paths:
             if path_end(g, mu) == path_end(g, nu):
                 elems.append((mu, nu))
-    if len(elems) > max_elements:
-        raise TooLarge(f"|S_E| = {len(elems)} exceeds {max_elements}")
 
     def fmt(el):
         if el == ZERO:
@@ -437,24 +450,25 @@ def boundary_groupoid(g):
 
     Returns (groupoid, germ groupoid, iso, report); the report certifies that
     psi((mu,nu), x) = (theta(x), |mu|-|nu|, x) descends to an isomorphism.
+
+    In an acyclic graph every boundary path is finite and ends at a sink, so
+    sigma^m x = sigma^n y for some m, n iff x and y end at the same sink:
+    equal suffixes end where x and y end, and sigma^|x| x = sigma^|y| y is
+    that sink.  Equal suffixes also have equal lengths, |x| - m = |y| - n,
+    so m - n = |x| - |y| for every match, and the triples are read off
+    without a search over (m, n).
     """
     boundary = boundary_enumerate(g)
     if boundary is None:
         raise NotAcyclic("boundary groupoid is infinite")
     pidx = {p: i for i, p in enumerate(boundary)}
-    triples = []
-    for x in boundary:
-        for y in boundary:
-            match = None
-            for m in range(len(x.edges) + 1):
-                for n_ in range(len(y.edges) + 1):
-                    if path_suffix(g, x, m) == path_suffix(g, y, n_):
-                        match = m - n_
-                        break
-                if match is not None:
-                    break
-            if match is not None:
-                triples.append((pidx[x], match, pidx[y]))
+    ends = [path_end(g, p) for p in boundary]
+    triples = [
+        (i, len(x.edges) - len(y.edges), j)
+        for i, x in enumerate(boundary)
+        for j, y in enumerate(boundary)
+        if ends[i] == ends[j]
+    ]
     tindex = {t: i for i, t in enumerate(triples)}
     names = tuple(
         f"({fmt_path(g, boundary[x])},{k},{fmt_path(g, boundary[y])})" for x, k, y in triples
@@ -654,7 +668,12 @@ def leavitt_diagonal_atom(g, ring, mu, forbidden=frozenset()):
 
 def parse_leavitt_expr(g, ring, text):
     """S-expressions over vertex names, edge names, starred edge names,
-    integer scalars, + and *."""
+    integer scalars, + and *.
+
+    The whole text is parsed, into postfix order, before any symbol is
+    resolved, so a syntax error is reported before an unknown symbol; both
+    passes keep their own stack, so nesting depth is not bounded by Python's
+    recursion limit."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
 
     def token(pos):
@@ -662,65 +681,76 @@ def parse_leavitt_expr(g, ring, text):
             raise GraphError("unexpected end of expression")
         return tokens[pos]
 
-    def parse(pos):
+    program = []     # symbols, and (op, argument count) after its arguments
+    open_forms = []  # [op, arguments so far] of each unclosed "(op ..."
+    pos = 0
+    while True:
         tok = token(pos)
         if tok == "(":
             op = token(pos + 1)
             if op not in ("+", "*"):
                 raise GraphError(f"unknown operator {op!r}")
-            args = []
+            open_forms.append([op, 0])
             pos += 2
-            while token(pos) != ")":
-                arg, pos = parse(pos)
-                args.append(arg)
-            return (op, args), pos + 1
+            continue
         if tok == ")":
-            raise GraphError("unbalanced parentheses")
-        return tok, pos + 1
-
-    tree, pos = parse(0)
+            if not open_forms:
+                raise GraphError("unbalanced parentheses")
+            program.append(tuple(open_forms.pop()))
+        else:
+            program.append(tok)
+        pos += 1
+        if not open_forms:
+            break
+        open_forms[-1][1] += 1
     if pos != len(tokens):
         raise GraphError("trailing tokens in expression")
 
-    def ev(node):
-        if isinstance(node, tuple):
-            op, args = node
-            vals = [ev(a) for a in args]
-            scalars = [v for v in vals if not isinstance(v, LeavittElement)]
-            elems = [v for v in vals if isinstance(v, LeavittElement)]
-            if op == "+":
-                if scalars:
-                    raise GraphError("cannot add a bare scalar to an element")
-                if not elems:
-                    raise GraphError("empty sum")
-                out = elems[0]
-                for v in elems[1:]:
-                    out = out + v
-                return out
-            coeff = ring.one
-            for c in scalars:
-                coeff = ring.mul(coeff, c)
+    def symbol(tok):
+        try:
+            return ring.parse(tok)
+        except (ValueError, ArithmeticError):
+            pass
+        if tok.endswith("*") and tok[:-1] in g.edge_names:
+            return lv_edge_star(g, ring, tok[:-1])
+        if tok in g.edge_names:
+            return lv_edge(g, ring, tok)
+        if tok in g.vertices:
+            return lv_vertex(g, ring, tok)
+        raise GraphError(f"unknown symbol {tok!r}")
+
+    def combine(op, vals):
+        scalars = [v for v in vals if not isinstance(v, LeavittElement)]
+        elems = [v for v in vals if isinstance(v, LeavittElement)]
+        if op == "+":
+            if scalars:
+                raise GraphError("cannot add a bare scalar to an element")
             if not elems:
-                return coeff
+                raise GraphError("empty sum")
             out = elems[0]
             for v in elems[1:]:
-                out = leavitt_multiply(out, v)
-            return out.scale(coeff)
-        if isinstance(node, str):
-            try:
-                return ring.parse(node)
-            except (ValueError, ArithmeticError):
-                pass
-            if node.endswith("*") and node[:-1] in g.edge_names:
-                return lv_edge_star(g, ring, node[:-1])
-            if node in g.edge_names:
-                return lv_edge(g, ring, node)
-            if node in g.vertices:
-                return lv_vertex(g, ring, node)
-            raise GraphError(f"unknown symbol {node!r}")
-        raise GraphError("bad expression node")
+                out = out + v
+            return out
+        coeff = ring.one
+        for c in scalars:
+            coeff = ring.mul(coeff, c)
+        if not elems:
+            return coeff
+        out = elems[0]
+        for v in elems[1:]:
+            out = leavitt_multiply(out, v)
+        return out.scale(coeff)
 
-    val = ev(tree)
+    stack = []
+    for step in program:
+        if isinstance(step, str):
+            stack.append(symbol(step))
+        else:
+            op, nargs = step
+            args = stack[len(stack) - nargs:]
+            del stack[len(stack) - nargs:]
+            stack.append(combine(op, args))
+    (val,) = stack
     if not isinstance(val, LeavittElement):
         raise GraphError("expression evaluates to a bare scalar")
     return val
@@ -815,12 +845,12 @@ class _Run:
 
     __slots__ = ("T", "rules", "path", "state", "pos", "emitted", "done")
 
-    def __init__(self, T, rules, path, state=None, pos=0):
+    def __init__(self, T, rules, path):
         self.T = T
         self.rules = rules
         self.path = path
-        self.state = state if state is not None else T.initial
-        self.pos = pos
+        self.state = T.initial
+        self.pos = 0
         self.emitted = []
         self.done = False
 
@@ -874,24 +904,22 @@ class _Run:
         return out
 
 
-def run_transducer(T, rules_index, path, complete):
-    """Run along a path; for complete runs the whole input must be consumed
-    and the output must be a boundary path of the target graph."""
+def run_transducer(T, rules_index, path):
+    """Run along a path to its end: the whole input must be consumed and
+    the output must be a boundary path of the target graph."""
     run = _Run(T, rules_index, path)
     while run.step():
         pass
-    if complete:
-        if not run.done:
-            raise RulesNotExhaustive(
-                f"input {fmt_path(T.graph_in, path)} not fully consumed", path
-            )
-        out = run.output_path()
-        if out is None or not T.graph_out.is_sink(path_end(T.graph_out, out)):
-            raise NonBoundaryEmission(
-                f"image of {fmt_path(T.graph_in, path)} is not a boundary path", path
-            )
-        return out
-    return run
+    if not run.done:
+        raise RulesNotExhaustive(
+            f"input {fmt_path(T.graph_in, path)} not fully consumed", path
+        )
+    out = run.output_path()
+    if out is None or not T.graph_out.is_sink(path_end(T.graph_out, out)):
+        raise NonBoundaryEmission(
+            f"image of {fmt_path(T.graph_in, path)} is not a boundary path", path
+        )
+    return out
 
 
 def transducer_apply(T, cylinder, depth):
@@ -914,14 +942,17 @@ def transducer_apply(T, cylinder, depth):
 def transducer_invertible_upto(T, Tinv, depth):
     """Check T and Tinv compose to the identity on all depth-D atoms, in both
     directions; returns (flag, witness atom or None)."""
-    ri = validate_transducer(T)
-    rj = validate_transducer(Tinv)
+    return _invertible_upto(T, Tinv, validate_transducer(T), validate_transducer(Tinv), depth)
+
+
+def _invertible_upto(T, Tinv, ri, rj, depth):
+    """`transducer_invertible_upto` given the rule indices of T and Tinv."""
     for A, B, ra, rb in ((T, Tinv, ri, rj), (Tinv, T, rj, ri)):
         for atom in boundary_atoms(A.graph_in, depth):
             mu = atom.mu
             if A.graph_in.is_sink(path_end(A.graph_in, mu)):
-                y = run_transducer(A, ra, mu, complete=True)
-                back = run_transducer(B, rb, y, complete=True)
+                y = run_transducer(A, ra, mu)
+                back = run_transducer(B, rb, y)
                 if back != mu:
                     return False, atom
             else:
@@ -1018,11 +1049,11 @@ def verify_graph_coe(E, F, T, Tinv, k, l, kprime, lprime, depth):
     cylinder atoms the comparison is exact whenever the runs align within the
     depth, and is otherwise reported as undetermined.
     """
-    ok, witness = transducer_invertible_upto(T, Tinv, depth)
-    if not ok:
-        raise GraphError(f"transducers are not mutually inverse at depth {depth}", witness)
     ri = validate_transducer(T)
     rj = validate_transducer(Tinv)
+    ok, witness = _invertible_upto(T, Tinv, ri, rj, depth)
+    if not ok:
+        raise GraphError(f"transducers are not mutually inverse at depth {depth}", witness)
     report = {"exact": [], "undetermined": []}
     for (A, rx, kk, ll, side) in ((T, ri, k, l, "E"), (Tinv, rj, kprime, lprime, "F")):
         gi = A.graph_in
@@ -1033,8 +1064,8 @@ def verify_graph_coe(E, F, T, Tinv, k, l, kprime, lprime, depth):
             K, L = kk[key], ll[key]
             if gi.is_sink(path_end(gi, atom.mu)):
                 x = atom.mu
-                fx = run_transducer(A, rx, x, complete=True)
-                fsx = run_transducer(A, rx, path_suffix(gi, x, 1), complete=True)
+                fx = run_transducer(A, rx, x)
+                fsx = run_transducer(A, rx, path_suffix(gi, x, 1))
                 go = A.graph_out
                 if K > len(fsx.edges) or L > len(fx.edges):
                     raise DepthInsufficient(f"cocycle exceeds image length on {key}", atom)

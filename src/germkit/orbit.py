@@ -121,6 +121,17 @@ def coe_from_groupoid_iso(iso, germ_x, germ_y):
 
     phi is the restriction to units; a(s,x) is the semigroup element of the
     representative of the image germ, which covers it by construction.
+
+    iso must be an isomorphism, as `germs.groupoid_iso_search` returns only
+    verified ones.  Then the result is an orbit equivalence by proof, and
+    `verify_orbit_equivalence` is not run on it: iso maps units onto units,
+    so phi is a carrier bijection, and it preserves sources and targets.
+    The image [t, y] of [s, x] starts at iso(unit at x), the unit at phi(x),
+    so y = phi(x) and t acts there; it ends at iso(unit at theta_s(x)), the
+    unit at phi(theta_s(x)), so gamma_t(phi(x)) = phi(theta_s(x)): the
+    pointwise identity at (s, x).  The identities for b follow in the same
+    way through `iso.inverted()`.  The `NoCoveringElement` checks below
+    remain as cheap guards of that precondition.
     """
     theta = germ_x.action
     gamma = germ_y.action
@@ -151,9 +162,7 @@ def coe_from_groupoid_iso(iso, germ_x, germ_y):
         if x != phi_inv[y]:
             raise NoCoveringElement("inverse image germ is not based at phi^-1(y)", (t, y))
         b[(t, y)] = s
-    oe = OrbitEquivalence(phi, a, b)
-    verify_orbit_equivalence(theta, gamma, oe)
-    return oe
+    return OrbitEquivalence(phi, a, b)
 
 
 def iso_from_coe(germ_x, germ_y, oe):

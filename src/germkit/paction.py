@@ -7,10 +7,8 @@ notion (interior, closure, density) is evaluated literally.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-
 from . import GermkitError, invsemi, rings
-from .invsemi import natural_leq
+from .invsemi import members, natural_leq
 
 
 class ActionError(GermkitError):
@@ -174,73 +172,62 @@ class DynamicsReport:
     free: bool
     effective: bool
     top_principal: bool
-    lambda_by_pairs: tuple
     consistent: bool
-
-
-def trivially_fixed(theta, s, x):
-    S = theta.semigroup
-    return any(
-        natural_leq(S, e, s) and x in theta.maps[e]
-        for e in S.idempotents
-    )
 
 
 def dynamics_report(theta):
     """Lambda, freeness, effectiveness and topological principality, each
-    computed from its own definition; they agree on discrete carriers.
+    computed from its own definition; `consistent` says that the three
+    properties agree, as they must on a discrete carrier.  One pass over
+    the graphs theta_s fills acts, and a second decides Lambda and
+    effectiveness together.
 
-    Lambda is also computed from its pairwise reformulation, as the
-    cross-check `lambda_by_pairs`.  At each point x only the pairs s, t with
-    the same image theta_s(x) are tested, and "some u <= s, t acts at x" is
-    one bitmask, below[s] & below[t] & (elements acting at x).
+    acts[x] is the bitmask of the elements acting at x and E that of the
+    idempotents, so "some idempotent e <= s has x in X_e" is the single AND
+    below[s] & E & acts[x].  x is in Lambda iff that holds for every s with
+    theta_s(x) = x.  theta is effective iff for every s the interior of
+    Fix(theta_s), which on a discrete carrier is Fix(theta_s) itself, is the
+    union of the X_e over e in members(below[s] & E).
+
+    The pairwise reformulation (tests/oracles.py::lambda_by_all_pairs) is a
+    lemma: x is in Lambda iff any s, t acting at x with theta_s(x) =
+    theta_t(x) have some u <= s, t acting at x.
+    - (if) When s fixes x, take t = s*s: then u <= s*s is an idempotent,
+      u <= s, and u acts at x.
+    - (only if) theta_{t*s} contains theta_{t*} theta_s, which fixes x, so
+      some idempotent e <= t*s acts at x, and e = t*se.  Set u = te: u <= t,
+      and te = tt*se = s(s*tt*s)e <= s, by fs = s(s*fs) for an idempotent f.
+      u acts at x, since theta_e(x) = x and theta_t theta_e is contained in
+      theta_te.
     """
     S = theta.semigroup
-    X = range(len(theta.carrier))
-    lam = []
-    for x in X:
-        ok = all(
-            trivially_fixed(theta, s, x)
-            for s in theta.acting_elements(x)
-            if theta.theta(s, x) == x
-        )
-        if ok:
-            lam.append(x)
-    lam = tuple(lam)
-    free = len(lam) == len(theta.carrier)
-    # effectiveness: interior of Fix(theta_s) equals the union of X_e, e <= s;
-    # on a discrete carrier the interior is the set itself
-    effective = True
-    for s in range(len(S)):
-        fix = {x for x in theta.dom(s) if theta.theta(s, x) == x}
-        triv = set()
-        for e in S.idempotents:
-            if natural_leq(S, e, s):
-                triv.update(theta.domains[e])
-        if fix != triv:
-            effective = False
-            break
-    # topological principality: Lambda dense, i.e. Lambda = X when discrete
-    top_principal = set(lam) == set(X)
-    # cross-check via the pairwise reformulation: x is in Lambda iff any s, t
-    # acting at x with theta_s(x) = theta_t(x) have some u <= s, t acting at x
-    acting_at = [[] for _ in X]
+    npts = len(theta.carrier)
+    E = sum(1 << e for e in S.idempotents)
+    acts = [0] * npts
     for s, graph in enumerate(theta.maps):
         for x in graph:
-            acting_at[x].append(s)
-    lam2 = []
-    for x in X:
-        acts_x = sum(1 << s for s in acting_at[x])
-        by_image = {}
-        for s in acting_at[x]:
-            by_image.setdefault(theta.maps[s][x], []).append(S.below[s] & acts_x)
-        if all(below_s & below_t
-               for group in by_image.values()
-               for below_s, below_t in combinations(group, 2)):
-            lam2.append(x)
-    lam2 = tuple(lam2)
-    consistent = lam == lam2 and free == effective == top_principal
-    return DynamicsReport(lam, free, effective, top_principal, lam2, consistent)
+            acts[x] |= 1 << s
+    in_lambda = [True] * npts
+    effective = True
+    for s, graph in enumerate(theta.maps):
+        below_e = S.below[s] & E
+        fix = set()
+        for x, y in graph.items():
+            if x == y:
+                fix.add(x)
+                if not below_e & acts[x]:
+                    in_lambda[x] = False
+        if effective:
+            triv = set()
+            for e in members(below_e):
+                triv.update(theta.maps[e])
+            effective = fix == triv
+    lam = tuple(x for x in range(npts) if in_lambda[x])
+    free = len(lam) == npts
+    # topological principality: Lambda dense, i.e. Lambda = X when discrete
+    top_principal = set(lam) == set(range(npts))
+    consistent = free == effective == top_principal
+    return DynamicsReport(lam, free, effective, top_principal, consistent)
 
 
 # --- dual algebraic action and its inversion -------------------------------------

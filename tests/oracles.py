@@ -96,6 +96,43 @@ def lambda_by_all_pairs(theta):
     return tuple(lam)
 
 
+def restrict_action(theta, keep):
+    """The restriction of theta to the carrier points `keep`: theta_s keeps
+    the points of `keep` it sends into `keep`, and the carrier is
+    re-indexed in the order of `keep`.  Any restriction of a partial action
+    is one (each theta_s restricts to Y x Y, and a point of Y fixed by
+    theta_e stays in Y), usually a true partial action."""
+    keep = sorted(keep)
+    new = {x: i for i, x in enumerate(keep)}
+    maps = [{new[x]: new[y] for x, y in graph.items() if x in new and y in new}
+            for graph in theta.maps]
+    return paction.validate_partial_action(
+        theta.semigroup, [theta.carrier[x] for x in keep], [sorted(g.values()) for g in maps], maps)
+
+
+# --- graphs: the boundary groupoid by a search over shifts --------------------
+
+def boundary_triples_by_shift_search(g):
+    """The triples (x, m - n, y) of the boundary groupoid of an acyclic graph,
+    x-major over `graph.boundary_enumerate`, with the least (m, n) such that
+    sigma^m x = sigma^n y found by trying every pair of shifts."""
+    boundary = graph.boundary_enumerate(g)
+    triples = []
+    for i, x in enumerate(boundary):
+        for j, y in enumerate(boundary):
+            match = None
+            for m in range(len(x.edges) + 1):
+                for n in range(len(y.edges) + 1):
+                    if graph.path_suffix(g, x, m) == graph.path_suffix(g, y, n):
+                        match = m - n
+                        break
+                if match is not None:
+                    break
+            if match is not None:
+                triples.append((i, match, j))
+    return triples
+
+
 # --- orbit equivalence: the germ identities on every pair acting at a point ----
 
 def germ_identity_failure(theta, gamma, oe):

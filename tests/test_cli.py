@@ -80,6 +80,20 @@ def test_unknown_schema_tag(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("schema", ["coe", "graph-coe", "leavitt-expr", "groupoid"])
+def test_validate_other_schema_is_input_error(capsys, tmp_path, schema):
+    # validate checks semigroups, actions and graphs; another well-formed
+    # document is refused as input, naming its schema
+    doc = {"schema": schema, "version": 1, **{field: None for field in cli.SCHEMAS[schema]}}
+    f = tmp_path / "other.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["kind"] == "input" and repr(schema) in rep["error"]
+    assert err.startswith("input error: ")
+
+
 def test_json_syntax_error_carries_position(capsys, tmp_path):
     f = tmp_path / "syntax.json"
     f.write_text('{"schema": "semigroup",\n  "version": ]')

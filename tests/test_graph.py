@@ -216,6 +216,37 @@ def test_boundary_groupoid_fan():
     assert len(gpd.arrows) == 8  # two orbits of two points
 
 
+def _random_dag(rng):
+    """A seeded acyclic graph: every edge runs from a lower to a higher
+    vertex, parallel edges allowed."""
+    nv = rng.randint(1, 5)
+    edges = []
+    for i in range(rng.randint(0, 6)):
+        if nv > 1:
+            a = rng.randrange(nv - 1)
+            edges.append((f"e{i}", f"v{a}", f"v{rng.randint(a + 1, nv - 1)}"))
+    return gr.make_graph([f"v{i}" for i in range(nv)], edges)
+
+
+def _acyclic_graphs():
+    rng = random.Random(20)
+    named = [catalog.graphs(name) for name in catalog.GRAPH_NAMES]
+    return [g for g in named if not gr.has_cycle(g)] + [_random_dag(rng) for _ in range(60)]
+
+
+def test_boundary_groupoid_matches_shift_search():
+    # same-sink pairs with lag |x| - |y|, against the search over every (m, n)
+    for g in _acyclic_graphs():
+        gpd, _, _, rep = gr.boundary_groupoid(g)
+        boundary = gr.boundary_enumerate(g)
+        expect = tuple(
+            f"({gr.fmt_path(g, boundary[x])},{k},{gr.fmt_path(g, boundary[y])})"
+            for x, k, y in oracles.boundary_triples_by_shift_search(g)
+        )
+        assert gpd.arrows == expect
+        assert rep["isomorphic"]
+
+
 def test_shift_on_cylinder():
     c = gr.Cylinder(_p(LOOP, "e.e"))
     assert gr.shift_on_cylinder(LOOP, c).mu == _p(LOOP, "e")
@@ -333,6 +364,15 @@ def test_leavitt_expr_parser():
 
 
 
+def test_leavitt_expr_nested_deeper_than_the_recursion_limit():
+    depth = 1200
+    el = gr.parse_leavitt_expr(EDGE, Q, "(+ " * depth + "v" + ")" * depth)
+    assert gr.leavitt_equal(el, gr.lv_vertex(EDGE, Q, "v"))
+    # syntax is checked before symbols: the missing ")" wins over "nosuch"
+    with pytest.raises(gr.GraphError, match="unexpected end"):
+        gr.parse_leavitt_expr(EDGE, Q, "(+ " * depth + "nosuch" + ")" * (depth - 1))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(st.sampled_from(["(", ")", "+", "*", "v", "w", "e", "e*", "2"]), max_size=12))
 @example(["(", "+", "v"])
@@ -414,7 +454,7 @@ def test_non_boundary_emission_detected():
     T = gr.PrefixTransducer(EDGE, EDGE, "q", rules)
     ri = gr.validate_transducer(T)
     with pytest.raises(gr.NonBoundaryEmission):
-        gr.run_transducer(T, ri, _p(EDGE, "w"), complete=True)
+        gr.run_transducer(T, ri, _p(EDGE, "w"))
 
 
 # --- graph orbit equivalence ---------------------------------------------------------------
@@ -431,6 +471,20 @@ def test_verify_graph_coe_identity_acyclic():
     T, Tinv, k, l, kp, lp, depth = _identity_coe_data(EDGE, 2)
     rep = gr.verify_graph_coe(EDGE, EDGE, T, Tinv, k, l, kp, lp, depth)
     assert not rep["undetermined"]
+
+
+def test_verify_graph_coe_validates_each_transducer_once(monkeypatch):
+    T, Tinv, k, l, kp, lp, depth = _identity_coe_data(LOOP, 3)
+    calls = []
+    validate = gr.validate_transducer
+
+    def counting(T):
+        calls.append(T)
+        return validate(T)
+
+    monkeypatch.setattr(gr, "validate_transducer", counting)
+    gr.verify_graph_coe(LOOP, LOOP, T, Tinv, k, l, kp, lp, depth)
+    assert calls == [T, Tinv]
 
 
 def test_verify_graph_coe_identity_cyclic():
@@ -515,6 +569,28 @@ def test_graph_coe_search_renamed_graph():
 def test_graph_coe_search_cyclic_raises():
     with pytest.raises(gr.NotAcyclic):
         gr.graph_coe_search(LOOP, LOOP)
+
+
+def _long_path(n, cycle=False):
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    if cycle:
+        edges.append(("back", f"v{n - 1}", "v0"))
+    return gr.make_graph([f"v{i}" for i in range(n)], edges)
+
+
+def test_has_cycle_on_long_path_and_cycle():
+    # the depth-first search keeps its own stack: 1500 vertices deep
+    assert not gr.has_cycle(_long_path(1500))
+    assert gr.has_cycle(_long_path(1500, cycle=True))
+
+
+def test_graph_semigroup_too_large_counts_before_building():
+    # |S_E| = 1 + sum over v of (paths ending at v)^2 = 1 + 1^2 + ... + 100^2
+    with pytest.raises(gr.TooLarge) as exc:
+        gr.graph_semigroup(_long_path(100))
+    assert str(exc.value) == "|S_E| = 338351 exceeds 2000"
+    S, payload = gr.graph_semigroup(_long_path(3))
+    assert len(S) == len(payload) == 1 + 1 + 4 + 9
 
 
 def test_graph_analyze_reports():

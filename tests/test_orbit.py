@@ -36,6 +36,21 @@ def test_coe_extraction_between_different_presentations():
     assert rep["germ_identities_checked"]
 
 
+def test_coe_extraction_verifies_nothing_and_passes_verification(monkeypatch):
+    # an extracted orbit equivalence is one by proof: extraction runs no
+    # verify_orbit_equivalence, and the result passes it on every pair
+    def refuse(*args):
+        raise AssertionError("coe_from_groupoid_iso ran verify_orbit_equivalence")
+
+    with monkeypatch.context() as m:
+        m.setattr(orbit, "verify_orbit_equivalence", refuse)
+        extracted = list(_principal_pairs())
+    assert len(extracted) >= 10
+    for theta, gamma, oe in extracted:
+        rep = orbit.verify_orbit_equivalence(theta, gamma, oe)
+        assert rep["germ_identities_checked"]
+
+
 def test_coe_round_trip_reproduces_isomorphism():
     ta = catalog.action("z2-swap")
     tb = catalog.action("z2-swap-exel")

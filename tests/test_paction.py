@@ -1,7 +1,10 @@
+import functools
 import random
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germkit import catalog, germs, invsemi, paction, rings
 
@@ -193,7 +196,7 @@ def test_dynamics_formulations_agree_everywhere():
     for name in catalog.ACTION_NAMES:
         rep = paction.dynamics_report(catalog.action(name))
         assert rep.consistent, name
-        assert rep.lambda_points == rep.lambda_by_pairs
+        assert rep.lambda_points == oracles.lambda_by_all_pairs(catalog.action(name))
 
 
 def _lambda_cases():
@@ -210,7 +213,31 @@ def _lambda_cases():
 @pytest.mark.parametrize("make", _lambda_cases())
 def test_lambda_by_pairs_matches_every_pair_oracle(make):
     theta = make()
-    assert paction.dynamics_report(theta).lambda_by_pairs == oracles.lambda_by_all_pairs(theta)
+    assert paction.dynamics_report(theta).lambda_points == oracles.lambda_by_all_pairs(theta)
+
+
+@functools.cache
+def _restriction_bases():
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    return [catalog.action(name) for name in catalog.ACTION_NAMES] + [
+        invsemi.munn_representation(S3), invsemi.canonical_self_action(S3)]
+
+
+@st.composite
+def _restricted_actions(draw):
+    """A catalog action, or the Munn or self action of I_3, restricted to a
+    drawn non-empty subset of its carrier: usually a true partial action."""
+    theta = draw(st.sampled_from(_restriction_bases()))
+    keep = draw(st.sets(st.integers(0, len(theta.carrier) - 1), min_size=1))
+    return oracles.restrict_action(theta, keep)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_restricted_actions())
+def test_lambda_by_definition_matches_pairwise_form_on_restrictions(theta):
+    rep = paction.dynamics_report(theta)
+    assert rep.lambda_points == oracles.lambda_by_all_pairs(theta)
+    assert rep.consistent
 
 
 # --- dual actions and recovery ---------------------------------------------------
