@@ -1,12 +1,15 @@
 """Command line interface: JSON in, JSON report out.
 
-Exit codes: 0 on pass, 1 on mathematical failure (with a witness in the
-report), 2 on input or usage errors.  Every germkit error is a
-`germkit.GermkitError`, a ValueError carrying the refuting witness as
-`.witness`, and a command that ends on one exits 1; malformed input raises
-ParseError instead.  Reports are emitted as JSON on stdout
-with sorted keys, so identical inputs give byte-identical output; a one-line
-human summary goes to stderr.
+Exit codes: 0 on pass, 1 on failure, 2 on input or usage errors.  Each
+cmd_* function returns (report, summary, exit code) and prints nothing;
+`main` adds the "command" field, derived from the parsed arguments, and is
+the one writer of stdout.  A command that ends on a `germkit.GermkitError`
+exits 1 with the report {"command", "ok": false, "error", "witness",
+"kind"}, kind being the error class's: "mathematical" for a refutation,
+"limit" for a resource limit, "unsupported" for a request germkit does not
+serve.  Malformed input raises ParseError instead and exits 2.  Reports are
+emitted as JSON on stdout with sorted keys, so identical inputs give
+byte-identical output; a one-line human summary goes to stderr.
 """
 
 import argparse
@@ -330,18 +333,8 @@ def cmd_validate(args):
             kind = doc["schema"]
             if kind not in ("semigroup", "action", "graph"):
                 raise ParseError(f"validate checks semigroup, action and graph documents, not {kind!r}")
-    # loading reaches only the semigroup, action and graph validators
-    # (catalog builds always pass theirs), so any germkit error here says
-    # the document is invalid
-    try:
-        obj = _load(args.input, kind, args.lenient) if doc is None else _build(kind, doc)
-    except GermkitError as err:
-        return emit(
-            {"command": "validate", "ok": False, "error": str(err), "witness": err.witness},
-            f"INVALID: {err}",
-            1,
-        )
-    detail = {"command": "validate", "ok": True, "kind": kind}
+    obj = _load(args.input, kind, args.lenient) if doc is None else _build(kind, doc)
+    detail = {"ok": True, "kind": kind}
     if kind == "semigroup":
         detail.update(
             size=len(obj),
@@ -352,7 +345,7 @@ def cmd_validate(args):
         detail.update(semigroup_size=len(obj.semigroup), carrier=list(obj.carrier), is_global=obj.is_global)
     else:
         detail.update(vertices=len(obj.vertices), edges=len(obj.edge_names))
-    return emit(detail, "valid", 0)
+    return detail, "valid", 0
 
 
 def cmd_analyze(args):
@@ -363,7 +356,6 @@ def cmd_analyze(args):
     gi = invsemi.max_group_image(S)
     _, family = invsemi.is_weak_semilattice(S)
     report = {
-        "command": "analyze",
         "ok": True,
         "size": len(S),
         "idempotents": [S.elements[e] for e in S.idempotents],
@@ -374,7 +366,7 @@ def cmd_analyze(args):
         "weak_semilattice": True,
         "max_cover_family_size": max(len(v) for v in family.values()) if family else 0,
     }
-    return emit(report, f"|S|={len(S)} E-unitary={eu} |G(S)|={len(gi.group)}", 0)
+    return report, f"|S|={len(S)} E-unitary={eu} |G(S)|={len(gi.group)}", 0
 
 
 def cmd_germs(args):
@@ -382,9 +374,7 @@ def cmd_germs(args):
 
     theta = _load(args.input, "action", args.lenient)
     gg = germs.groupoid_of_germs(theta)
-    report = groupoid_json(gg.groupoid)
-    report["command"] = "germs"
-    return emit(report, f"{len(gg.groupoid.arrows)} arrows, {len(gg.groupoid.units)} units", 0)
+    return groupoid_json(gg.groupoid), f"{len(gg.groupoid.arrows)} arrows, {len(gg.groupoid.units)} units", 0
 
 
 def cmd_maxgroup(args):
@@ -393,50 +383,36 @@ def cmd_maxgroup(args):
     S = _load(args.input, "semigroup", args.lenient)
     gi = invsemi.max_group_image(S)
     report = {
-        "command": "maxgroup",
         "ok": True,
         "group_elements": list(gi.group.elements),
         "table": [list(r) for r in gi.group.table],
         "class_of": {S.elements[i]: gi.class_of[i] for i in range(len(S))},
     }
-    return emit(report, f"|G(S)| = {len(gi.group)}", 0)
+    return report, f"|G(S)| = {len(gi.group)}", 0
 
 
 def cmd_exel(args):
     from . import invsemi
 
     G = _load(args.input, "semigroup", args.lenient)
-    try:
-        ex = invsemi.exel_semigroup(G, max_elements=args.max_elements)
-    except invsemi.SemigroupError as err:
-        return emit({"command": "exel", "ok": False, "error": str(err)}, f"FAIL: {err}", 1)
+    ex = invsemi.exel_semigroup(G, max_elements=args.max_elements)
     report = {
-        "command": "exel",
         "ok": True,
         "size": len(ex.semigroup),
         "elements": list(ex.semigroup.elements),
         "table": [list(r) for r in ex.semigroup.table],
         "of_group": {G.elements[g]: ex.of_group[g] for g in range(len(G))},
     }
-    return emit(report, f"|S(G)| = {len(ex.semigroup)}", 0)
+    return report, f"|S(G)| = {len(ex.semigroup)}", 0
 
 
 def cmd_verify_steinberg(args):
-    from . import algebra, rings
+    from . import algebra
 
     theta = _load(args.input, "action", args.lenient)
-    ring = _ring(args.ring)
-    try:
-        rep = algebra.verify_steinberg_crossed(theta, ring)
-    except (algebra.SteinbergError, algebra.CrossedProductError, rings.RingError) as err:
-        return emit(
-            {"command": "verify steinberg-crossed", "ok": False, "error": str(err)},
-            f"FAIL: {err}",
-            1,
-        )
-    report = {"command": "verify steinberg-crossed", "ok": True, **rep}
+    rep = algebra.verify_steinberg_crossed(theta, _ring(args.ring))
     dims = rep["dims"]
-    return emit(report, f"pass: dims L={dims['L']} N={dims['N']} quotient={dims['quotient']}", 0)
+    return {"ok": True, **rep}, f"pass: dims L={dims['L']} N={dims['N']} quotient={dims['quotient']}", 0
 
 
 def cmd_coe_verify(args):
@@ -445,16 +421,8 @@ def cmd_coe_verify(args):
     theta = _load(args.action_a, "action", args.lenient)
     gamma = _load(args.action_b, "action", args.lenient)
     doc = _load_doc(args.coe, "coe", args.lenient)
-    oe = build_action_coe(doc, theta, gamma)
-    try:
-        rep = orbit.verify_orbit_equivalence(theta, gamma, oe)
-    except orbit.CoeError as err:
-        return emit(
-            {"command": "coe verify", "ok": False, "error": str(err), "witness": err.witness},
-            f"FAIL: {err}",
-            1,
-        )
-    return emit({"command": "coe verify", "ok": True, **rep}, "orbit equivalence verified", 0)
+    rep = orbit.verify_orbit_equivalence(theta, gamma, build_action_coe(doc, theta, gamma))
+    return {"ok": True, **rep}, "orbit equivalence verified", 0
 
 
 def cmd_coe_extract(args):
@@ -464,19 +432,11 @@ def cmd_coe_extract(args):
     gamma = _load(args.action_b, "action", args.lenient)
     ga = germs.groupoid_of_germs(theta)
     gb = germs.groupoid_of_germs(gamma)
-    try:
-        iso = germs.groupoid_iso_search(ga.groupoid, gb.groupoid, timeout_nodes=args.timeout_nodes)
-    except germs.Timeout as err:
-        return emit({"command": "coe extract", "ok": False, "error": str(err)}, f"FAIL: {err}", 1)
+    iso = germs.groupoid_iso_search(ga.groupoid, gb.groupoid, timeout_nodes=args.timeout_nodes)
     if iso is None:
-        return emit(
-            {"command": "coe extract", "ok": False, "error": "groupoids of germs are not isomorphic"},
-            "no isomorphism",
-            1,
-        )
+        return {"ok": False, "error": "groupoids of germs are not isomorphic"}, "no isomorphism", 1
     oe = orbit.coe_from_groupoid_iso(iso, ga, gb)
     report = {
-        "command": "coe extract",
         "ok": True,
         "schema": "coe",
         "version": 1,
@@ -484,7 +444,7 @@ def cmd_coe_extract(args):
         "a": _cocycle_json(oe.a, theta, gamma),
         "b": _cocycle_json(oe.b, gamma, theta),
     }
-    return emit(report, "orbit equivalence extracted", 0)
+    return report, "orbit equivalence extracted", 0
 
 
 def _cocycle_json(table, src, dst):
@@ -499,13 +459,8 @@ def cmd_graph_analyze(args):
 
     g = _load(args.input, "graph", args.lenient)
     rep = graph.graph_analyze(g)
-    rep["command"] = "graph analyze"
     rep["ok"] = True
-    return emit(
-        rep,
-        f"conditionL={rep['condition_L']} topPrincipal={rep['top_principal']}",
-        0,
-    )
+    return rep, f"conditionL={rep['condition_L']} topPrincipal={rep['top_principal']}", 0
 
 
 def cmd_graph_leavitt(args):
@@ -527,14 +482,14 @@ def cmd_graph_leavitt(args):
         f"Z({graph.fmt_path(g, cb.mu)},{graph.fmt_path(g, cb.nu)})": ring.fmt(c)
         for cb, c in el.atoms.items()
     }
-    report = {"command": "graph leavitt", "ok": True, "depth": el.depth, "atoms": atoms}
+    report = {"ok": True, "depth": el.depth, "atoms": atoms}
     if args.equals is not None:
         other = graph.parse_leavitt_expr(g, ring, args.equals)
         equal = graph.leavitt_equal(el, other)
         report["equals"] = equal
         if not equal:
-            return emit(report, "elements differ", 1)
-    return emit(report, f"{len(atoms)} atoms at depth {el.depth}", 0)
+            return report, "elements differ", 1
+    return report, f"{len(atoms)} atoms at depth {el.depth}", 0
 
 
 def cmd_graph_coe_verify(args):
@@ -546,19 +501,12 @@ def cmd_graph_coe_verify(args):
     T, Tinv, k, l, kp, lp, depth = build_graph_coe(doc, E, F)
     if args.depth is not None:
         depth = args.depth
-    try:
-        rep = graph.verify_graph_coe(E, F, T, Tinv, k, l, kp, lp, depth)
-    except graph.GraphError as err:
-        return emit(
-            {"command": "graph coe-verify", "ok": False, "error": str(err), "witness": str(err.witness)},
-            f"FAIL: {err}",
-            1,
-        )
-    rep = {"command": "graph coe-verify", "ok": True,
+    rep = graph.verify_graph_coe(E, F, T, Tinv, k, l, kp, lp, depth)
+    rep = {"ok": True,
            "atoms_checked": rep["atoms_checked"],
            "exact": sorted(map(list, rep["exact"])),
            "undetermined": sorted(map(list, rep["undetermined"]))}
-    return emit(rep, f"verified on {rep['atoms_checked']} atoms", 0)
+    return rep, f"verified on {rep['atoms_checked']} atoms", 0
 
 
 def cmd_graph_coe_search(args):
@@ -566,16 +514,9 @@ def cmd_graph_coe_search(args):
 
     E = _load(args.graph_e, "graph", args.lenient)
     F = _load(args.graph_f, "graph", args.lenient)
-    try:
-        data = graph.graph_coe_search(E, F)
-    except graph.GraphError as err:
-        return emit({"command": "graph coe-search", "ok": False, "error": str(err)}, f"FAIL: {err}", 1)
+    data = graph.graph_coe_search(E, F)
     if data is None:
-        return emit(
-            {"command": "graph coe-search", "ok": True, "found": False},
-            "no orbit equivalence",
-            0,
-        )
+        return {"ok": True, "found": False}, "no orbit equivalence", 0
     T = data["transducer"]
     Tinv = data["transducer_inverse"]
 
@@ -591,7 +532,6 @@ def cmd_graph_coe_search(args):
         return out
 
     report = {
-        "command": "graph coe-search",
         "ok": True,
         "found": True,
         "schema": "graph-coe",
@@ -607,7 +547,7 @@ def cmd_graph_coe_search(args):
         "lprime": data["lprime"],
         "phi": data["phi"],
     }
-    return emit(report, "orbit equivalence found", 0)
+    return report, "orbit equivalence found", 0
 
 
 def _tpath_json(g, p):
@@ -623,23 +563,33 @@ def cmd_catalog_run(args):
     ok = all(r["ok"] for r in reports)
     # wall-clock fields are dropped so reports are byte-identical across runs
     reports = [{k: v for k, v in r.items() if k != "elapsed_s"} for r in reports]
-    report = {"command": "catalog run", "ok": ok, "criteria": reports, "seed": args.seed}
+    report = {"ok": ok, "criteria": reports, "seed": args.seed}
     lines = ", ".join(f"{r['criterion']}:{'pass' if r['ok'] else 'FAIL'}" for r in reports)
-    return emit(report, lines, 0 if ok else 1)
+    return report, lines, 0 if ok else 1
 
 
 def cmd_catalog_list(args):
     from . import catalog
 
     report = {
-        "command": "catalog list",
         "ok": True,
         "semigroups": list(catalog.SEMIGROUP_NAMES),
         "actions": list(catalog.ACTION_NAMES),
         "graphs": list(catalog.GRAPH_NAMES),
         "groupoids": list(catalog.GROUPOID_NAMES),
     }
-    return emit(report, "catalog listed", 0)
+    return report, "catalog listed", 0
+
+
+def _limit(text):
+    """The argparse type of a limit flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
 
 
 @functools.cache
@@ -671,7 +621,7 @@ def make_parser():
 
     p = sub.add_parser("exel")
     p.add_argument("input")
-    p.add_argument("--max-elements", type=int, default=4096)
+    p.add_argument("--max-elements", type=_limit, default=4096)
     p.set_defaults(fn=cmd_exel)
 
     p = sub.add_parser("verify")
@@ -691,7 +641,7 @@ def make_parser():
     q = cs.add_parser("extract")
     q.add_argument("action_a")
     q.add_argument("action_b")
-    q.add_argument("--timeout-nodes", type=int, default=500000)
+    q.add_argument("--timeout-nodes", type=_limit, default=500000)
     q.set_defaults(fn=cmd_coe_extract)
 
     p = sub.add_parser("graph")
@@ -733,23 +683,16 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    command = f"{args.cmd} {args.what}" if hasattr(args, "what") else args.cmd
     try:
-        return args.fn(args)
+        report, summary, code = args.fn(args)
     except ParseError as err:
         where = f" (line {err.line}, col {err.col})" if err.line else ""
-        print(json.dumps({"ok": False, "error": f"{err}{where}", "kind": "input"}, sort_keys=True))
-        print(f"input error: {err}{where}", file=sys.stderr)
-        return 2
+        return emit({"ok": False, "error": f"{err}{where}", "kind": "input"}, f"input error: {err}{where}", 2)
     except GermkitError as err:
-        print(
-            json.dumps(
-                {"ok": False, "error": str(err), "witness": str(err.witness), "kind": "mathematical"},
-                sort_keys=True,
-            )
-        )
-        print(f"mathematical failure: {err}", file=sys.stderr)
-        return 1
-
+        report = {"ok": False, "error": str(err), "witness": err.witness, "kind": err.kind}
+        summary, code = f"{err.kind} failure: {err}", 1
+    return emit({"command": command, **report}, summary, code)
 
 if __name__ == "__main__":
     sys.exit(main())

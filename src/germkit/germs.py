@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
 
-from . import GermkitError, invsemi
+from . import GermkitError, ResourceLimit, invsemi
 from .invsemi import natural_leq
 
 
@@ -24,14 +24,10 @@ class GroupoidError(GermkitError):
     pass
 
 
-class Timeout(GroupoidError):
+class Timeout(ResourceLimit):
     def __init__(self, nodes):
         super().__init__(f"isomorphism search exhausted {nodes} nodes", nodes)
         self.nodes = nodes
-
-
-class TooLarge(GroupoidError):
-    pass
 
 
 class ConditionFails(GroupoidError):
@@ -261,7 +257,7 @@ def all_bisections(G, max_count=20000):
 
     def rec(i, chosen, used_targets):
         if len(out) > max_count:
-            raise TooLarge(f"more than {max_count} bisections")
+            raise ResourceLimit(f"more than {max_count} bisections")
         if i == len(sources):
             out.append(frozenset(chosen))
             return
@@ -306,7 +302,7 @@ def ample_semigroup(G, max_size=20000, generators=None):
             ] + [bisection_product(G, other, cur) for other in list(seen)]:
                 if nxt not in seen:
                     if len(seen) >= max_size:
-                        raise TooLarge(f"generated more than {max_size} bisections")
+                        raise ResourceLimit(f"generated more than {max_size} bisections")
                     seen.add(nxt)
                     queue.append(nxt)
         bis = sorted(seen, key=lambda b: (len(b), sorted(b)))

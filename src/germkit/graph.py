@@ -10,9 +10,9 @@ cylinder sets truncated at a chosen depth.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import GermkitError, germs, invsemi, paction
+from . import GermkitError, ResourceLimit, germs, invsemi, paction
 
 
 class GraphError(GermkitError):
@@ -20,7 +20,7 @@ class GraphError(GermkitError):
 
 
 class NotAcyclic(GraphError):
-    pass
+    kind = "unsupported"
 
 
 class LengthZero(GraphError):
@@ -51,19 +51,22 @@ class DepthInsufficient(GraphError):
     pass
 
 
-class TooLarge(GraphError):
-    pass
-
-
 @dataclass(frozen=True)
 class Graph:
     vertices: tuple
     edge_names: tuple
     esrc: tuple
     edst: tuple
+    outs: tuple = field(init=False, compare=False, repr=False)  # vertex -> its out-edges
+
+    def __post_init__(self):
+        outs = [[] for _ in self.vertices]
+        for e, v in enumerate(self.esrc):
+            outs[v].append(e)
+        object.__setattr__(self, "outs", tuple(map(tuple, outs)))
 
     def out_edges(self, v):
-        return tuple(e for e in range(len(self.edge_names)) if self.esrc[e] == v)
+        return self.outs[v]
 
     def is_sink(self, v):
         return not self.out_edges(v)
@@ -156,7 +159,7 @@ def all_finite_paths(g, max_count=100000):
         out.extend(nxt)
         frontier = nxt
         if len(out) > max_count:
-            raise TooLarge("too many paths")
+            raise ResourceLimit("too many paths")
     out.sort(key=lambda p: (len(p.edges), fmt_path(g, p)))
     return out
 
@@ -165,9 +168,7 @@ def has_cycle(g):
     """Whether g has a directed cycle: a depth-first search, kept on an
     explicit stack, meets a vertex that is still on the stack."""
     nv = len(g.vertices)
-    succ = [[] for _ in range(nv)]
-    for e, v in enumerate(g.esrc):
-        succ[v].append(g.edst[e])
+    succ = [[g.edst[e] for e in outs] for outs in g.outs]
     color = [0] * nv  # 0 unseen, 1 on the stack, 2 done
     for root in range(nv):
         if color[root]:
@@ -189,40 +190,30 @@ def has_cycle(g):
     return False
 
 
-def simple_cycles(g):
-    """All simple cycles as paths, anchored at their minimal vertex."""
-    out = []
-    nv = len(g.vertices)
-    for v0 in range(nv):
-        stack = [(v0, ())]
-        while stack:
-            v, edges = stack.pop()
-            for e in g.out_edges(v):
-                w = g.edst[e]
-                if w == v0:
-                    out.append(Path(v0, edges + (e,)))
-                elif w > v0:
-                    seen = {v0} | {g.edst[x] for x in edges}
-                    if w not in seen:
-                        stack.append((w, edges + (e,)))
-    out.sort(key=lambda p: (len(p.edges), fmt_path(g, p)))
-    return out
-
-
 def is_condition_L(g):
-    """(flag, witness loop): every loop has an exit."""
-    for cyc in simple_cycles(g):
-        vertices_on = [cyc.start]
-        for e in cyc.edges[:-1]:
-            vertices_on.append(g.edst[e])
-        has_exit = any(
-            g.esrc[f] == vertices_on[i] and f != cyc.edges[i]
-            for i in range(len(cyc.edges))
-            for f in g.out_edges(vertices_on[i])
-        )
-        if not has_exit:
-            return False, cyc
-    return True, None
+    """(flag, witness loop): every loop has an exit.
+
+    A loop without an exit leaves each of its vertices by that vertex's only
+    edge, so such loops are disjoint, and following single out-edges from
+    every vertex finds them all in O(|V| + |E|).  The witness is the least
+    of them by (length, fmt_path), anchored at its least vertex."""
+    only = {v: outs[0] for v, outs in enumerate(g.outs) if len(outs) == 1}
+    done = set()
+    loops = []
+    for v in only:
+        walk = {}  # vertex -> its position on this walk
+        while v in only and v not in done and v not in walk:
+            walk[v] = len(walk)
+            v = g.edst[only[v]]
+        if v in walk:  # the walk closed a loop at v
+            cyc = list(walk)[walk[v]:]
+            i = cyc.index(min(cyc))
+            cyc = cyc[i:] + cyc[:i]
+            loops.append(Path(cyc[0], tuple(only[u] for u in cyc)))
+        done.update(walk)
+    if not loops:
+        return True, None
+    return False, min(loops, key=lambda p: (len(p.edges), fmt_path(g, p)))
 
 
 def boundary_enumerate(g):
@@ -265,7 +256,7 @@ def graph_semigroup(g, max_elements=2000):
     ends = Counter(path_end(g, p) for p in paths)
     size = 1 + sum(c * c for c in ends.values())
     if size > max_elements:
-        raise TooLarge(f"|S_E| = {size} exceeds {max_elements}")
+        raise ResourceLimit(f"|S_E| = {size} exceeds {max_elements}")
     elems = [ZERO]
     for mu in paths:
         for nu in paths:
@@ -1094,7 +1085,7 @@ def graph_coe_search(E, F, max_boundary=2000):
     if bE is None or bF is None:
         raise NotAcyclic("orbit equivalence search needs finite boundary spaces")
     if len(bE) > max_boundary or len(bF) > max_boundary:
-        raise TooLarge("boundary spaces too large to search")
+        raise ResourceLimit("boundary spaces too large to search")
 
     def orbits(g, pts):
         by_sink = {}

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb, factorial
 from operator import itemgetter
 
-from . import GermkitError
+from . import GermkitError, ResourceLimit
 
 
 class SemigroupError(GermkitError):
@@ -34,10 +34,6 @@ class NoInverse(SemigroupError):
 
 
 class NonUniqueInverse(SemigroupError):
-    pass
-
-
-class TooLarge(SemigroupError):
     pass
 
 
@@ -588,7 +584,7 @@ def exel_semigroup(G, max_elements=4096):
     others = [g for g in range(n) if g != one]
     count = sum(2 ** (n - 1 - (0 if g == one else 1)) for g in range(n))
     if count > max_elements:
-        raise TooLarge(f"|S(G)| = {count} exceeds {max_elements}")
+        raise ResourceLimit(f"|S(G)| = {count} exceeds {max_elements}")
 
     forms = []
     for g in range(n):
@@ -650,7 +646,7 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     """
     count = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
     if count > max_elements:
-        raise TooLarge(f"|I(X)| = {count} exceeds {max_elements}")
+        raise ResourceLimit(f"|I(X)| = {count} exceeds {max_elements}")
     points = list(range(n))
     maps = []
     subsets = [()]

@@ -21,11 +21,11 @@ class RingError(GermkitError):
 
 
 class NotAField(RingError):
-    pass
+    kind = "unsupported"
 
 
 class DecomposableRing(RingError):
-    pass
+    kind = "unsupported"
 
 
 def is_prime(n):

@@ -133,6 +133,45 @@ def boundary_triples_by_shift_search(g):
     return triples
 
 
+# --- graphs: Condition (L) over every simple cycle -----------------------------
+
+def simple_cycles(g):
+    """All simple cycles as paths, anchored at their minimal vertex."""
+    out = []
+    nv = len(g.vertices)
+    for v0 in range(nv):
+        stack = [(v0, ())]
+        while stack:
+            v, edges = stack.pop()
+            for e in g.out_edges(v):
+                w = g.edst[e]
+                if w == v0:
+                    out.append(graph.Path(v0, edges + (e,)))
+                elif w > v0:
+                    seen = {v0} | {g.edst[x] for x in edges}
+                    if w not in seen:
+                        stack.append((w, edges + (e,)))
+    out.sort(key=lambda p: (len(p.edges), graph.fmt_path(g, p)))
+    return out
+
+
+def condition_L_by_cycles(g):
+    """(flag, witness loop) of `graph.is_condition_L`, from the first simple
+    cycle in `simple_cycles` order none of whose vertices has a second edge."""
+    for cyc in simple_cycles(g):
+        vertices_on = [cyc.start]
+        for e in cyc.edges[:-1]:
+            vertices_on.append(g.edst[e])
+        has_exit = any(
+            g.esrc[f] == vertices_on[i] and f != cyc.edges[i]
+            for i in range(len(cyc.edges))
+            for f in g.out_edges(vertices_on[i])
+        )
+        if not has_exit:
+            return False, cyc
+    return True, None
+
+
 # --- orbit equivalence: the germ identities on every pair acting at a point ----
 
 def germ_identity_failure(theta, gamma, oe):

@@ -235,22 +235,26 @@ def test_coe_extract_non_isomorphic_exits_1(capsys):
     "path, value, stdout",
     [
         (("phi", "y"), "x",
-         '{"command": "coe verify", "error": "phi is not a carrier bijection", "ok": false, "witness": null}'),
+         '{"command": "coe verify", "error": "phi is not a carrier bijection", '
+         '"kind": "mathematical", "ok": false, "witness": null}'),
         (("a", "g", "x"), None,
-         '{"command": "coe verify", "error": "a is undefined at (g, x)", "ok": false, "witness": null}'),
+         '{"command": "coe verify", "error": "a is undefined at (g, x)", '
+         '"kind": "mathematical", "ok": false, "witness": null}'),
         (("b", "[g]", "y"), None,
-         '{"command": "coe verify", "error": "b is undefined at ([g], y)", "ok": false, "witness": null}'),
+         '{"command": "coe verify", "error": "b is undefined at ([g], y)", '
+         '"kind": "mathematical", "ok": false, "witness": null}'),
         (("a", "1", "z"), "[g]",
-         '{"command": "coe verify", "error": "a(1, z) does not act at phi(x)", "ok": false, "witness": ["a", 0, 2]}'),
+         '{"command": "coe verify", "error": "a(1, z) does not act at phi(x)", '
+         '"kind": "mathematical", "ok": false, "witness": ["a", 0, 2]}'),
         (("b", "[1]", "z"), "g",
-         '{"command": "coe verify", "error": "b([1], z) does not act at phi^-1(y)", "ok": false, '
-         '"witness": ["b", 0, 2]}'),
+         '{"command": "coe verify", "error": "b([1], z) does not act at phi^-1(y)", '
+         '"kind": "mathematical", "ok": false, "witness": ["b", 0, 2]}'),
         (("a", "g", "x"), "[1]",
-         '{"command": "coe verify", "error": "phi(theta_s(x)) != gamma_a(s,x)(phi(x)) at (g, x)", "ok": false, '
-         '"witness": ["a", 1, 0]}'),
+         '{"command": "coe verify", "error": "phi(theta_s(x)) != gamma_a(s,x)(phi(x)) at (g, x)", '
+         '"kind": "mathematical", "ok": false, "witness": ["a", 1, 0]}'),
         (("b", "[g]", "x"), "1",
          '{"command": "coe verify", "error": "phi^-1(gamma_t(y)) != theta_b(t,y)(phi^-1(y)) at ([g], x)", '
-         '"ok": false, "witness": ["b", 1, 0]}'),
+         '"kind": "mathematical", "ok": false, "witness": ["b", 1, 0]}'),
     ],
     ids=["phi-not-bijective", "a-undefined", "b-undefined", "a-not-acting", "b-not-acting", "a-image", "b-image"],
 )
@@ -334,6 +338,20 @@ def test_catalog_list(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert cli.main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["exel", "catalog:z2", "--max-elements"],
+    ["coe", "extract", "catalog:munn-chain2", "catalog:self-chain2", "--timeout-nodes"],
+])
+def test_limit_flags_take_only_positive_integers(capsys, argv):
+    # a limit below 1 can only be reached, never met: a usage error, not a
+    # report of a limit
+    for value in ("0", "-1", "x", "1.5"):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, ""), value
+        assert f"must be an integer >= 1, not {value!r}" in err
+    assert run(capsys, *argv, "1")[0] == 1
 
 
 # --- structurally malformed documents: input errors that name the field ------------
@@ -563,7 +581,8 @@ def test_malformed_leavitt_expr_is_reported_like_unbalanced_parentheses(capsys, 
     f = tmp_path / "expr.json"
     f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop", "expr": expr}))
     code, out, _ = run(capsys, "graph", "leavitt", str(f))
-    assert (code, json.loads(out)) == (1, {"ok": False, "error": error, "witness": "None", "kind": "mathematical"})
+    assert (code, json.loads(out)) == (
+        1, {"command": "graph leavitt", "ok": False, "error": error, "witness": None, "kind": "mathematical"})
 
 
 def test_unknown_catalog_name_is_reported_without_extra_quotes(capsys):
@@ -664,6 +683,8 @@ def _one_shot_env(tmp_path):
                      id="timeout-catalog"),
         pytest.param(["coe", "extract", "{dir}/action.json", "{dir}/action.json", "--timeout-nodes", "1"], 1,
                      id="timeout-documents"),
+        pytest.param(["exel", "catalog:z2", "--max-elements", "2"], 1, id="limit"),
+        pytest.param(["graph", "coe-search", "catalog:loop", "catalog:edge"], 1, id="unsupported"),
         pytest.param(["validate", "{dir}/missing.json"], 2, id="missing-file"),
         pytest.param(["verify", "--help"], 0, id="help"),
     ],
@@ -689,8 +710,8 @@ def test_package_runs_as_a_module(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["validate", "{dir}/semigroup.json"], ["analyze", "{dir}/semigroup.json"]])
 def test_value_error_that_germkit_does_not_define_propagates(monkeypatch, tmp_path, argv):
-    # not a verdict: it leaves main as raised, past validate's INVALID
-    # bucket and main's mathematical one
+    # not a verdict: it leaves main as raised, past main's GermkitError
+    # clause
     from germkit import invsemi
 
     def broken(elements, table):
@@ -734,8 +755,81 @@ def test_main_reports_any_germkit_error_as_mathematical(monkeypatch, capsys, tmp
     monkeypatch.setattr(invsemi, "validate_inverse_semigroup", refuted)
     code, out, err = run(capsys, "analyze", str(tmp_path / "semigroup.json"))
     assert code == 1
-    assert json.loads(out) == {"ok": False, "error": "refuted", "witness": "['x', 1]", "kind": "mathematical"}
+    assert json.loads(out) == {
+        "command": "analyze", "ok": False, "error": "refuted", "witness": ["x", 1], "kind": "mathematical"}
     assert err == "mathematical failure: refuted\n"
+
+
+def _bad_coe(capsys, monkeypatch, tmp_path):
+    """A coe document for z2-swap -> z2-swap-exel whose phi is no bijection."""
+    doc = json.loads(run(capsys, "coe", "extract", "catalog:z2-swap", "catalog:z2-swap-exel")[1])
+    for k in ("command", "ok"):
+        doc.pop(k)
+    doc["phi"]["y"] = "x"
+    (tmp_path / "bad-coe.json").write_text(json.dumps(doc))
+
+
+def _long_path_doc(capsys, monkeypatch, tmp_path):
+    """A graph document: a path through 200 vertices."""
+    doc = {"schema": "graph", "version": 1, "vertices": [f"v{i}" for i in range(200)],
+           "edges": [{"name": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}"} for i in range(199)]}
+    (tmp_path / "path.json").write_text(json.dumps(doc))
+
+
+def _refute_tables(capsys, monkeypatch, tmp_path):
+    from germkit import GermkitError, invsemi
+
+    def refuted(elements, table):
+        raise GermkitError("refuted", ["x", 1])
+
+    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", refuted)
+
+
+@pytest.mark.parametrize(
+    "argv, command, kind, setup",
+    [
+        pytest.param(["validate", "{dir}/bad.json"], "validate", "mathematical", None, id="validate-corrupted"),
+        pytest.param(["coe", "verify", "catalog:z2-swap", "catalog:z2-swap-exel", "{dir}/bad-coe.json"],
+                     "coe verify", "mathematical", _bad_coe, id="coe-verify-bad"),
+        pytest.param(["analyze", "{dir}/semigroup.json"], "analyze", "mathematical", _refute_tables,
+                     id="analyze-refuted"),
+        pytest.param(["exel", "catalog:chain2"], "exel", "mathematical", None, id="exel-non-group"),
+        pytest.param(["exel", "catalog:z2", "--max-elements", "2"], "exel", "limit", None, id="exel-max-elements"),
+        pytest.param(["coe", "extract", "catalog:munn-chain2", "catalog:self-chain2", "--timeout-nodes", "1"],
+                     "coe extract", "limit", None, id="coe-extract-timeout"),
+        pytest.param(["graph", "analyze", "{dir}/path.json"], "graph analyze", "limit", _long_path_doc,
+                     id="graph-analyze-path"),
+        pytest.param(["graph", "coe-search", "catalog:loop", "catalog:edge"], "graph coe-search", "unsupported",
+                     None, id="coe-search-cyclic"),
+    ],
+)
+def test_every_failure_has_one_report_shape(capsys, monkeypatch, tmp_path, argv, command, kind, setup):
+    _write_docs(tmp_path)
+    if setup is not None:
+        setup(capsys, monkeypatch, tmp_path)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    rep = json.loads(out)
+    assert code == 1
+    assert set(rep) == {"command", "error", "kind", "ok", "witness"}
+    assert (rep["command"], rep["ok"], rep["kind"]) == (command, False, kind)
+    assert err == f"{kind} failure: {rep['error']}\n"
+
+
+def test_every_germkit_error_has_a_known_kind():
+    import germkit
+    from germkit import GermkitError, ResourceLimit
+
+    for name in germkit.__all__:
+        getattr(germkit, name)
+    seen, todo = set(), [GermkitError]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls)
+        todo.extend(cls.__subclasses__())
+    assert all(cls.kind in ("mathematical", "limit", "unsupported") for cls in seen), seen
+    assert issubclass(germkit.germs.Timeout, ResourceLimit)
+    assert {cls for cls in seen if cls.kind == "unsupported"} == {
+        germkit.graph.NotAcyclic, germkit.rings.NotAField, germkit.rings.DecomposableRing}
 
 
 LOADED = """\

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germkit import catalog, germs, graph as gr, invsemi, paction, rings
+from germkit import ResourceLimit, catalog, germs, graph as gr, invsemi, paction, rings
 
 
 Q = rings.RING_Q
@@ -148,6 +148,25 @@ def test_condition_l():
     assert gr.is_condition_L(LOOP_EXIT)[0]
     assert gr.is_condition_L(EDGE)[0]
     assert gr.is_condition_L(CYCLE2)[0]
+
+
+def _random_graph(rng):
+    """A seeded graph on up to 6 vertices, loops and parallel edges allowed."""
+    nv = rng.randint(1, 6)
+    edges = [(f"e{i}", f"v{rng.randrange(nv)}", f"v{rng.randrange(nv)}") for i in range(rng.randint(0, 9))]
+    return gr.make_graph([f"v{i}" for i in range(nv)], edges)
+
+
+def test_condition_l_matches_simple_cycle_oracle():
+    # flag and witness loop against the scan of every simple cycle
+    rng = random.Random(21)
+    graphs = [catalog.graphs(name) for name in catalog.GRAPH_NAMES] + [_random_graph(rng) for _ in range(500)]
+    failing = 0
+    for g in graphs:
+        flag, witness = gr.is_condition_L(g)
+        assert (flag, witness) == oracles.condition_L_by_cycles(g), g
+        failing += not flag
+    assert 50 < failing < len(graphs) - 50
 
 
 def test_boundary_enumerate():
@@ -584,9 +603,16 @@ def test_has_cycle_on_long_path_and_cycle():
     assert gr.has_cycle(_long_path(1500, cycle=True))
 
 
+def test_graph_analyze_on_long_path_reaches_a_limit():
+    # out-edges are read off a table built once, so the paths are counted to
+    # the limit instead of scanning every edge per path
+    with pytest.raises(ResourceLimit, match="^too many paths$"):
+        gr.graph_analyze(_long_path(1500))
+
+
 def test_graph_semigroup_too_large_counts_before_building():
     # |S_E| = 1 + sum over v of (paths ending at v)^2 = 1 + 1^2 + ... + 100^2
-    with pytest.raises(gr.TooLarge) as exc:
+    with pytest.raises(ResourceLimit) as exc:
         gr.graph_semigroup(_long_path(100))
     assert str(exc.value) == "|S_E| = 338351 exceeds 2000"
     S, payload = gr.graph_semigroup(_long_path(3))
