@@ -212,7 +212,7 @@ def criterion_3():
         ex = invsemi.exel_semigroup(G)
         gi = invsemi.max_group_image(ex.semigroup)
         back = germs.groupoid_iso_search(
-            _group_as_groupoid(gi.group), _group_as_groupoid(G)
+            invsemi.restricted_product_groupoid(gi.group), invsemi.restricted_product_groupoid(G)
         )
         recovered = back is not None
         sizes[gname] = len(ex.semigroup)
@@ -233,19 +233,6 @@ def criterion_3():
         "stated_sizes": stated,
         "details": details,
     }
-
-
-def _group_as_groupoid(G):
-    e = G.idempotents[0]
-    ends = (e,) * len(G)
-    return germs.validate_groupoid(
-        arrows=G.elements,
-        units=(e,),
-        source=ends,
-        target=ends,
-        inverse=G.inverse,
-        compose=germs.compose_table(ends, ends, G.mul),
-    )
 
 
 def criterion_4():

@@ -99,9 +99,10 @@ def convolve(f, g):
     ring = f.ring
     out = {}
     for x, fx in f.coeffs.items():
+        row = G.compose[x]
         for y, gy in g.coeffs.items():
-            if G.composable(x, y):
-                a = G.compose[(x, y)]
+            if y in row:
+                a = row[y]
                 out[a] = ring.add(out.get(a, ring.zero), ring.mul(fx, gy))
     return SteinbergElement(G, ring, out)
 
@@ -335,8 +336,9 @@ def verify_steinberg_crossed(theta, ring):
         a = arrow_of[i]
         if (G.source[a], G.target[a]) != (unit[y], unit[x]):
             raise VerificationFailed(f"Phi not multiplicative: {G.arrows[a]} is badly typed at {cp.basis[i]}")
+        row = G.compose[a]
         for j in by_point[y]:
-            if arrow_of[cp.mono_mul(i, j)] != G.compose.get((a, arrow_of[j])):
+            if arrow_of[cp.mono_mul(i, j)] != row.get(arrow_of[j]):
                 raise VerificationFailed(
                     f"Phi not multiplicative on basis pair {cp.basis[i]}, {cp.basis[j]}"
                 )

@@ -298,7 +298,7 @@ def groupoid_json(G):
         "source": list(G.source),
         "range": list(G.target),
         "inverse": list(G.inverse),
-        "compose": sorted([a, b, c] for (a, b), c in G.compose.items()),
+        "compose": sorted([a, b, c] for a, row in enumerate(G.compose) for b, c in row.items()),
     }
 
 

@@ -1,10 +1,12 @@
 """Finite groupoids, the groupoid of germs of a partial action, bisections,
 and isomorphism of finite groupoids by their orbit structure.
 
-Arrows are indexed; source/target of an arrow are indices of unit arrows, and
-composition tables are built and checked over the composable pairs only;
+Arrows are indexed; source/target of an arrow are indices of unit arrows.
+Composition is held as rows, compose[a] = {b: ab} over exactly the b with
+t(b) = s(a), the layout of a semigroup's S.table[a][b] cut down to the
+composable pairs; it is built and checked one row at a time, and
 associativity is Light's test over a generating set of arrows read off the
-composition, with the triple scan kept for the least witness of a failure.  A
+rows, with the triple scan kept for the least witness of a failure.  A
 germ class is keyed by (s e_x, x); the tests check that key against the
 paper's relation, (s, x) ~ (t, x) iff se = te for some idempotent e with x
 in X_e (`germ_equivalent` in tests/oracles.py).  On finite discrete
@@ -14,7 +16,8 @@ semigroups coincide and only the latter is exposed.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count, islice
+from itertools import count
+from operator import itemgetter
 
 from . import GermkitError, ResourceLimit, invsemi
 from .invsemi import natural_leq
@@ -45,7 +48,7 @@ class FiniteGroupoid:
     source: tuple   # arrow -> unit arrow index
     target: tuple   # arrow -> unit arrow index (the range map)
     inverse: tuple
-    compose: dict   # (a, b) -> ab, defined exactly when source[a] == target[b]
+    compose: tuple  # rows: compose[a] = {b: ab}, over exactly the b with source[a] == target[b]
 
     def __len__(self):
         return len(self.arrows)
@@ -54,11 +57,7 @@ class FiniteGroupoid:
         return self.source[a] == self.target[b]
 
     def mul(self, a, b):
-        return self.compose[(a, b)]
-
-    def isotropy(self, u):
-        return tuple(a for a in range(len(self.arrows))
-                     if self.source[a] == u and self.target[a] == u)
+        return self.compose[a][b]
 
 
 def _arrows_by(end):
@@ -70,22 +69,87 @@ def _arrows_by(end):
 
 
 def compose_table(source, target, mul):
-    """{(a, b): mul(a, b)} over exactly the composable pairs, source[a] ==
-    target[b], in lexicographic order; one step per composable pair."""
+    """The rows of a composition: row a is {b: mul(a, b)} over exactly the b
+    with target[b] == source[a], in increasing b; one step per composable pair."""
     by_target = _arrows_by(target)
-    return {(a, b): mul(a, b) for a, u in enumerate(source) for b in by_target.get(u, ())}
+    return tuple({b: mul(a, b) for b in by_target.get(u, ())} for a, u in enumerate(source))
+
+
+def partial_generating_set(compose, source, target):
+    """Arrows that generate the groupoid with rows compose by left-normed
+    products, as `invsemi.generating_set` finds them for a table.
+
+    Arrows are scanned by descending row length, ties by index.  One joins
+    the set when the closure of the set so far under right products does
+    not yet reach it, so every arrow is a left-normed product of the set.
+    Each composite is read at most twice, from the row of its left factor
+    and, for a generator s, from its column, the arrows with source t(s);
+    so the cost is the size of compose, whatever |A| is.
+    """
+    n = len(compose)
+    by_source = _arrows_by(source)
+    reached = [False] * n
+    is_gen = [False] * n
+    gens = []
+    for s in sorted(range(n), key=lambda s: -len(compose[s])):  # stable: ties by index
+        if reached[s]:
+            continue
+        gens.append(s)
+        is_gen[s] = reached[s] = True
+        fresh = [s]
+        for c in by_source[target[s]]:  # c s for every c reached so far
+            if reached[c]:
+                p = compose[c][s]
+                if not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+        for c in fresh:  # fresh grows while it is scanned
+            for a, p in compose[c].items():
+                if is_gen[a] and not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+    return gens
+
+
+def partial_light_test(compose, source, target, gens):
+    """Light's test on the rows compose: (xa)y = x(ay) for each a in gens,
+    every x with xa defined (s(x) = t(a)) and every y with ay defined (y in
+    row a).
+
+    Read an undefined product as a zero 0 with 0z = z0 = 0.  When gens
+    generates, this decides associativity of that magma with zero, provided
+    an undefined xa or ay leaves (xa)y and x(ay) both undefined, and defined
+    ones leave both defined: the other triples then read 0 = 0, and the a
+    that pass all x, y are closed under products (Clifford-Preston I, 1.2).
+    Both hold once every composite is typed (see `validate_groupoid`).
+    O(sum over a of |column a| |row a|).
+    """
+    by_source = _arrows_by(source)
+    for a in gens:
+        row_a = compose[a]
+        # of one key, itemgetter returns an entry, not a tuple, on both sides
+        xa_y = itemgetter(*row_a)             # row of xa -> ((xa)y for y)
+        x_ay = itemgetter(*row_a.values())    # row of x -> (x(ay) for y)
+        for x in by_source[target[a]]:
+            row_x = compose[x]
+            if xa_y(compose[row_x[a]]) != x_ay(row_x):
+                return False
+    return True
 
 
 def validate_groupoid(arrows, units, source, target, inverse, compose):
     """Check the groupoid axioms exactly; the first violation raises, with
-    a witness.  Composable pairs are enumerated from the arrows grouped by
-    target, so every check but associativity costs O(|compose|).
+    a witness.  compose is given as rows, compose[a] = {b: ab}, and each row
+    is checked in one pass: its keys are the b with t(b) = s(a) (else the
+    least wrong pair of that row is the witness), and each composite ab is
+    an arrow with s(ab) = s(b) and t(ab) = t(a).  So every check but
+    associativity costs O(|compose|).
 
     Associativity is Light's test over a generating set A of arrows
-    (`invsemi.partial_light_test`): (xa)y = x(ay) for a in A, s(x) = t(a)
-    and t(y) = s(a).  A is derived from compose itself by the greedy closure
-    of `invsemi.partial_generating_set`, so that every arrow is a product of
-    A is established, not assumed: spanning arrows or isotropy generators
+    (`partial_light_test`): (xa)y = x(ay) for a in A, s(x) = t(a) and
+    t(y) = s(a).  A is derived from compose itself by the greedy closure of
+    `partial_generating_set`, so that every arrow is a product of A is
+    established, not assumed: spanning arrows or isotropy generators
     presuppose the associativity under test.  The test is exact:
     - by the earlier checks, compose is defined exactly on the composable
       pairs and every composite is typed, s(ab) = s(b) and t(ab) = t(a);
@@ -104,7 +168,7 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     source = tuple(source)
     target = tuple(target)
     inverse = tuple(inverse)
-    compose = dict(compose)
+    compose = tuple(compose)
     unit_set = set(units)
     if len(set(arrows)) != n:
         raise GroupoidError("duplicate arrow names")
@@ -117,39 +181,39 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     for u in units:
         if source[u] != u or target[u] != u:
             raise GroupoidError(f"unit {arrows[u]} is not its own source and target", u)
-    for a, b in compose:
-        if not (0 <= a < n and 0 <= b < n):
-            raise GroupoidError("compose key out of range", (a, b))
+    if len(compose) != n:
+        raise GroupoidError(f"compose has {len(compose)} rows, not one per arrow", len(compose))
     by_target = _arrows_by(target)
-    # the least pair where compose and composability disagree: a key that is
-    # not composable, or the first composable pair that is not a key
-    composable = ((a, b) for a in range(n) for b in by_target[source[a]])
-    wrong = [(a, b) for a, b in compose if source[a] != target[b]]
-    wrong += islice((p for p in composable if p not in compose), 1)
-    if wrong:
-        a, b = min(wrong)
-        raise GroupoidError(f"compose defined on wrong pair ({arrows[a]}, {arrows[b]})", (a, b))
-    for (a, b), c in compose.items():
-        if not 0 <= c < n:
-            raise GroupoidError("compose value out of range", (a, b))
-        if source[c] != source[b] or target[c] != target[a]:
-            raise GroupoidError(f"composite {arrows[a]}*{arrows[b]} badly typed", (a, b))
+    into = {u: frozenset(bs) for u, bs in by_target.items()}
+    for a, row in enumerate(compose):
+        if row.keys() != into[source[a]]:
+            for b in row:
+                if not 0 <= b < n:
+                    raise GroupoidError("compose key out of range", (a, b))
+            b = min(row.keys() ^ into[source[a]])
+            raise GroupoidError(f"compose defined on wrong pair ({arrows[a]}, {arrows[b]})", (a, b))
+        t = target[a]
+        for b, c in row.items():
+            if not 0 <= c < n:
+                raise GroupoidError("compose value out of range", (a, b))
+            if source[c] != source[b] or target[c] != t:
+                raise GroupoidError(f"composite {arrows[a]}*{arrows[b]} badly typed", (a, b))
     for a in range(n):
-        if compose[(a, source[a])] != a or compose[(target[a], a)] != a:
+        if compose[a][source[a]] != a or compose[target[a]][a] != a:
             raise GroupoidError(f"units do not act as identities at {arrows[a]}", a)
         if inverse[inverse[a]] != a:
             raise GroupoidError(f"inverse is not an involution at {arrows[a]}", a)
-        if compose.get((inverse[a], a)) != source[a] or compose.get((a, inverse[a])) != target[a]:
+        if compose[inverse[a]].get(a) != source[a] or compose[a].get(inverse[a]) != target[a]:
             raise GroupoidError(f"a^-1 a != s(a) at {arrows[a]}", a)
-    rows, cols = invsemi.partial_rows(n, compose)
-    gens = invsemi.partial_generating_set(rows, cols)
-    if not invsemi.partial_light_test(rows, cols, [a for a in gens if a not in unit_set]):
+    gens = partial_generating_set(compose, source, target)
+    if not partial_light_test(compose, source, target, [a for a in gens if a not in unit_set]):
         # only reached when composition is not associative: its least triple
         for a in range(n):
+            row_a = compose[a]
             for b in by_target[source[a]]:
-                ab = compose[(a, b)]
+                row_ab, row_b = compose[row_a[b]], compose[b]
                 for c in by_target[source[b]]:
-                    if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
+                    if row_ab[c] != row_a[row_b[c]]:
                         raise GroupoidError("composition is not associative", (a, b, c))
     return FiniteGroupoid(arrows, units, source, target, inverse, compose)
 
@@ -201,9 +265,11 @@ def groupoid_of_germs(theta):
         target.append(unit_of_point[y])
         inverse.append(pair_class[(S.inv(s), y)])
 
+    table = S.table
+
     def mul(a, b):
         (s, _), (t, y) = reps[a], reps[b]
-        return pair_class[(S.mul(s, t), y)]
+        return pair_class[(table[s][t], y)]
 
     compose = compose_table(source, target, mul)
     units = tuple(sorted(set(unit_of_point)))
@@ -227,7 +293,8 @@ def isotropy_report(G):
     """Per-unit isotropy groups.  On finite discrete groupoids, effectiveness
     (interior of Iso(G) equals the unit space) and topological principality
     (trivial-isotropy units dense) both reduce to all isotropy being trivial."""
-    iso = {u: G.isotropy(u) for u in G.units}
+    by_source = _arrows_by(G.source)
+    iso = {u: tuple(a for a in by_source[u] if G.target[a] == u) for u in G.units}
     trivial = tuple(u for u in G.units if iso[u] == (u,))
     all_trivial = len(trivial) == len(G.units)
     return IsotropyReport(iso, trivial, all_trivial, all_trivial)
@@ -242,7 +309,7 @@ def is_bisection(G, arrow_set):
 
 
 def bisection_product(G, A, B):
-    return frozenset(G.compose[(a, b)] for a in A for b in B if G.composable(a, b))
+    return frozenset(G.compose[a][b] for a in A for b in B if G.composable(a, b))
 
 
 def bisection_inverse(G, A):
@@ -421,9 +488,11 @@ def induced_groupoid_hom(germ, H, sigma, phi_map):
         if src_of[s][phi_map[x]] != psi[arrow]:
             raise GroupoidError("induced map is not constant on germ classes", (s, x))
     G = germ.groupoid
-    for (a, b), c in G.compose.items():
-        if not H.composable(psi[a], psi[b]) or H.compose[(psi[a], psi[b])] != psi[c]:
-            raise GroupoidError("induced map is not a homomorphism", (a, b))
+    for a, row in enumerate(G.compose):
+        row_h = H.compose[psi[a]]
+        for b, c in row.items():
+            if row_h.get(psi[b]) != psi[c]:
+                raise GroupoidError("induced map is not a homomorphism", (a, b))
     return psi
 
 
@@ -451,9 +520,11 @@ def verify_groupoid_iso(iso):
             return False
         if amap[G.inverse[a]] != H.inverse[amap[a]]:
             return False
-    for (a, b), c in G.compose.items():
-        if H.compose[(amap[a], amap[b])] != amap[c]:
-            return False
+    for a, row in enumerate(G.compose):
+        row_h = H.compose[amap[a]]
+        for b, c in row.items():
+            if row_h[amap[b]] != amap[c]:
+                return False
     return True
 
 
@@ -476,7 +547,7 @@ def _orbits(G):
 def _group(G, iso):
     """The Cayley table of the isotropy group iso over its positions, and element orders."""
     pos = {a: i for i, a in enumerate(iso)}
-    tbl = [[pos[G.compose[(a, b)]] for b in iso] for a in iso]
+    tbl = [[pos[G.compose[a][b]] for b in iso] for a in iso]
     return tbl, [len(_close(tbl, tbl, {x: x}, [x])) for x in range(len(iso))]  # |<x>| = ord x
 
 
@@ -557,8 +628,8 @@ def groupoid_iso_search(G, H, timeout_nodes=500000):
     for a in range(len(G.arrows)):
         tu, tu2, phi = frame[G.source[a]]
         tw, tw2, _ = frame[G.target[a]]
-        k = G.compose[(G.inverse[tw], G.compose[(a, tu)])]
-        amap.append(H.compose[(tw2, H.compose[(phi[k], H.inverse[tu2])])])
+        k = G.compose[G.inverse[tw]][G.compose[a][tu]]
+        amap.append(H.compose[tw2][H.compose[phi[k]][H.inverse[tu2]]])
     iso = GroupoidIso(G, H, tuple(amap))
     if not verify_groupoid_iso(iso):
         raise GroupoidError("the arrow map built from the orbits is not an isomorphism")

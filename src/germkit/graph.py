@@ -1166,9 +1166,7 @@ def graph_analyze(g):
         report["boundary_size"] = None
         report["top_principal"] = cond_l
         if not cond_l:
-            on_cycle = [witness.start]
-            for e in witness.edges[:-1]:
-                on_cycle.append(g.edst[e])
-            isolated = all(len(g.out_edges(v)) == 1 for v in on_cycle)
-            report["witness_isolated_cylinder"] = isolated
+            # the witness has no exit, so each of its vertices has exactly
+            # one out-edge (`is_condition_L`): its cylinder is isolated
+            report["witness_isolated_cylinder"] = True
     return report

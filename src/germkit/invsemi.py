@@ -269,76 +269,6 @@ def _light_test(tbl, gens):
     return True
 
 
-# --- partial products: Light's test with undefined read as zero --------------
-
-def partial_rows(n, products):
-    """rows[x] = {y: xy} and cols[y] = {x: xy} of the partial product
-    {(x, y): xy} on range(n), over the defined products only."""
-    rows = [{} for _ in range(n)]
-    cols = [{} for _ in range(n)]
-    for (x, y), xy in products.items():
-        rows[x][y] = xy
-        cols[y][x] = xy
-    return rows, cols
-
-
-def partial_generating_set(rows, cols):
-    """`generating_set` for a partial product, undefined products left out.
-
-    Elements x are scanned by descending number of defined products x y,
-    ties by index.  One joins the set when the closure of the set so
-    far under defined right products does not yet reach it, so every
-    element is a left-normed product of the set.  Each defined product is
-    read at most twice, from the row of x and from the column of y, so the
-    cost is O(|products|), whatever |A| is.
-    """
-    n = len(rows)
-    reached = [False] * n
-    is_gen = [False] * n
-    gens = []
-    for s in sorted(range(n), key=lambda s: -len(rows[s])):  # stable: ties by index
-        if reached[s]:
-            continue
-        gens.append(s)
-        is_gen[s] = reached[s] = True
-        fresh = [s]
-        for c, p in cols[s].items():  # c s for every c reached so far
-            if reached[c] and not reached[p]:
-                reached[p] = True
-                fresh.append(p)
-        for c in fresh:  # fresh grows while it is scanned
-            for a, p in rows[c].items():
-                if is_gen[a] and not reached[p]:
-                    reached[p] = True
-                    fresh.append(p)
-    return gens
-
-
-def partial_light_test(rows, cols, gens):
-    """Light's test on a partial product: (xa)y = x(ay) for each a in gens,
-    every x with xa defined and every y with ay defined.
-
-    Read an undefined product as a zero 0 with 0z = z0 = 0.  When gens
-    generates, this decides associativity of that magma with zero, provided
-    an undefined xa or ay leaves (xa)y and x(ay) both undefined, and defined
-    ones leave both defined: the other triples then read 0 = 0, and the a
-    that pass all x, y are closed under products (Clifford-Preston I, 1.2).
-    Both hold for the composable pairs of a groupoid whose composites are
-    typed (see germs.validate_groupoid).  O(sum over a of |col a| |row a|).
-    """
-    for a in gens:
-        row_a = rows[a]
-        if not row_a:
-            continue
-        # of one key, itemgetter returns an entry, not a tuple, on both sides
-        xa_y = itemgetter(*row_a)             # row of xa -> ((xa)y for y)
-        x_ay = itemgetter(*row_a.values())    # row of x -> (x(ay) for y)
-        for x, xa in cols[a].items():
-            if xa_y(rows[xa]) != x_ay(rows[x]):
-                return False
-    return True
-
-
 def tabulate(items, mul, gens):
     """Cayley table of the semigroup items, read off the generators gens.
 

@@ -228,18 +228,30 @@ def first_non_associative(elements, table):
 def groupoid_associativity_failure(source, target, compose):
     """The least composable triple (a, b, c) in index order with
     (ab)c != a(bc), or None; walks every composable triple.  compose must be
-    defined on exactly the composable pairs."""
+    rows, compose[a] = {b: ab}, defined on exactly the composable pairs."""
     n = len(source)
     by_target = {}
     for b in range(n):
         by_target.setdefault(target[b], []).append(b)
     for a in range(n):
         for b in by_target[source[a]]:
-            ab = compose[(a, b)]
+            ab = compose[a][b]
             for c in by_target[source[b]]:
-                if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
+                if compose[ab][c] != compose[a][compose[b][c]]:
                     return a, b, c
     return None
+
+
+def compose_by_pairs(source, target, mul):
+    """{(a, b): mul(a, b)} over the composable pairs, source[a] == target[b],
+    found by trying all n^2 pairs in index order."""
+    n = len(source)
+    return {(a, b): mul(a, b) for a in range(n) for b in range(n) if source[a] == target[b]}
+
+
+def isotropy_by_scan(G, u):
+    """The isotropy group at the unit u, in index order; scans every arrow."""
+    return tuple(a for a in range(len(G.arrows)) if G.source[a] == u and G.target[a] == u)
 
 
 def generalized_inverses(elements, table):
@@ -273,7 +285,7 @@ def phi_not_multiplicative(theta, ring):
         for j in range(len(cp.basis)):
             k = cp.mono_mul(i, j)
             a, b = arrow_of[i], arrow_of[j]
-            ab = G.compose.get((a, b)) if G.composable(a, b) else None
+            ab = G.compose[a].get(b)
             if (arrow_of[k] if k is not None else None) != ab:
                 return i, j
     return None
@@ -427,7 +439,8 @@ def groupoids_isomorphic(G, H, max_arrows=7):
             (H.source[b], H.target[b], H.inverse[b])
             == (amap[G.source[a]], amap[G.target[a]], amap[G.inverse[a]])
             for a, b in enumerate(amap)
-        ) and all(H.compose[(amap[a], amap[b])] == amap[c] for (a, b), c in G.compose.items()):
+        ) and all(H.compose[amap[a]][amap[b]] == amap[c]
+                  for a, row in enumerate(G.compose) for b, c in row.items()):
             return True
     return False
 

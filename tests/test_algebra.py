@@ -458,10 +458,11 @@ def _add_non_unit(G):
 
 
 def _reroute_compose(G):
-    compose = dict(G.compose)
-    key = next(k for k in compose if k[0] not in G.units)
-    compose[key] = (compose[key] + 1) % len(G.arrows)
-    return dataclasses.replace(G, compose=compose)
+    compose = [dict(row) for row in G.compose]
+    a = next(a for a in range(len(compose)) if a not in G.units)
+    b = next(iter(compose[a]))
+    compose[a][b] = (compose[a][b] + 1) % len(G.arrows)
+    return dataclasses.replace(G, compose=tuple(compose))
 
 
 def _repoint_source(G):

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from itertools import product
 
 import oracles
 import pytest
 
-from germkit import catalog, germs, invsemi, paction
+from germkit import catalog, germs, graph, invsemi, paction
 
 
 def test_germ_relation_trivial_for_group_actions():
@@ -45,15 +46,15 @@ def test_validate_groupoid_pair():
 
 def test_validate_groupoid_rejects_bad_associativity():
     G = catalog.pair_groupoid(2)
-    bad = dict(G.compose)
+    bad = [dict(row) for row in G.compose]
     # deliberately corrupt one composite to a differently-typed arrow
-    (a, b), c = next(iter(sorted(bad.items())))
+    a, (b, c) = 0, min(bad[0].items())
     other = next(
         x
         for x in range(len(G.arrows))
         if x != c and (G.source[x] != G.source[c] or G.target[x] != G.target[c])
     )
-    bad[(a, b)] = other
+    bad[a][b] = other
     with pytest.raises(germs.GroupoidError):
         germs.validate_groupoid(G.arrows, G.units, G.source, G.target, G.inverse, bad)
 
@@ -72,10 +73,10 @@ def test_germ_quotient_is_congruence():
             (a, b)
             for a in range(len(gg.groupoid.arrows))
             for b in range(len(gg.groupoid.arrows))
-            if (a, b) in gg.groupoid.compose
+            if b in gg.groupoid.compose[a]
         ]
         for a, b in rng.sample(pairs, min(len(pairs), 40)):
-            expect = gg.groupoid.compose[(a, b)]
+            expect = gg.groupoid.compose[a][b]
             for s, x in members[a]:
                 for t, y in members[b]:
                     if x == theta.theta(t, y):
@@ -279,7 +280,7 @@ def test_universal_property_quotient_to_group_image():
         source=tuple([e] * n),
         target=tuple([e] * n),
         inverse=gi.group.inverse,
-        compose={(a, b): gi.group.mul(a, b) for a in range(n) for b in range(n)},
+        compose=[{b: gi.group.mul(a, b) for b in range(n)} for a in range(n)],
     )
     sigma = {s: frozenset([gi.class_of[s]]) for s in range(len(S))}
     phi_map = {x: e for x in range(len(theta.carrier))}
@@ -324,10 +325,7 @@ def test_iso_search_distinguishes_isotropy():
         source=(0, 0, 2, 2),
         target=(0, 0, 2, 2),
         inverse=(0, 1, 2, 3),
-        compose={
-            (0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0,
-            (2, 2): 2, (2, 3): 3, (3, 2): 3, (3, 3): 2,
-        },
+        compose=({0: 0, 1: 1}, {0: 1, 1: 0}, {2: 2, 3: 3}, {2: 3, 3: 2}),
     )
     assert germs.groupoid_iso_search(catalog.pair_groupoid(2), z2z2) is None
 
@@ -348,14 +346,14 @@ def _z3():
         source=(0, 0, 0),
         target=(0, 0, 0),
         inverse=(0, 2, 1),
-        compose={(a, b): (a + b) % 3 for a in range(3) for b in range(3)},
+        compose=[{b: (a + b) % 3 for b in range(3)} for a in range(3)],
     )
 
 
 def _pair2(**changes):
     G = catalog.pair_groupoid(2)
     fields = dict(arrows=G.arrows, units=G.units, source=G.source, target=G.target,
-                  inverse=G.inverse, compose=dict(G.compose))
+                  inverse=G.inverse, compose=[dict(row) for row in G.compose])
     fields.update(changes)
     return fields
 
@@ -369,36 +367,36 @@ def _raises(fields):
 def test_validate_groupoid_witness_missing_composable_pair():
     # pair groupoid on 2 units: arrows (1|1), (1|2), (2|1), (2|2) are 0..3
     f = _pair2()
-    del f["compose"][(1, 2)]
+    del f["compose"][1][2]
     assert _raises(f) == ("compose defined on wrong pair ((1|2), (2|1))", (1, 2))
 
 
 def test_validate_groupoid_witness_extra_pair():
     f = _pair2()
-    f["compose"][(0, 2)] = 2
+    f["compose"][0][2] = 2
     assert _raises(f) == ("compose defined on wrong pair ((1|1), (2|1))", (0, 2))
 
 
 def test_validate_groupoid_wrong_pair_witness_is_least_mismatch():
     f = _pair2()
-    del f["compose"][(2, 0)]
-    f["compose"][(1, 0)] = 1
+    del f["compose"][2][0]
+    f["compose"][1][0] = 1
     assert _raises(f) == ("compose defined on wrong pair ((1|2), (1|1))", (1, 0))
     f = _pair2()
-    del f["compose"][(1, 2)]
-    f["compose"][(3, 0)] = 2
+    del f["compose"][1][2]
+    f["compose"][3][0] = 2
     assert _raises(f) == ("compose defined on wrong pair ((1|2), (2|1))", (1, 2))
 
 
 def test_validate_groupoid_witness_badly_typed_composite():
     f = _pair2()
-    f["compose"][(1, 2)] = 1
+    f["compose"][1][2] = 1
     assert _raises(f) == ("composite (1|2)*(2|1) badly typed", (1, 2))
 
 
 def test_validate_groupoid_witness_unit_not_identity():
     f = _z3()
-    f["compose"][(1, 0)] = 0
+    f["compose"][1][0] = 0
     assert _raises(f) == ("units do not act as identities at g", 1)
 
 
@@ -416,11 +414,11 @@ def test_validate_groupoid_witness_inverse_not_inverse():
 
 def test_validate_groupoid_witness_non_associative_triple():
     f = _z3()
-    f["compose"][(1, 1)] = 0
+    f["compose"][1][1] = 0
     comp = f["compose"]
     first = next(
         (a, b, c) for a in range(3) for b in range(3) for c in range(3)
-        if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]
+        if comp[comp[a][b]][c] != comp[a][comp[b][c]]
     )
     assert first == (1, 1, 2)
     assert _raises(f) == ("composition is not associative", (1, 1, 2))
@@ -433,10 +431,18 @@ def test_validate_groupoid_accepts_unmutated_fixtures():
 
 @pytest.mark.parametrize("key", [(-1, 2), (2, -1), (4, 0), (0, 4)])
 def test_validate_groupoid_rejects_out_of_range_compose_key(key):
-    # a negative index would otherwise be read as a real arrow
+    # a negative index would otherwise be read as a real arrow; rows cannot
+    # hold a row index out of range, so (-1, 2) and (4, 0) become a rows
+    # tuple one row short and one row long
+    a, b = key
     f = _pair2()
-    f["compose"][key] = 0
-    assert _raises(f) == ("compose key out of range", key)
+    if 0 <= a < 4:
+        f["compose"][a][b] = 0
+        assert _raises(f) == ("compose key out of range", key)
+    else:
+        f["compose"] = f["compose"][:3] if a < 0 else f["compose"] + [{b: 0}]
+        rows = len(f["compose"])
+        assert _raises(f) == (f"compose has {rows} rows, not one per arrow", rows)
 
 
 def test_validate_groupoid_rejects_inverse_of_wrong_type():
@@ -507,7 +513,7 @@ def test_germ_groupoid_of_self_action_i4(self_action_i4):
     G = self_action_i4
     assert len(G.arrows) == 3809
     assert len(G.units) == 209
-    assert len(G.compose) == 79745
+    assert sum(map(len, G.compose)) == 79745
 
 
 def test_compose_table_is_composable_pairs_in_order():
@@ -516,9 +522,9 @@ def test_compose_table_is_composable_pairs_in_order():
         n = len(G.arrows)
         brute = [(a, b) for a in range(n) for b in range(n) if G.source[a] == G.target[b]]
         table = germs.compose_table(G.source, G.target, lambda a, b: (b, a))
-        assert list(table) == brute, name
-        assert all(table[(a, b)] == (b, a) for a, b in brute)
-        assert list(G.compose) == brute, name
+        assert [(a, b) for a, row in enumerate(table) for b in row] == brute, name
+        assert all(table[a][b] == (b, a) for a, b in brute)
+        assert [(a, b) for a, row in enumerate(G.compose) for b in row] == brute, name
 
 
 # --- isomorphism by orbit structure: shuffled copies and the bijection oracle ---------
@@ -530,13 +536,16 @@ def _shuffled(G, seed):
     while len(new) > 1 and new == sorted(new):
         rng.shuffle(new)
     old = sorted(range(len(new)), key=new.__getitem__)
+    compose = [None] * len(new)
+    for a, row in enumerate(G.compose):
+        compose[new[a]] = {new[b]: new[c] for b, c in row.items()}
     return germs.validate_groupoid(
         [G.arrows[a] for a in old],
         [new[u] for u in G.units],
         [new[G.source[a]] for a in old],
         [new[G.target[a]] for a in old],
         [new[G.inverse[a]] for a in old],
-        {(new[a], new[b]): new[c] for (a, b), c in G.compose.items()},
+        compose,
     )
 
 
@@ -625,15 +634,14 @@ def test_iso_search_tells_swapped_isotropy_groups_apart():
 # --- associativity by Light's test: generation, corrupted composites, the oracle ------
 
 def _derived_generators(G):
-    rows, cols = invsemi.partial_rows(len(G.arrows), G.compose)
-    return invsemi.partial_generating_set(rows, cols)
+    return germs.partial_generating_set(G.compose, G.source, G.target)
 
 
 def _generated(G, gens):
     """Every arrow that is a product of arrows in gens."""
     reached = set(gens)
     while True:
-        new = {G.compose[(x, y)] for x in reached for y in reached if G.composable(x, y)}
+        new = {G.compose[x][y] for x in reached for y in reached if G.composable(x, y)}
         if new <= reached:
             return reached
         reached |= new
@@ -681,8 +689,8 @@ def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
     def corrupted(source, target, mul):
         # [g2,2][g2,2] = [g4,2] becomes [g2,2]: the first square that is no unit
         table = compose_table(source, target, mul)
-        h = next(a for a, _ in table if table.get((a, a), source[a]) != source[a])
-        table[(h, h)] = h
+        h = next(a for a, row in enumerate(table) if row.get(a, source[a]) != source[a])
+        table[h][h] = h
         built.append((source, target, table))
         return table
 
@@ -709,13 +717,13 @@ def _corrupted(G, seed):
     hom = {}
     for c in range(len(G.arrows)):
         hom.setdefault((G.source[c], G.target[c]), []).append(c)
-    pairs = [(a, b) for (a, b), c in G.compose.items()
+    pairs = [(a, b) for a, row in enumerate(G.compose) for b, c in row.items()
              if a not in units and b not in units and b != G.inverse[a]
              and len(hom[(G.source[c], G.target[c])]) > 1]
     a, b = rng.choice(pairs)
-    ab = G.compose[(a, b)]
-    compose = dict(G.compose)
-    compose[(a, b)] = rng.choice([c for c in hom[(G.source[ab], G.target[ab])] if c != ab])
+    ab = G.compose[a][b]
+    compose = [dict(row) for row in G.compose]
+    compose[a][b] = rng.choice([c for c in hom[(G.source[ab], G.target[ab])] if c != ab])
     return dict(arrows=G.arrows, units=G.units, source=G.source, target=G.target,
                 inverse=G.inverse, compose=compose)
 
@@ -749,4 +757,90 @@ def test_germ_groupoid_of_munn_action_i5():
     G = germs.groupoid_of_germs(invsemi.munn_representation(S5)).groupoid
     assert len(G.arrows) == 1546
     assert len(G.units) == 32
-    assert len(G.compose) == 126526
+    assert sum(map(len, G.compose)) == 126526
+
+
+# --- composition rows against the pair scan; isotropy; round trips; memory ----------
+
+def _principal_product(G):
+    """ab read off the ends alone: the one arrow from s(b) to t(a)."""
+    between = {(G.source[c], G.target[c]): c for c in range(len(G.arrows))}
+    assert len(between) == len(G.arrows)
+    return lambda a, b: between[(G.source[b], G.target[a])]
+
+
+def _germ_product(gg):
+    """[s, x][t, y] = [st, y], on the classes' representatives."""
+    S = gg.action.semigroup
+
+    def mul(a, b):
+        (s, _), (t, y) = gg.reps[a], gg.reps[b]
+        return gg.germ(S.mul(s, t), y)
+
+    return gg.groupoid, mul
+
+
+def _with_product(name, request):
+    """A groupoid germkit builds, and its product from what it was built of."""
+    if name in ("pair", "boundary-edge", "self-I4"):
+        G = request.getfixturevalue("self_action_i4") if name == "self-I4" else catalog.groupoid(name)
+        return G, _principal_product(G)
+    if name == "munn-I4":
+        S4, _ = invsemi.symmetric_inverse_semigroup(4)
+        return _germ_product(germs.groupoid_of_germs(invsemi.munn_representation(S4)))
+    if name.startswith("rp-"):
+        S = invsemi.symmetric_inverse_semigroup(4)[0] if name == "rp-I4" else catalog.semigroup(name[3:])
+        return invsemi.restricted_product_groupoid(S), S.mul
+    action = "z2-trivial-pt" if name == "z2-one-unit" else name.removeprefix("germ-")
+    return _germ_product(germs.groupoid_of_germs(catalog.action(action)))
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names() + ["munn-I4", "self-I4", "rp-I4"])
+def test_compose_rows_match_pair_scan_oracle(name, request):
+    G, mul = _with_product(name, request)
+    pairs = oracles.compose_by_pairs(G.source, G.target, mul)
+    assert len(G.compose) == len(G.arrows)
+    assert [(a, b) for a, row in enumerate(G.compose) for b in row] == list(pairs)
+    assert {(a, b): c for a, row in enumerate(G.compose) for b, c in row.items()} == pairs
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names() + ["self-I4"])
+def test_isotropy_report_matches_per_unit_scan(name, request):
+    G = request.getfixturevalue("self_action_i4") if name == "self-I4" else catalog.groupoid(name)
+    iso = germs.isotropy_report(G).iso_groups
+    assert list(iso) == list(G.units)
+    assert iso == {u: oracles.isotropy_by_scan(G, u) for u in G.units}
+
+
+def _every_built_groupoid():
+    yield from (catalog.groupoid(name) for name in _catalog_groupoid_names())
+    yield from (invsemi.restricted_product_groupoid(catalog.semigroup(name))
+                for name in catalog.SEMIGROUP_NAMES)
+    for name in catalog.GRAPH_NAMES:
+        g = catalog.graphs(name)
+        if not graph.has_cycle(g):
+            G, germ, _, _ = graph.boundary_groupoid(g)
+            yield from (G, germ.groupoid)
+
+
+def test_validate_groupoid_round_trips_its_own_fields():
+    # validate_groupoid(G.arrows, ..., G.compose) is how a caller re-checks
+    # a groupoid it holds; it must accept the stored fields and give back G
+    built = list(_every_built_groupoid())
+    assert len(built) > 30
+    for G in built:
+        again = germs.validate_groupoid(G.arrows, G.units, G.source, G.target, G.inverse, G.compose)
+        assert again == G
+
+
+def test_germ_groupoid_of_self_action_i4_stays_small():
+    # rows hold each composite once: no pair-keyed table, no copy of it
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = invsemi.canonical_self_action(S4)
+    tracemalloc.start()
+    try:
+        germs.groupoid_of_germs(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000

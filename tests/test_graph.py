@@ -169,6 +169,20 @@ def test_condition_l_matches_simple_cycle_oracle():
     assert 50 < failing < len(graphs) - 50
 
 
+def test_witness_loop_vertices_each_have_one_out_edge():
+    # why graph_analyze reports witness_isolated_cylinder as true unchecked
+    rng = random.Random(22)
+    failing = 0
+    for _ in range(2000):
+        g = _random_graph(rng)
+        flag, witness = gr.is_condition_L(g)
+        if not flag:
+            failing += 1
+            assert all(len(g.out_edges(g.esrc[e])) == 1 for e in witness.edges), g
+            assert gr.graph_analyze(g)["witness_isolated_cylinder"] is True
+    assert failing > 100
+
+
 def test_boundary_enumerate():
     assert [gr.fmt_path(EDGE, p) for p in gr.boundary_enumerate(EDGE)] == ["w", "e"]
     assert gr.boundary_enumerate(LOOP) is None

@@ -260,13 +260,13 @@ def test_munn_validates_for_all_catalog():
 def test_restricted_product_of_group_is_one_unit():
     rp = invsemi.restricted_product_groupoid(Z3)
     assert len(rp.units) == 1
-    assert len(rp.compose) == 9
+    assert sum(map(len, rp.compose)) == 9
 
 
 def test_restricted_product_of_semilattice_units_only():
     rp = invsemi.restricted_product_groupoid(CHAIN2)
     assert set(rp.units) == {0, 1}
-    assert set(rp.compose) == {(0, 0), (1, 1)}
+    assert [set(row) for row in rp.compose] == [{0}, {1}]
 
 
 def test_restricted_product_composable_count_i2():
@@ -281,7 +281,7 @@ def test_restricted_product_composable_count_i2():
     )
     assert expected == 13
     rp = invsemi.restricted_product_groupoid(S)
-    assert len(rp.compose) == expected
+    assert sum(map(len, rp.compose)) == expected
 
 
 def test_self_action_is_global_and_free():
