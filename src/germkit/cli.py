@@ -230,7 +230,10 @@ def build_graph_coe(doc, E, F):
         {key: _int(n, f"{field}[{key!r}]") for key, n in _object(doc[field], field).items()}
         for field in ("k", "l", "kprime", "lprime")
     )
-    return T, Tinv, *cocycles, _int(doc["depth"], "depth")
+    depth = _int(doc["depth"], "depth")
+    if depth < 1:
+        raise ParseError(f"depth is {depth}, not an integer >= 1")
+    return T, Tinv, *cocycles, depth
 
 
 def _catalog(kind, name):
@@ -659,7 +662,7 @@ def make_parser():
     q.add_argument("graph_e")
     q.add_argument("graph_f")
     q.add_argument("coe")
-    q.add_argument("--depth", type=int)
+    q.add_argument("--depth", type=_limit)
     q.set_defaults(fn=cmd_graph_coe_verify)
     q = gs.add_parser("coe-search")
     q.add_argument("graph_e")

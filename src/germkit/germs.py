@@ -5,8 +5,9 @@ Arrows are indexed; source/target of an arrow are indices of unit arrows.
 Composition is held as rows, compose[a] = {b: ab} over exactly the b with
 t(b) = s(a), the layout of a semigroup's S.table[a][b] cut down to the
 composable pairs; it is built and checked one row at a time, and
-associativity is Light's test over a generating set of arrows read off the
-rows, with the triple scan kept for the least witness of a failure.  A
+associativity is Light's test over the generating set G.gens that
+`invsemi.closure` reads off the rows, with the triple scan kept for the
+least witness of a failure; homomorphisms are checked over G.gens too.  A
 germ class is keyed by (s e_x, x); the tests check that key against the
 paper's relation, (s, x) ~ (t, x) iff se = te for some idempotent e with x
 in X_e (`germ_equivalent` in tests/oracles.py).  On finite discrete
@@ -14,7 +15,7 @@ groupoids every subset is compact-open, so the open and ample bisection
 semigroups coincide and only the latter is exposed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import count
 from operator import itemgetter
@@ -49,6 +50,7 @@ class FiniteGroupoid:
     target: tuple   # arrow -> unit arrow index (the range map)
     inverse: tuple
     compose: tuple  # rows: compose[a] = {b: ab}, over exactly the b with source[a] == target[b]
+    gens: tuple = field(kw_only=True, compare=False, repr=False)
 
     def __len__(self):
         return len(self.arrows)
@@ -73,42 +75,6 @@ def compose_table(source, target, mul):
     with target[b] == source[a], in increasing b; one step per composable pair."""
     by_target = _arrows_by(target)
     return tuple({b: mul(a, b) for b in by_target.get(u, ())} for a, u in enumerate(source))
-
-
-def partial_generating_set(compose, source, target):
-    """Arrows that generate the groupoid with rows compose by left-normed
-    products, as `invsemi.generating_set` finds them for a table.
-
-    Arrows are scanned by descending row length, ties by index.  One joins
-    the set when the closure of the set so far under right products does
-    not yet reach it, so every arrow is a left-normed product of the set.
-    Each composite is read at most twice, from the row of its left factor
-    and, for a generator s, from its column, the arrows with source t(s);
-    so the cost is the size of compose, whatever |A| is.
-    """
-    n = len(compose)
-    by_source = _arrows_by(source)
-    reached = [False] * n
-    is_gen = [False] * n
-    gens = []
-    for s in sorted(range(n), key=lambda s: -len(compose[s])):  # stable: ties by index
-        if reached[s]:
-            continue
-        gens.append(s)
-        is_gen[s] = reached[s] = True
-        fresh = [s]
-        for c in by_source[target[s]]:  # c s for every c reached so far
-            if reached[c]:
-                p = compose[c][s]
-                if not reached[p]:
-                    reached[p] = True
-                    fresh.append(p)
-        for c in fresh:  # fresh grows while it is scanned
-            for a, p in compose[c].items():
-                if is_gen[a] and not reached[p]:
-                    reached[p] = True
-                    fresh.append(p)
-    return gens
 
 
 def partial_light_test(compose, source, target, gens):
@@ -145,10 +111,10 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     an arrow with s(ab) = s(b) and t(ab) = t(a).  So every check but
     associativity costs O(|compose|).
 
-    Associativity is Light's test over a generating set A of arrows
-    (`partial_light_test`): (xa)y = x(ay) for a in A, s(x) = t(a) and
-    t(y) = s(a).  A is derived from compose itself by the greedy closure of
-    `partial_generating_set`, so that every arrow is a product of A is
+    Associativity is Light's test (`partial_light_test`), (xa)y = x(ay) for
+    a in A, s(x) = t(a) and t(y) = s(a), over A = G.gens, the
+    `invsemi.closure` of compose scanned by descending row length, ties by
+    index.  So that every arrow is a left-normed product of A is
     established, not assumed: spanning arrows or isotropy generators
     presuppose the associativity under test.  The test is exact:
     - by the earlier checks, compose is defined exactly on the composable
@@ -205,7 +171,8 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
             raise GroupoidError(f"inverse is not an involution at {arrows[a]}", a)
         if compose[inverse[a]].get(a) != source[a] or compose[a].get(inverse[a]) != target[a]:
             raise GroupoidError(f"a^-1 a != s(a) at {arrows[a]}", a)
-    gens = partial_generating_set(compose, source, target)
+    order = sorted(range(n), key=lambda a: -len(compose[a]))  # stable: ties by index
+    gens, _ = invsemi.closure(compose, order, source, target)
     if not partial_light_test(compose, source, target, [a for a in gens if a not in unit_set]):
         # only reached when composition is not associative: its least triple
         for a in range(n):
@@ -215,7 +182,7 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
                 for c in by_target[source[b]]:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise GroupoidError("composition is not associative", (a, b, c))
-    return FiniteGroupoid(arrows, units, source, target, inverse, compose)
+    return FiniteGroupoid(arrows, units, source, target, inverse, compose, gens=tuple(gens))
 
 
 # --- groupoid of germs ------------------------------------------------------------
@@ -488,12 +455,36 @@ def induced_groupoid_hom(germ, H, sigma, phi_map):
         if src_of[s][phi_map[x]] != psi[arrow]:
             raise GroupoidError("induced map is not constant on germ classes", (s, x))
     G = germ.groupoid
-    for a, row in enumerate(G.compose):
-        row_h = H.compose[psi[a]]
-        for b, c in row.items():
-            if row_h.get(psi[b]) != psi[c]:
-                raise GroupoidError("induced map is not a homomorphism", (a, b))
+    if not _hom_over_gens(G, H, psi):
+        # only reached when psi is no homomorphism: its least pair
+        for a, row in enumerate(G.compose):
+            row_h = H.compose[psi[a]]
+            for b, c in row.items():
+                if row_h.get(psi[b]) != psi[c]:
+                    raise GroupoidError("induced map is not a homomorphism", (a, b))
     return psi
+
+
+def _hom_over_gens(G, H, f):
+    """Whether f(ag) = f(a)f(g), defined in H, for every g in G.gens and
+    every a with ag defined: O(|G.gens| columns), not O(|compose|).
+
+    This decides f(ab) = f(a)f(b) for every composable pair once G and H
+    are validated (associative, composites typed).  Every arrow b is a
+    generator or b = wg, g in G.gens and w reached before b by
+    `invsemi.closure`.  By induction on that order, ab = (aw)g with both
+    products defined, so f(ab) = f(aw)f(g) = (f(a)f(w))f(g) =
+    f(a)(f(w)f(g)) = f(a)f(wg): the check at (aw, g), induction at (a, w),
+    H's associativity (the left side is defined, so is the right) and the
+    check at (w, g).
+    """
+    by_source = _arrows_by(G.source)
+    for g in G.gens:
+        fg = f[g]
+        for a in by_source[G.target[g]]:
+            if H.compose[f[a]].get(fg) != f[G.compose[a][g]]:
+                return False
+    return True
 
 
 # --- isomorphism by orbit structure -------------------------------------------------
@@ -512,6 +503,8 @@ class GroupoidIso:
 
 
 def verify_groupoid_iso(iso):
+    """Whether iso.arrow_map is a bijection of the arrows that preserves
+    source, target, inverse and, checked over G.gens, products."""
     G, H, amap = iso.source, iso.target, iso.arrow_map
     if sorted(amap) != list(range(len(H.arrows))) or len(amap) != len(G.arrows):
         return False
@@ -520,12 +513,7 @@ def verify_groupoid_iso(iso):
             return False
         if amap[G.inverse[a]] != H.inverse[amap[a]]:
             return False
-    for a, row in enumerate(G.compose):
-        row_h = H.compose[amap[a]]
-        for b, c in row.items():
-            if row_h[amap[b]] != amap[c]:
-                return False
-    return True
+    return _hom_over_gens(G, H, amap)
 
 
 def _orbits(G):
@@ -569,13 +557,15 @@ def _close(K, L, f, gens):
 
 def _group_iso(K, L, tick):
     """An isomorphism {position: position} between the groups K and L of
-    `_group`, or None.  Generator g_k of `invsemi.generating_set` is not in
-    <g_1..g_{k-1}>, so it goes to each element of its order outside the image
-    of that subgroup in index order, which sends K against itself to the identity."""
+    `_group`, or None.  Generator g_k of K's `invsemi.closure`, scanned in
+    index order, is not in <g_1..g_{k-1}>, so it goes to each element of its
+    order outside the image of that subgroup in index order, which sends K
+    against itself to the identity."""
     (tk, ok), (tl, ol) = K, L
     if sorted(ok) != sorted(ol):
         return None
-    gens = invsemi.generating_set(tk)
+    one_unit = (0,) * len(tk)
+    gens, _ = invsemi.closure(tk, range(len(tk)), one_unit, one_unit)
 
     def extend(f, k):
         if f is None or k == len(gens):

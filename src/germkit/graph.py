@@ -1038,8 +1038,11 @@ def verify_graph_coe(E, F, T, Tinv, k, l, kprime, lprime, depth):
     boundary of E (keyed by formatted range path) to naturals, constant per
     atom; likewise kprime, lprime on F.  Exact for sink-rooted atoms; for
     cylinder atoms the comparison is exact whenever the runs align within the
-    depth, and is otherwise reported as undetermined.
+    depth, and is otherwise reported as undetermined.  At a depth below 1 no
+    atom would be checked, so it raises DepthTooSmall.
     """
+    if depth < 1:
+        raise DepthTooSmall(f"depth {depth} < 1", depth)
     ri = validate_transducer(T)
     rj = validate_transducer(Tinv)
     ok, witness = _invertible_upto(T, Tinv, ri, rj, depth)

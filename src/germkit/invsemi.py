@@ -78,13 +78,15 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
     Rejects non-associative tables and tables where some element lacks a
     unique generalized inverse, with the first witness in index order.
     Associativity is Light's test, (xa)y = x(ay) for all x, y and each a in
-    a generating set A, so it costs O(n^2 |A|).  A is `gens` when given
-    (the generators `tabulate` filled the table from), else it is read off
-    the table.  The least triple (i, j, k) with (ij)k != i(jk) is searched
-    for only once the test has failed.  Inverses are read along A in
-    O(n |A|) (`_inverses_along`); only a table that is not inverse is
-    scanned for the least element without a unique inverse.  A is kept as
-    `S.gens`, so partial actions of S can be checked over it.
+    a generating set A, so it costs O(n^2 |A|).  A and the walk reaching
+    every element from it are the `closure` of the table scanned by
+    descending |sS| (distinct entries in row s), ties by index; or, with
+    `gens` (the generators `tabulate` filled the table from), scanned from
+    them, then by index, so the first index to join is the least they miss.
+    The least triple (i, j, k) with (ij)k != i(jk) is searched for only
+    once the test has failed.  Inverses are read along the walk in O(n |A|)
+    (`_inverses_along`); only a table that is not inverse is scanned for the
+    least element without a unique inverse.  A is kept as `S.gens`.
     """
     n = len(elements)
     elements = tuple(elements)
@@ -98,9 +100,19 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
         if not valid.issuperset(row):
             j = next(j for j, x in enumerate(row) if x not in valid)
             raise SemigroupError("table entry out of range", (i, j))
-    gens = generating_set(tbl) if gens is None else list(dict.fromkeys(gens))
-    steps = _right_steps(tbl, gens)
-    if not _light_test(tbl, gens):
+    if gens is None:  # every index is a candidate, so none is an outsider
+        given, order = frozenset(range(n)), sorted(range(n), key=lambda s: (-len(set(tbl[s])), s))
+    else:
+        given, order = frozenset(gens), [*gens, *range(n)]
+    one_unit = (0,) * n
+    gens, steps = closure(tbl, order, one_unit, one_unit)
+    # a given generator the others reach does not join: that loses nothing
+    # on an associative table, so Light's test decides first then
+    outsider = next((a for a in gens if a not in given), None)
+    associative = _light_test(tbl, gens)
+    if outsider is not None and (associative or given.issubset(gens)):
+        raise SemigroupError("gens do not generate the table", outsider)
+    if not associative:
         # only reached on a non-associative table: find its least witness
         for i in range(n):
             for j in range(n):
@@ -142,29 +154,6 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
     below = tuple(sum(1 << s for s in set(pick(row))) for row in tbl)
     return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero,
                             below=below, gens=tuple(gens))
-
-
-def _right_steps(tbl, gens):
-    """(x, a, y) with y = x a, the first step reaching each y not in gens,
-    breadth-first from gens; raises SemigroupError if gens do not generate."""
-    reached = [False] * len(tbl)
-    for a in gens:
-        reached[a] = True
-    steps = []
-    frontier = list(gens)
-    for x in frontier:  # frontier grows while it is scanned
-        if len(frontier) == len(tbl):
-            break
-        row = tbl[x]
-        for a in gens:
-            y = row[a]
-            if not reached[y]:
-                reached[y] = True
-                steps.append((x, a, y))
-                frontier.append(y)
-    if len(frontier) < len(tbl):
-        raise SemigroupError("gens do not generate the table", reached.index(False))
-    return steps
 
 
 def _inverse_candidates(tbl, i, col_i):
@@ -218,38 +207,48 @@ def _positions(seq, x):
         return
 
 
-def generating_set(tbl):
-    """Indices that generate the magma tbl by left-normed products.
+def closure(rows, order, source, target):
+    """(gens, steps): a generating set of the rows by left-normed products,
+    and the walk that reaches every other element from it.
 
-    Elements are scanned by descending |sS| (distinct entries in row s), ties
-    by index.  One joins the set when the closure of the set so far under
-    right multiplication by it does not yet reach that element, so the
-    closure ends as everything; O(n^2) for the scan, O(n * |A|) for the
-    closure.
+    rows[c][a] is the product ca, defined iff source[c] == target[a]; a
+    Cayley table is the case of one unit, source = target = (0,) * n, and
+    the rows of a groupoid's composition are the case of many.  Elements are
+    scanned in order; one joins gens when the closure of gens so far under
+    right products does not reach it, so the closure ends as everything.
+    Every other element p gets one step (c, a, p) with p = ca, a in gens and
+    c reached before p.  Row c is read only at the gens a with target[a] ==
+    source[c], and a new generator s only multiplies the reached c with
+    source[c] == target[s], so each product is read at most twice.
     """
-    reached = [False] * len(tbl)
-    closure = []
-    gens = []
-    for s in sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s)):
+    reached = [False] * len(rows)
+    gens, steps = [], []
+    gens_into = {}     # unit u -> the gens a with target[a] == u
+    reached_from = {}  # unit u -> the reached c with source[c] == u
+    for s in order:
         if reached[s]:
             continue
         gens.append(s)
+        gens_into.setdefault(target[s], []).append(s)
         reached[s] = True
         fresh = [s]
-        for c in closure:
-            p = tbl[c][s]
+        for c in reached_from.get(target[s], ()):
+            p = rows[c][s]
             if not reached[p]:
                 reached[p] = True
+                steps.append((c, s, p))
                 fresh.append(p)
         for c in fresh:  # fresh grows while it is scanned
-            row = tbl[c]
-            for a in gens:
+            row = rows[c]
+            for a in gens_into.get(source[c], ()):
                 p = row[a]
                 if not reached[p]:
                     reached[p] = True
+                    steps.append((c, a, p))
                     fresh.append(p)
-        closure += fresh
-    return gens
+        for c in fresh:
+            reached_from.setdefault(source[c], []).append(c)
+    return gens, steps
 
 
 def _light_test(tbl, gens):

@@ -98,6 +98,10 @@ def validate_partial_action(semigroup, carrier, domains, maps):
         for x in d:
             if not 0 <= x < npts:
                 raise ActionError("domain point out of range", x)
+    for s, d in enumerate(domains):
+        if len(set(d)) < len(d):  # d is sorted, so a repeat is adjacent
+            x = next(x for x, y in zip(d, d[1:]) if x == y)
+            raise ActionError(f"X_{S.name(s)} lists point {carrier[x]} twice", (s, x))
     graphs = []
     for s in range(n):
         theta = dict(maps[s])

@@ -445,6 +445,133 @@ def groupoids_isomorphic(G, H, max_arrows=7):
     return False
 
 
+def groupoid_iso_by_pairs(iso):
+    """`germs.verify_groupoid_iso` with products checked over every
+    composable pair instead of over the generators of the source."""
+    G, H, amap = iso.source, iso.target, iso.arrow_map
+    if sorted(amap) != list(range(len(H.arrows))) or len(amap) != len(G.arrows):
+        return False
+    for a in range(len(G.arrows)):
+        if H.source[amap[a]] != amap[G.source[a]] or H.target[amap[a]] != amap[G.target[a]]:
+            return False
+        if amap[G.inverse[a]] != H.inverse[amap[a]]:
+            return False
+    for a, row in enumerate(G.compose):
+        row_h = H.compose[amap[a]]
+        for b, c in row.items():
+            if row_h[amap[b]] != amap[c]:
+                return False
+    return True
+
+
+# --- generating sets: the three walks that invsemi.closure replaced ------------
+
+def generating_set(tbl):
+    """Indices that generate the magma tbl by left-normed products.
+
+    Elements are scanned by descending |sS| (distinct entries in row s), ties
+    by index.  One joins the set when the closure of the set so far under
+    right multiplication by it does not yet reach that element, so the
+    closure ends as everything; O(n^2) for the scan, O(n * |A|) for the
+    closure.
+    """
+    reached = [False] * len(tbl)
+    closure = []
+    gens = []
+    for s in sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s)):
+        if reached[s]:
+            continue
+        gens.append(s)
+        reached[s] = True
+        fresh = [s]
+        for c in closure:
+            p = tbl[c][s]
+            if not reached[p]:
+                reached[p] = True
+                fresh.append(p)
+        for c in fresh:  # fresh grows while it is scanned
+            row = tbl[c]
+            for a in gens:
+                p = row[a]
+                if not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+        closure += fresh
+    return gens
+
+
+def closure_walk_failure(rows, gens, steps):
+    """The first step (c, a, p) of the walk that is wrong, or None: every
+    element not in gens must be reached by exactly one step, with p = ca,
+    a in gens and c in gens or reached by an earlier step; a missing element
+    is reported as (None, None, p)."""
+    gens = set(gens)
+    reached = set(gens)
+    for c, a, p in steps:
+        if c not in reached or a not in gens or rows[c][a] != p or p in reached:
+            return c, a, p
+        reached.add(p)
+    missing = sorted(set(range(len(rows))) - reached)
+    return (None, None, missing[0]) if missing else None
+
+def right_steps(tbl, gens):
+    """(x, a, y) with y = x a, the first step reaching each y not in gens,
+    breadth-first from gens; raises SemigroupError if gens do not generate."""
+    reached = [False] * len(tbl)
+    for a in gens:
+        reached[a] = True
+    steps = []
+    frontier = list(gens)
+    for x in frontier:  # frontier grows while it is scanned
+        if len(frontier) == len(tbl):
+            break
+        row = tbl[x]
+        for a in gens:
+            y = row[a]
+            if not reached[y]:
+                reached[y] = True
+                steps.append((x, a, y))
+                frontier.append(y)
+    if len(frontier) < len(tbl):
+        raise invsemi.SemigroupError("gens do not generate the table", reached.index(False))
+    return steps
+
+
+def partial_generating_set(compose, source, target):
+    """Arrows that generate the groupoid with rows compose by left-normed
+    products, as `generating_set` finds them for a table.
+
+    Arrows are scanned by descending row length, ties by index.  One joins
+    the set when the closure of the set so far under right products does
+    not yet reach it, so every arrow is a left-normed product of the set.
+    Each composite is read at most twice, from the row of its left factor
+    and, for a generator s, from its column, the arrows with source t(s);
+    so the cost is the size of compose, whatever |A| is.
+    """
+    n = len(compose)
+    by_source = germs._arrows_by(source)
+    reached = [False] * n
+    is_gen = [False] * n
+    gens = []
+    for s in sorted(range(n), key=lambda s: -len(compose[s])):  # stable: ties by index
+        if reached[s]:
+            continue
+        gens.append(s)
+        is_gen[s] = reached[s] = True
+        fresh = [s]
+        for c in by_source[target[s]]:  # c s for every c reached so far
+            if reached[c]:
+                p = compose[c][s]
+                if not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+        for c in fresh:  # fresh grows while it is scanned
+            for a, p in compose[c].items():
+                if is_gen[a] and not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+    return gens
+
 # --- dense row reduction over a field ------------------------------------------
 
 def rref(ring, rows):

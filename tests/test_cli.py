@@ -287,6 +287,34 @@ def test_graph_coe_search_then_verify_round_trip(capsys, tmp_path):
     assert code == 0
 
 
+def test_graph_coe_verify_depth_below_1_is_usage_error(capsys, tmp_path):
+    # depth 0 used to drop every atom and print "ok": true with 0 atoms
+    # checked; depth -1 used to fail as "mathematical"
+    doc = json.loads(run(capsys, "graph", "coe-search", "catalog:fan", "catalog:fan")[1])
+    for k in ("command", "ok", "found", "phi"):
+        doc.pop(k)
+    f = tmp_path / "gcoe.json"
+    f.write_text(json.dumps(doc))
+    argv = ["graph", "coe-verify", "catalog:fan", "catalog:fan", str(f), "--depth"]
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, ""), value
+        assert f"must be an integer >= 1, not {value!r}" in err
+    code, out, _ = run(capsys, *argv, "1")
+    assert (code, json.loads(out)["atoms_checked"]) == (0, 4)
+
+
+def test_action_domain_listing_a_point_twice_is_rejected(capsys, tmp_path):
+    doc = _z2_swap_doc()
+    doc["domains"]["g"] = ["x", "y", "y"]
+    f = tmp_path / "action.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(f))
+    assert (code, json.loads(out)) == (1, {
+        "command": "validate", "ok": False, "error": "X_g lists point y twice",
+        "witness": [1, 1], "kind": "mathematical"})
+
+
 def test_graph_coe_search_no_match(capsys):
     code, out, _ = run(capsys, "graph", "coe-search", "catalog:edge", "catalog:fan")
     assert code == 0
@@ -535,6 +563,8 @@ def _edge_coe_doc():
         (("k",), "x", "k is not an object"),
         (("k", "e"), "x", "k['e'] is not an integer"),
         (("lprime", "e"), None, "lprime['e'] is not an integer"),
+        (("depth",), 0, "depth is 0, not an integer >= 1"),
+        (("depth",), -1, "depth is -1, not an integer >= 1"),
     ],
 )
 def test_malformed_graph_coe_document_is_input_error(capsys, tmp_path, path, value, where):

@@ -1,6 +1,7 @@
+import dataclasses
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import oracles
 import pytest
@@ -633,10 +634,6 @@ def test_iso_search_tells_swapped_isotropy_groups_apart():
 
 # --- associativity by Light's test: generation, corrupted composites, the oracle ------
 
-def _derived_generators(G):
-    return germs.partial_generating_set(G.compose, G.source, G.target)
-
-
 def _generated(G, gens):
     """Every arrow that is a product of arrows in gens."""
     reached = set(gens)
@@ -668,13 +665,13 @@ def test_germs_of_gens_need_not_generate_the_germ_groupoid():
     assert S.gens == (0, 1)
     of_gens = {gg.germ(s, x) for s in S.gens for x in theta.dom(s)}
     assert gg.germ(2, 1) not in _generated(G, of_gens)
-    assert _generated(G, _derived_generators(G)) == set(range(len(G.arrows)))
+    assert _generated(G, G.gens) == set(range(len(G.arrows)))
 
 
 @pytest.mark.parametrize("name", _catalog_groupoid_names())
 def test_derived_generators_reach_every_arrow(name):
     G = catalog.groupoid(name)
-    assert _generated(G, _derived_generators(G)) == set(range(len(G.arrows)))
+    assert _generated(G, G.gens) == set(range(len(G.arrows)))
 
 
 def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
@@ -844,3 +841,109 @@ def test_germ_groupoid_of_self_action_i4_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+# --- one closure over generators, and homomorphisms checked over them ---------------
+
+def _named_groupoid(name, request):
+    if name == "munn-I4":
+        return request.getfixturevalue("munn_action_i4")
+    if name == "self-I4":
+        return request.getfixturevalue("self_action_i4")
+    if name == "rp-I4":
+        return invsemi.restricted_product_groupoid(invsemi.symmetric_inverse_semigroup(4)[0])
+    return catalog.groupoid(name)
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names() + ["munn-I4", "self-I4", "rp-I4"])
+def test_groupoid_gens_match_the_walk_they_replaced(name, request):
+    G = _named_groupoid(name, request)
+    assert G.gens == tuple(oracles.partial_generating_set(G.compose, G.source, G.target))
+    order = sorted(range(len(G.arrows)), key=lambda a: -len(G.compose[a]))
+    gens, steps = invsemi.closure(G.compose, order, G.source, G.target)
+    assert tuple(gens) == G.gens
+    assert oracles.closure_walk_failure(G.compose, gens, steps) is None
+
+
+def _parallel_swaps(G, amap):
+    """amap with the images of two non-unit arrows a < b with the same
+    source and target exchanged, and those of their inverses with them when
+    these are two other arrows; up to two pairs per source and target.  Each
+    is a bijection that keeps source, target and inverse, so only a
+    composite can tell it from an isomorphism."""
+    units = set(G.units)
+    parallel = {}
+    for a in range(len(G.arrows)):
+        if a not in units:
+            parallel.setdefault((G.source[a], G.target[a]), []).append(a)
+    for arrows in parallel.values():
+        for a, b in list(combinations(arrows, 2))[:2]:
+            ia, ib = G.inverse[a], G.inverse[b]
+            if {ia, ib} == {a, b}:
+                swap = {a: b, b: a}
+            elif not {ia, ib} & {a, b}:
+                swap = {a: b, b: a, ia: ib, ib: ia}
+            else:
+                continue
+            yield tuple(amap[swap.get(c, c)] for c in range(len(amap)))
+
+
+@pytest.mark.parametrize("name", _catalog_groupoid_names() + ["munn-I4", "self-I4"])
+def test_iso_check_over_generators_agrees_with_every_pair(name, request):
+    G = _named_groupoid(name, request)
+    H = _shuffled(G, seed=8)
+    iso = germs.groupoid_iso_search(G, H)
+    assert oracles.groupoid_iso_by_pairs(iso)
+    rejected = 0
+    for amap in _parallel_swaps(G, iso.arrow_map):
+        swapped = germs.GroupoidIso(G, H, amap)
+        verdict = germs.verify_groupoid_iso(swapped)
+        assert verdict == oracles.groupoid_iso_by_pairs(swapped)
+        rejected += not verdict
+    # the self action of I_4 is free, so its groupoid is principal and has
+    # no parallel arrows; of the catalog groupoids only germ-munn-z3 has a
+    # parallel pair, whose swap (g and g^2) is the inversion automorphism of
+    # Z_3; the Munn groupoid of I_4 has swaps that are not
+    assert (rejected > 0) == (name == "munn-I4"), rejected
+
+
+def test_induced_hom_reports_its_least_non_homomorphic_pair():
+    # psi is the identity of the Munn groupoid of I_2 into copies H of it
+    # with corrupted composites (which validate_groupoid would refuse)
+    theta = catalog.action("munn-i2")
+    gg = germs.groupoid_of_germs(theta)
+    G = gg.groupoid
+    sigma = {s: germs.basic_bisection(gg, s, theta.dom(s)) for s in range(len(theta.semigroup))}
+    phi_map = {x: gg.unit_of_point[x] for x in range(len(theta.carrier))}
+
+    def outcome(*corruptions):
+        compose = [dict(row) for row in G.compose]
+        for a, b, c in corruptions:
+            compose[a][b] = c
+        try:
+            germs.induced_groupoid_hom(gg, dataclasses.replace(G, compose=tuple(compose)), sigma, phi_map)
+        except germs.NotPartialHom:
+            return "sigma"
+        except germs.GroupoidError as err:
+            assert str(err) == "induced map is not a homomorphism"
+            return err.witness
+        return None
+
+    caught, missed = [], []
+    for a, row in enumerate(G.compose):
+        for b, ab in row.items():
+            for c in range(len(G.arrows)):
+                if c != ab:
+                    got = outcome((a, b, c))
+                    if got is None:  # H is no groupoid, so only off G.gens
+                        assert b not in G.gens
+                        missed.append((a, b, c))
+                    elif got != "sigma":
+                        assert got == (a, b)
+                        caught.append((a, b, c))
+    # a pair off the generators before a caught one: once the check over
+    # G.gens fails, the scan of every pair reports the least
+    combined = [(q, p) for q in missed for p in caught if q[:2] < p[:2]]
+    assert combined
+    for q, p in combined:
+        assert outcome(q, p) == q[:2]

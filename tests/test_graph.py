@@ -527,6 +527,15 @@ def test_verify_graph_coe_identity_cyclic():
     assert not rep["undetermined"]
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_verify_graph_coe_refuses_depth_below_1(depth):
+    # at depth 0 no atom of the length >= 1 boundary is left to check
+    T, Tinv, k, l, kp, lp, _ = _identity_coe_data(EDGE, 2)
+    with pytest.raises(gr.DepthTooSmall) as err:
+        gr.verify_graph_coe(EDGE, EDGE, T, Tinv, k, l, kp, lp, depth)
+    assert (str(err.value), err.value.witness) == (f"depth {depth} < 1", depth)
+
+
 def test_verify_graph_coe_perturbed_cocycle_fails():
     T, Tinv, k, l, kp, lp, depth = _identity_coe_data(EDGE, 2)
     l[next(iter(l))] = 0

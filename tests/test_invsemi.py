@@ -1,3 +1,4 @@
+import functools
 from math import comb, factorial
 
 import oracles
@@ -714,7 +715,7 @@ def test_inverses_of_inverse_semigroup_are_read_along_generators(monkeypatch):
     monkeypatch.setattr(invsemi, "_inverse_candidates", counting)
     T = invsemi.validate_inverse_semigroup(S.elements, S.table)
     assert T.inverse == S.inverse
-    assert len(searched) == len(invsemi.generating_set(S.table)) < len(S)
+    assert len(searched) == len(T.gens) < len(S)
 
 
 def _seeded_subsemigroup(seed, npts=4):
@@ -809,3 +810,107 @@ def test_congruence_failure_matches_pair_scan():
                 assert want is None, (name, kind)
     assert failing >= 20
 
+
+
+# --- one closure over generators, against the three walks it replaced --------
+
+@functools.cache
+def _closure_table(name):
+    if name == "i4":
+        return invsemi.symmetric_inverse_semigroup(4)[0]
+    if name == "sz7":
+        return invsemi.exel_semigroup(_cyclic(7)).semigroup
+    if name == "chain120":  # a semilattice: almost every element is a generator
+        return invsemi.validate_inverse_semigroup(
+            [str(i) for i in range(120)], [[min(i, j) for j in range(120)] for i in range(120)])
+    return catalog.semigroup(name)
+
+
+def _table_closure(tbl):
+    """invsemi.closure of a Cayley table, scanned as validation scans it."""
+    one_unit = (0,) * len(tbl)
+    order = sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s))
+    return invsemi.closure(tbl, order, one_unit, one_unit)
+
+
+@pytest.mark.parametrize("name", [*catalog.SEMIGROUP_NAMES, "i4", "sz7", "chain120"])
+def test_closure_of_a_table_matches_the_walks_it_replaced(name):
+    S = _closure_table(name)
+    gens, steps = _table_closure(S.table)
+    assert gens == oracles.generating_set(S.table)
+    assert oracles.closure_walk_failure(S.table, gens, steps) is None
+    assert invsemi.validate_inverse_semigroup(S.elements, S.table).gens == tuple(gens)
+    # over the generators S was validated with, both walks reach everything
+    oracles.right_steps(S.table, S.gens)
+    one_unit = (0,) * len(S)
+    given, steps = invsemi.closure(S.table, [*S.gens, *range(len(S))], one_unit, one_unit)
+    assert tuple(given) == S.gens
+    assert oracles.closure_walk_failure(S.table, given, steps) is None
+
+
+def test_construction_generators_are_kept(monkeypatch):
+    # I_1..I_5 and S(Z_1)..S(Z_7) keep the generators `tabulate` filled
+    # their tables from as S.gens
+    groups = [_cyclic(n) for n in range(1, 8)]
+    kept = []
+    validate = invsemi.validate_inverse_semigroup
+
+    def recording(elements, table, *, gens=None):
+        S = validate(elements, table, gens=gens)
+        kept.append((tuple(dict.fromkeys(gens)), S.gens))
+        return S
+
+    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", recording)
+    for n in range(1, 6):
+        invsemi.symmetric_inverse_semigroup(n, max_elements=1546)
+    for G in groups:
+        invsemi.exel_semigroup(G)
+    assert len(kept) == 12
+    assert all(given == gens for given, gens in kept)
+
+
+def test_given_gens_with_a_redundant_generator_that_do_not_generate():
+    # the 3-cycle, its square (a product of the first) and a rank 2
+    # idempotent reach no permutation but the powers of the cycle, so the
+    # least index they miss is reported, as by the breadth-first walk
+    S, maps = invsemi.symmetric_inverse_semigroup(3)
+    cycle = invsemi.PartialBijection(((0, 1), (1, 2), (2, 0)))
+    gens = [maps.index(f) for f in (cycle, invsemi.compose_partial(cycle, cycle),
+                                    invsemi.PartialBijection(((1, 1), (2, 2))))]
+    with pytest.raises(invsemi.SemigroupError) as want:
+        oracles.right_steps(S.table, gens)
+    with pytest.raises(invsemi.SemigroupError) as got:
+        invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens)
+    assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+    assert str(got.value) == "gens do not generate the table"
+    # the same generators with a transposition added do generate
+    swap = maps.index(invsemi.PartialBijection(((0, 1), (1, 0), (2, 2))))
+    T = invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens + [swap])
+    assert T.gens == (gens[0], gens[2], swap)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_sized_pairs())
+def test_closure_matches_the_walks_on_subsemigroups_of_i4(case):
+    # the inverse subsemigroup of I_4 generated by the elements the drawn
+    # pairs index, and its restricted product groupoid
+    n, pairs = case
+    S = _closure_table("i4")
+    picked = {(n * i + j) % len(S) for i, j in pairs} | {n % len(S)}
+    letters = sorted(picked | {S.inv(s) for s in picked})
+    items = list(letters)
+    for x in items:  # grows while scanned: closure under right products
+        for a in letters:
+            y = S.mul(x, a)
+            if y not in items:
+                items.append(y)
+    pos = {x: k for k, x in enumerate(items)}
+    tbl = [[pos[S.mul(x, y)] for y in items] for x in items]
+    names = [S.elements[x] for x in items]
+    gens, steps = _table_closure(tbl)
+    assert gens == oracles.generating_set(tbl)
+    assert oracles.closure_walk_failure(tbl, gens, steps) is None
+    T = invsemi.validate_inverse_semigroup(names, tbl, gens=[pos[a] for a in letters])
+    assert invsemi.validate_inverse_semigroup(names, tbl).gens == tuple(gens)
+    G = invsemi.restricted_product_groupoid(T)
+    assert G.gens == tuple(oracles.partial_generating_set(G.compose, G.source, G.target))

@@ -54,6 +54,16 @@ def test_inverse_mismatch_detected():
         )
 
 
+def test_domain_listing_a_point_twice_is_rejected():
+    # X_g = (x, y, y) used to pass, so pairs() listed (g, y) twice and the
+    # dual action no longer recovered the action
+    with pytest.raises(paction.ActionError) as exc:
+        paction.validate_partial_action(
+            Z2, ("x", "y"), ((0, 1), (0, 1, 1)), ({0: 0, 1: 1}, {0: 1, 1: 0})
+        )
+    assert (str(exc.value), exc.value.witness) == ("X_g lists point y twice", (1, 1))
+
+
 def test_degenerate_detected():
     with pytest.raises(paction.Degenerate) as exc:
         paction.validate_partial_action(
