@@ -96,8 +96,9 @@ def exel_agrees_with_closure(G, report_len, max_len):
     boundary) is at least the true size.  Equality of the two counts then
     pins both to the true quotient, and the generator map is the isomorphism.
     That the [g] generate the construction is checked when it is built:
-    `invsemi.exel_semigroup` tabulates it from them and validates it with
-    them as generators, and both steps raise if they do not generate.
+    `invsemi.exel_semigroup` tabulates it from them, which raises if they do
+    not generate; that it is an inverse semigroup is proved in that
+    function's docstring.
     """
     ex = invsemi.exel_semigroup(G)
     S = ex.semigroup

@@ -584,14 +584,14 @@ def cmd_catalog_list(args):
     return report, "catalog listed", 0
 
 
-def _limit(text):
-    """The argparse type of a limit flag: an integer >= 1."""
+def _limit(text, low=1):
+    """The argparse type of a limit or depth flag: an integer >= low."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
     return value
 
 
@@ -656,7 +656,7 @@ def make_parser():
     q.add_argument("input")
     q.add_argument("--equals")
     q.add_argument("--ring", default="Q")
-    q.add_argument("--depth", type=int)
+    q.add_argument("--depth", type=functools.partial(_limit, low=0))  # 0: expr's own depth
     q.set_defaults(fn=cmd_graph_leavitt)
     q = gs.add_parser("coe-verify")
     q.add_argument("graph_e")

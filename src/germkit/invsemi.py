@@ -1,20 +1,23 @@
 """Finite inverse semigroups as index-based Cayley tables.
 
-Elements are identified by their index into a declared name list; every
-structural fact (inverses, idempotents, natural order) is computed from the
-table and re-checked at construction time.  The natural partial order is a
-bit matrix computed once there: below[t] is an int whose bit s is set iff
-s <= t, and every order query reads it.  The generating set the table was
-checked with is kept as gens.
+Elements are identified by their index into a declared name list.  A table
+a user supplies is checked at construction time, and its inverses and
+idempotents are computed from it.  The zero and the natural partial order
+are read off every table in one place (`_inverse_semigroup`); the order is
+a bit matrix: below[t] is an int whose bit s is set iff s <= t, and every
+order query reads it.  A generating set is kept as gens: the one a table
+was checked with, or a model's construction generators.
 
-Associativity is decided by Light's test over a generating set A, read off
-the table or, for the tables of I_n and S(G), the generators `tabulate`
-filled them from: O(n^2 |A|) for every table; only a table that fails it is
-scanned for its least non-associative triple.
+Associativity of a table is decided by Light's test over a generating set A
+read off the table: O(n^2 |A|); only a table that fails it is scanned for
+its least non-associative triple.  The models I_n and S(G) are associative
+inverse semigroups by proof (see their constructors): their tables, filled
+by `tabulate`, are not checked, and their inverses come from the model.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations
 from math import comb, factorial
 from operator import itemgetter
 
@@ -72,7 +75,7 @@ class InverseSemigroup:
         return self.elements[i]
 
 
-def validate_inverse_semigroup(elements, table, *, gens=None):
+def validate_inverse_semigroup(elements, table):
     """Check a Cayley table and return the inverse semigroup it defines.
 
     Rejects non-associative tables and tables where some element lacks a
@@ -80,11 +83,9 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
     Associativity is Light's test, (xa)y = x(ay) for all x, y and each a in
     a generating set A, so it costs O(n^2 |A|).  A and the walk reaching
     every element from it are the `closure` of the table scanned by
-    descending |sS| (distinct entries in row s), ties by index; or, with
-    `gens` (the generators `tabulate` filled the table from), scanned from
-    them, then by index, so the first index to join is the least they miss.
-    The least triple (i, j, k) with (ij)k != i(jk) is searched for only
-    once the test has failed.  Inverses are read along the walk in O(n |A|)
+    descending |sS| (distinct entries in row s), ties by index.  The least
+    triple (i, j, k) with (ij)k != i(jk) is searched for only once the test
+    has failed.  Inverses are read along the walk in O(n |A|)
     (`_inverses_along`); only a table that is not inverse is scanned for the
     least element without a unique inverse.  A is kept as `S.gens`.
     """
@@ -100,19 +101,10 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
         if not valid.issuperset(row):
             j = next(j for j, x in enumerate(row) if x not in valid)
             raise SemigroupError("table entry out of range", (i, j))
-    if gens is None:  # every index is a candidate, so none is an outsider
-        given, order = frozenset(range(n)), sorted(range(n), key=lambda s: (-len(set(tbl[s])), s))
-    else:
-        given, order = frozenset(gens), [*gens, *range(n)]
     one_unit = (0,) * n
-    gens, steps = closure(tbl, order, one_unit, one_unit)
-    # a given generator the others reach does not join: that loses nothing
-    # on an associative table, so Light's test decides first then
-    outsider = next((a for a in gens if a not in given), None)
-    associative = _light_test(tbl, gens)
-    if outsider is not None and (associative or given.issubset(gens)):
-        raise SemigroupError("gens do not generate the table", outsider)
-    if not associative:
+    gens, steps = closure(tbl, sorted(range(n), key=lambda s: (-len(set(tbl[s])), s)),
+                          one_unit, one_unit)
+    if not _light_test(tbl, gens):
         # only reached on a non-associative table: find its least witness
         for i in range(n):
             for j in range(n):
@@ -140,20 +132,24 @@ def validate_inverse_semigroup(elements, table, *, gens=None):
                     (i, cands[0], cands[1]),
                 )
             inverse.append(cands[0])
-        for e, f in combinations(idem, 2):
-            if tbl[e][f] != tbl[f][e]:  # cannot happen once inverses are unique
-                raise SemigroupError("idempotents do not commute", (e, f))
-    zero = None
-    for z in range(n):
-        if all(tbl[z][i] == z and tbl[i][z] == z for i in range(n)):
-            zero = z
-            break
-    # s <= t in the natural partial order iff s = t s* s, iff s = t e for
-    # some idempotent e (then s* s = e t* t, and t e t* t = t e)
+        # unique inverses make tbl inverse, so idempotents commute (Howie, Thm 5.1.1)
+    return _inverse_semigroup(elements, tbl, tuple(inverse), idem, tuple(gens))
+
+
+def _inverse_semigroup(elements, tbl, inverse, idem, gens):
+    """The InverseSemigroup of an inverse semigroup's table, inverses,
+    idempotents and generators; the zero and the order are read off tbl.
+
+    A zero absorbs every idempotent, so it can only be their product m.
+    s <= t iff s = t s* s, iff s = t e for an idempotent e (then s* s =
+    e t* t, and t e t* t = t e): below[t] is the set of row t at E(S).
+    """
+    n = len(tbl)
+    m = reduce(lambda e, f: tbl[e][f], idem) if idem else None
+    zero = m if idem and tbl[m].count(m) == n and all(row[m] == m for row in tbl) else None
     pick = _pick(idem)
     below = tuple(sum(1 << s for s in set(pick(row))) for row in tbl)
-    return InverseSemigroup(elements, tbl, tuple(inverse), idem, zero,
-                            below=below, gens=tuple(gens))
+    return InverseSemigroup(elements, tbl, inverse, idem, zero, below=below, gens=gens)
 
 
 def _inverse_candidates(tbl, i, col_i):
@@ -276,8 +272,8 @@ def tabulate(items, mul, gens):
     y = parent(y) a_y.  The row of a generator a follows the same tree,
     a y = (a parent(y)) a_y; the row of any other x = parent(x) a_x is
     row(parent(x)) read at the positions row(a_x), since (p a) y = p (a y).
-    The result is mul's Cayley table when mul is associative, as it is for
-    I_n and S(G).  Raises SemigroupError when gens do not generate.
+    The result, not checked, is mul's Cayley table when mul is associative,
+    as for I_n and S(G).  Raises SemigroupError when gens do not generate.
     """
     index = {x: i for i, x in enumerate(items)}
     n = len(index)
@@ -312,7 +308,7 @@ def tabulate(items, mul, gens):
     for x in order[len(roots):]:
         p, k = parent[x]
         rows[x] = by_letter[k](rows[p])
-    return rows
+    return tuple(rows)
 
 
 def natural_leq(S, s, t):
@@ -429,8 +425,8 @@ def congruence_failure(S, class_of):
     check sa ~ r(s)a and as ~ ar(s) for every s and every a in A.  If that
     holds, s ~ t gives r(s) = r(t), so sa ~ r(s)a = r(t)a ~ ta and likewise
     as ~ at: ~ is compatible with every generator on either side.  Every u
-    in S is a product a1...ak of generators (validation checked that A
-    generates S), so by induction on k and associativity s ~ t gives
+    in S is a product a1...ak of generators (a closure or `tabulate` made
+    sure of that), so by induction on k and associativity s ~ t gives
     su ~ tu and us ~ ut, hence st ~ r(s)t ~ r(s)r(t) for every pair.
     Conversely the pair condition gives sa ~ r(s)r(a) ~ r(s)a, as
     r(r(s)) = r(s), and as ~ ar(s) the same way.  So the check over A fails
@@ -505,6 +501,16 @@ def exel_semigroup(G, max_elements=4096):
     Elements are standard forms eps_{r1}...eps_{rn}[g] with r1..rn, g
     pairwise distinct and ri != 1; the product rule is
     (eps_R [g])(eps_Q [h]) = eps_{(R u gQ u {g}) \\ {1, gh}} [gh].
+
+    The table `tabulate` fills from the [g], kept as gens, is not checked,
+    as S(G) is an inverse semigroup by proof.  (R, g) -> (R u {1, g}, g) is
+    a bijection onto the Birget-Rhodes pairs (A, g) with 1, g in A, whose
+    product (A, g)(B, h) = (A u gB, gh) is plainly associative; `mul` is
+    that product read back (both give R u gQ u {1, g, gh} with gh).
+    (A, g)(g^-1 A, g^-1)(A, g) = (A, g); the idempotents are the (A, 1),
+    and they commute.  So S(G) is inverse (Howie, Fundamentals of Semigroup
+    Theory, Thm 5.1.1), (R, g)* = (g^-1 R, g^-1), and (A, g) <= (B, h) iff
+    g = h and B is a subset of A.
     """
     if not is_group(G):
         raise SemigroupError("exel_semigroup needs a group")
@@ -515,15 +521,9 @@ def exel_semigroup(G, max_elements=4096):
     if count > max_elements:
         raise ResourceLimit(f"|S(G)| = {count} exceeds {max_elements}")
 
-    forms = []
-    for g in range(n):
-        pool = [r for r in others if r != g]
-        subsets = [frozenset()]
-        for r in pool:
-            subsets += [s | {r} for s in subsets]
-        for R in subsets:
-            forms.append((R, g))
-    forms.sort(key=lambda fg: (len(fg[0]), sorted(fg[0]), fg[1]))
+    forms = sorted(((frozenset(R), g) for g in range(n) for k in range(n)
+                    for R in combinations([r for r in others if r != g], k)),
+                   key=lambda fg: (len(fg[0]), sorted(fg[0]), fg[1]))
     index = {fg: i for i, fg in enumerate(forms)}
 
     def mul(a, b):
@@ -541,7 +541,9 @@ def exel_semigroup(G, max_elements=4096):
     names = tuple(fmt(fg) for fg in forms)
     of_group = tuple(index[(frozenset(), g)] for g in range(n))
     tbl = tabulate(forms, mul, [forms[a] for a in of_group])
-    S = validate_inverse_semigroup(names, tbl, gens=of_group)
+    inverse = tuple(index[(frozenset(G.mul(G.inv(g), r) for r in R), G.inv(g))] for R, g in forms)
+    idem = tuple(i for i, (R, g) in enumerate(forms) if g == one)
+    S = _inverse_semigroup(names, tbl, inverse, idem, of_group)
     return ExelSemigroup(S, tuple(forms), G, of_group)
 
 
@@ -572,33 +574,22 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     """I({1..n}): all partial bijections of an n-point set.
 
     Returns (InverseSemigroup, tuple of PartialBijection payloads).
+
+    The table `tabulate` fills from three generators, kept as gens, is not
+    checked, as I_n is an inverse semigroup by proof.  Partial bijections
+    compose as functions, so the product is associative; f f^-1 f = f; an
+    injective f with f f = f is a partial identity, and id_A id_B = id_(A n B),
+    so idempotents commute.  So I_n is inverse (Howie, Thm 5.1.1), f* = f^-1.
     """
     count = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
     if count > max_elements:
         raise ResourceLimit(f"|I(X)| = {count} exceeds {max_elements}")
-    points = list(range(n))
-    maps = []
-    subsets = [()]
-    for p in points:
-        subsets += [s + (p,) for s in subsets]
-
-    def injections(dom, ran_pool):
-        if not dom:
-            yield ()
-            return
-        x, rest = dom[0], dom[1:]
-        for i, y in enumerate(ran_pool):
-            for tail in injections(rest, ran_pool[:i] + ran_pool[i + 1:]):
-                yield ((x, y),) + tail
-
-    for dom in subsets:
-        for pairs in injections(dom, tuple(points)):
-            maps.append(PartialBijection(tuple(sorted(pairs))))
-    maps.sort(key=lambda f: (len(f.mapping), f.mapping))
+    points = range(n)
+    maps = sorted((PartialBijection(tuple(zip(dom, ran))) for k in range(n + 1)
+                   for dom in combinations(points, k) for ran in permutations(points, k)),
+                  key=lambda f: (len(f.mapping), f.mapping))
 
     def fmt(f):
-        if not f.mapping:
-            return "[]"
         return "[" + " ".join(f"{x+1}>{y+1}" for x, y in f.mapping) + "]"
 
     # the n-cycle and a transposition generate the symmetric group, and one
@@ -609,8 +600,12 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     if n >= 2:
         gens.append(PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
     names = tuple(fmt(f) for f in maps)
+    index = {f: i for i, f in enumerate(maps)}
     tbl = tabulate(maps, compose_partial, gens)
-    S = validate_inverse_semigroup(names, tbl, gens=[maps.index(g) for g in gens])
+    inverse = tuple(index[PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))]
+                    for f in maps)
+    idem = tuple(i for i, f in enumerate(maps) if all(x == y for x, y in f.mapping))
+    S = _inverse_semigroup(names, tbl, inverse, idem, tuple(dict.fromkeys(index[g] for g in gens)))
     return S, tuple(maps)
 
 

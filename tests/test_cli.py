@@ -162,6 +162,27 @@ def test_germs_and_catalog_run_output_unchanged(capsys):
     assert digest.hexdigest() == "33b0f5c00f67ca85d140a3dd397ba3578ff7adba9b8c64eaf31487266742ab4d"
 
 
+def test_constructed_semigroup_output_unchanged(capsys, tmp_path):
+    # one sha256 over the exit code and stdout of `exel` on Z_1..Z_7 and of
+    # `validate` and `analyze` on the catalog's I_2 and S(Z_2), recorded
+    # while the constructors still validated their own tables
+    digest = hashlib.sha256()
+    argvs = []
+    for n in range(1, 8):
+        f = tmp_path / f"z{n}.json"
+        f.write_text(json.dumps({"schema": "semigroup", "version": 1,
+                                 "elements": [f"a{i}" for i in range(n)],
+                                 "table": [[(i + j) % n for j in range(n)] for i in range(n)]}))
+        argvs.append(("exel", str(f)))
+    for name in ("i2", "sz2"):
+        argvs += [("validate", f"catalog:{name}"), ("analyze", f"catalog:{name}")]
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "4946d1308816f8165e0c1d0e7a9ce7b3411bd907f18c9e2342c36c1cd55294b3"
+
+
 def test_verify_steinberg_crossed_has_no_seed(capsys):
     code, _, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--seed", "1")
     assert code == 2
@@ -335,6 +356,21 @@ def test_graph_leavitt_equality(capsys, tmp_path):
     assert json.loads(out)["equals"] is True
     code, out, _ = run(capsys, "graph", "leavitt", str(f), "--equals", "(* e e)")
     assert code == 1
+
+
+def test_graph_leavitt_negative_depth_is_usage_error(capsys, tmp_path):
+    # --depth -3 used to be read as 0 and reported "depth": 0
+    f = tmp_path / "expr.json"
+    f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1, "graph": "catalog:loop-exit", "expr": "v"}))
+    for value in ("-1", "-3"):
+        code, out, err = run(capsys, "graph", "leavitt", str(f), "--depth", value)
+        assert (code, out) == (2, ""), value
+        assert f"must be an integer >= 0, not {value!r}" in err
+    # 0 keeps the expression's own depth; a deeper one rewrites the atoms
+    for value, depth, atoms in (("0", 0, {"Z(v,v)": "1"}), ("1", 1, {"Z(e,e)": "1", "Z(f,f)": "1"})):
+        code, out, _ = run(capsys, "graph", "leavitt", str(f), "--depth", value)
+        rep = json.loads(out)
+        assert (code, rep["depth"], rep["atoms"]) == (0, depth, atoms)
 
 
 def test_catalog_run_reports_honest_failure(capsys):

@@ -564,6 +564,20 @@ def test_tabulate_from_generators():
     ident = next(f for f in maps if f.mapping == ((0, 0), (1, 1)))
     with pytest.raises(invsemi.SemigroupError, match="do not generate"):
         invsemi.tabulate(maps, invsemi.compose_partial, [ident])
+    # the 3-cycle, its square (a product of the first) and a rank 2
+    # idempotent reach no permutation but the powers of the cycle: the
+    # least index they miss is reported, as by the breadth-first walk
+    S, maps = invsemi.symmetric_inverse_semigroup(3)
+    cycle = invsemi.PartialBijection(((0, 1), (1, 2), (2, 0)))
+    gens = [cycle, invsemi.compose_partial(cycle, cycle), invsemi.PartialBijection(((1, 1), (2, 2)))]
+    with pytest.raises(invsemi.SemigroupError) as want:
+        oracles.right_steps(S.table, [maps.index(f) for f in gens])
+    with pytest.raises(invsemi.SemigroupError, match="do not generate") as got:
+        invsemi.tabulate(maps, invsemi.compose_partial, gens)
+    assert got.value.witness == want.value.witness
+    # the same generators with a transposition added do generate
+    swap = invsemi.PartialBijection(((0, 1), (1, 0), (2, 2)))
+    assert invsemi.tabulate(maps, invsemi.compose_partial, gens + [swap]) == S.table
 
 
 def test_symmetric_inverse_semigroup_of_five_points():
@@ -590,11 +604,11 @@ def test_symmetric_too_large_is_refused_before_enumerating():
         invsemi.symmetric_inverse_semigroup(10)
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_validate_over_construction_generators_matches_derived(n):
-    # the generators I_n was tabulated from decide associativity and give
-    # the same semigroup, order included, as the set read off the table
-    S = invsemi.symmetric_inverse_semigroup(n)[0]
+    # I_n is built without validation; validating its table gives the same
+    # semigroup: table, inverses, idempotents, zero and every below row
+    S = invsemi.symmetric_inverse_semigroup(n, max_elements=1546)[0]
     T = invsemi.validate_inverse_semigroup(S.elements, S.table)
     assert (T, T.below) == (S, S.below)
 
@@ -670,37 +684,6 @@ def test_inverses_match_oracle_on_associative_tables():
     assert kinds == {invsemi.NoInverse, invsemi.NonUniqueInverse, invsemi.InverseSemigroup}
 
 
-def test_construction_generators_decide_corrupted_tables():
-    # with gens given, a table they do not generate is refused, and every
-    # other corrupted table gets the exhaustive scan's verdict and witness
-    import random
-
-    S, maps = invsemi.symmetric_inverse_semigroup(3)
-    gens = [maps.index(invsemi.PartialBijection(m)) for m in
-            (((0, 1), (1, 2), (2, 0)), ((1, 1), (2, 2)), ((0, 1), (1, 0), (2, 2)))]
-    rng = random.Random("corrupt-i3-gens")
-    verdicts = set()
-    for _ in range(60):
-        table = [list(row) for row in S.table]
-        for _ in range(rng.randint(1, 2)):
-            table[rng.randrange(len(S))][rng.randrange(len(S))] = rng.randrange(len(S))
-        expected = oracles.first_non_associative(S.elements, table)
-        try:
-            invsemi.validate_inverse_semigroup(S.elements, table, gens=gens)
-        except invsemi.NotAssociative as err:
-            assert (str(err), err.witness) == expected
-            verdicts.add("not associative")
-            continue
-        except invsemi.SemigroupError as err:
-            if "do not generate" in str(err):
-                verdicts.add("not generated")
-                continue
-        assert expected is None
-    assert "not associative" in verdicts
-    with pytest.raises(invsemi.SemigroupError, match="do not generate"):
-        invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens[:1])
-
-
 def test_inverses_of_inverse_semigroup_are_read_along_generators(monkeypatch):
     # the candidate search runs once per generator, never per element, when
     # (x a)* = a* x* holds all along
@@ -752,7 +735,7 @@ def _seeded_subsemigroup(seed, npts=4):
                 items.append(y)
     names = [str(f.mapping) for f in items]
     tbl = invsemi.tabulate(items, invsemi.compose_partial, gens)
-    return invsemi.validate_inverse_semigroup(names, tbl, gens=[items.index(g) for g in gens])
+    return invsemi.validate_inverse_semigroup(names, tbl)
 
 
 def _group_image_instances():
@@ -848,45 +831,33 @@ def test_closure_of_a_table_matches_the_walks_it_replaced(name):
     assert oracles.closure_walk_failure(S.table, given, steps) is None
 
 
-def test_construction_generators_are_kept(monkeypatch):
-    # I_1..I_5 and S(Z_1)..S(Z_7) keep the generators `tabulate` filled
-    # their tables from as S.gens
-    groups = [_cyclic(n) for n in range(1, 8)]
-    kept = []
-    validate = invsemi.validate_inverse_semigroup
+def test_constructors_agree_with_validated_tables(monkeypatch):
+    # I_0..I_5 and S(Z_1)..S(Z_8) are built with Light's test and the
+    # validator made to raise; each keeps the generators `tabulate` filled
+    # its table from, and S(G)'s table validates to the constructed
+    # semigroup (I_n's: test_validate_over_construction_generators_matches_derived)
+    def refuse(*args):
+        raise AssertionError("a constructor validated its own table")
 
-    def recording(elements, table, *, gens=None):
-        S = validate(elements, table, gens=gens)
-        kept.append((tuple(dict.fromkeys(gens)), S.gens))
-        return S
-
-    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", recording)
-    for n in range(1, 6):
-        invsemi.symmetric_inverse_semigroup(n, max_elements=1546)
-    for G in groups:
-        invsemi.exel_semigroup(G)
-    assert len(kept) == 12
-    assert all(given == gens for given, gens in kept)
-
-
-def test_given_gens_with_a_redundant_generator_that_do_not_generate():
-    # the 3-cycle, its square (a product of the first) and a rank 2
-    # idempotent reach no permutation but the powers of the cycle, so the
-    # least index they miss is reported, as by the breadth-first walk
-    S, maps = invsemi.symmetric_inverse_semigroup(3)
-    cycle = invsemi.PartialBijection(((0, 1), (1, 2), (2, 0)))
-    gens = [maps.index(f) for f in (cycle, invsemi.compose_partial(cycle, cycle),
-                                    invsemi.PartialBijection(((1, 1), (2, 2))))]
-    with pytest.raises(invsemi.SemigroupError) as want:
-        oracles.right_steps(S.table, gens)
-    with pytest.raises(invsemi.SemigroupError) as got:
-        invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens)
-    assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
-    assert str(got.value) == "gens do not generate the table"
-    # the same generators with a transposition added do generate
-    swap = maps.index(invsemi.PartialBijection(((0, 1), (1, 0), (2, 2))))
-    T = invsemi.validate_inverse_semigroup(S.elements, S.table, gens=gens + [swap])
-    assert T.gens == (gens[0], gens[2], swap)
+    groups = [_cyclic(n) for n in range(1, 9)]
+    with monkeypatch.context() as m:
+        m.setattr(invsemi, "_light_test", refuse)
+        m.setattr(invsemi, "validate_inverse_semigroup", refuse)
+        built = [invsemi.symmetric_inverse_semigroup(n, max_elements=1546) for n in range(6)]
+        exels = [invsemi.exel_semigroup(G) for G in groups]
+    for n, (S, maps) in enumerate(built):
+        points = range(n)
+        gens = [invsemi.PartialBijection(tuple((x, (x + 1) % n) for x in points))]
+        if n >= 1:
+            gens.append(invsemi.PartialBijection(tuple((x, x) for x in points[1:])))
+        if n >= 2:
+            gens.append(invsemi.PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
+        assert S.gens == tuple(dict.fromkeys(maps.index(g) for g in gens)), n
+    for ex in exels:
+        S = ex.semigroup
+        T = invsemi.validate_inverse_semigroup(S.elements, S.table)
+        assert (T, T.below) == (S, S.below), len(ex.group)
+        assert S.gens == ex.of_group == tuple(ex.forms.index((frozenset(), g)) for g in range(len(ex.group)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -910,7 +881,7 @@ def test_closure_matches_the_walks_on_subsemigroups_of_i4(case):
     gens, steps = _table_closure(tbl)
     assert gens == oracles.generating_set(tbl)
     assert oracles.closure_walk_failure(tbl, gens, steps) is None
-    T = invsemi.validate_inverse_semigroup(names, tbl, gens=[pos[a] for a in letters])
-    assert invsemi.validate_inverse_semigroup(names, tbl).gens == tuple(gens)
+    T = invsemi.validate_inverse_semigroup(names, tbl)
+    assert T.gens == tuple(gens)
     G = invsemi.restricted_product_groupoid(T)
     assert G.gens == tuple(oracles.partial_generating_set(G.compose, G.source, G.target))

@@ -73,23 +73,25 @@ def test_degenerate_detected():
 
 
 def _cyclic(n):
-    """Z_n validated over the one generator 1."""
+    """Z_n as a validated table."""
     tbl = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return invsemi.validate_inverse_semigroup([str(i) for i in range(n)], tbl, gens=[1])
+    return invsemi.validate_inverse_semigroup([str(i) for i in range(n)], tbl)
 
 
 def test_generator_inclusions_do_not_make_an_action():
-    # every theta_1 theta_t <= theta_(1+t) holds, yet theta_2 theta_2 = id on
-    # {a} is not a restriction of theta_4 = {}: inclusion over the generators
-    # is not enough, the equality over them is what proves the laws
+    # every theta_a theta_t <= theta_(a+t) holds for the generators a = 0, 1,
+    # yet theta_2 theta_2 = id on {a} is not a restriction of theta_4 = {}:
+    # inclusion over the generators is not enough, the equality over them is
+    # what proves the laws
     Z5 = _cyclic(5)
-    assert Z5.gens == (1,)
+    assert Z5.gens == (0, 1)
     ida = {0: 0}
     maps = ({0: 0, 1: 1, 2: 2}, {}, ida, ida, {})
     domains = tuple(tuple(sorted(m.values())) for m in maps)
-    for t in range(5):
-        composed = {x: maps[1][y] for x, y in maps[t].items() if y in maps[1]}
-        assert composed.items() <= maps[(1 + t) % 5].items()
+    for a in Z5.gens:
+        for t in range(5):
+            composed = {x: maps[a][y] for x, y in maps[t].items() if y in maps[a]}
+            assert composed.items() <= maps[(a + t) % 5].items()
     with pytest.raises(paction.CompositionNotRestriction) as exc:
         paction.validate_partial_action(Z5, ("a", "b", "c"), domains, maps)
     assert str(exc.value) == "theta_2 o theta_2 is not a restriction of theta_4"
