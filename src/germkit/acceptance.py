@@ -400,9 +400,9 @@ def criterion_9():
     for mask in range(16):
         subset = [i for i in range(4) if mask >> i & 1]
         ideal = paction.indicator_ideal(ring, subset)
-        if list(paction.ideal_support(ideal)) != subset:
+        if list(paction.ideal_support(ring, ideal)) != subset:
             failures.append(("U(I(U))", mask))
-        back = paction.indicator_ideal(ring, paction.ideal_support(ideal))
+        back = paction.indicator_ideal(ring, paction.ideal_support(ring, ideal))
         if not paction.spans_equal(ring, ideal, back):
             failures.append(("I(U(I))", mask))
     try:

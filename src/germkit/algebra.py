@@ -232,7 +232,7 @@ def crossed_product_build(alg):
     """
     ring = alg.ring
     S = alg.semigroup
-    supports = [paction.ideal_support(alg.ideal_gens[s]) for s in range(len(S))]
+    supports = [paction.ideal_support(ring, alg.ideal_gens[s]) for s in range(len(S))]
     try:
         action = paction.validate_partial_action(S, alg.carrier, supports, _indicator_maps(alg))
     except paction.ActionError as err:

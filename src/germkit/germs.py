@@ -276,7 +276,13 @@ def is_bisection(G, arrow_set):
 
 
 def bisection_product(G, A, B):
-    return frozenset(G.compose[a][b] for a in A for b in B if G.composable(a, b))
+    """AB = {ab : a in A, b in B, s(a) = t(b)}.  B is grouped by target, so
+    each a meets only the b it composes with: O(|A| + |B|) on bisections,
+    and exact on any arrow sets."""
+    by_target = {}
+    for b in B:
+        by_target.setdefault(G.target[b], []).append(b)
+    return frozenset(G.compose[a][b] for a in A for b in by_target.get(G.source[a], ()))
 
 
 def bisection_inverse(G, A):

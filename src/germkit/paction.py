@@ -277,9 +277,11 @@ def indicator_ideal(ring, subset):
     return tuple(indicator(ring, [x]) for x in sorted(subset))
 
 
-def ideal_support(gens):
-    """U(I): the union of the supports of the ideal's elements."""
-    return tuple(sorted({x for g in gens for x in g}))
+def ideal_support(ring, gens):
+    """U(I): the union of the supports of the ideal's elements, that is the
+    points where some generator's entry is nonzero in the ring (an explicit
+    zero, such as 5 over Z/5, supports nothing)."""
+    return tuple(sorted({x for g in gens for x, v in g.items() if ring.normalize(v)}))
 
 
 def spans_equal(ring, gens_a, gens_b):
@@ -290,9 +292,16 @@ def spans_equal(ring, gens_a, gens_b):
 
 def dual_action(theta, ring):
     """D_s = functions supported in X_s; alpha_s(f) = f o theta_{s*}, extended
-    by zero.  On point indicators: alpha_s(1_y) = 1_{theta_s(y)}."""
+    by zero.  On point indicators: alpha_s(1_y) = 1_{theta_s(y)}.
+
+    Each distinct domain gets one tuple of point indicators, shared by every
+    s with that domain.  On a global action, such as the Munn and self
+    actions, X_s = X_{ss*}, so there are at most |E(S)| distinct domains
+    and the ideals hold the sum of |X_e| over the idempotents e in
+    generator dicts, not |L|."""
     S = theta.semigroup
-    ideal_gens = tuple(indicator_ideal(ring, theta.domains[s]) for s in range(len(S)))
+    ideals = {d: indicator_ideal(ring, d) for d in set(theta.domains)}
+    ideal_gens = tuple(ideals[d] for d in theta.domains)
     alpha_images = tuple(
         tuple(indicator(ring, [theta.theta(s, y)]) for y in sorted(theta.domains[S.inv(s)]))
         for s in range(len(S))
@@ -304,32 +313,51 @@ def recover_action_from_dual(alg):
     """Invert dual_action: X_s = U(D_s) and theta_s read off from the action
     of alpha_s on point indicators.  Needs an indecomposable coefficient ring.
 
-    Each point indicator 1_x, x in U(D_s), is solved once and its sparse
-    coefficients are kept for theta.  The ideal check solves v * 1_x only
-    when 1_x is not in D_s, since a multiple of a member is a member, and
-    the local-unit check solves 1_U only when some 1_x is not in D_s, since
-    1_U is the sum of the 1_x.  So the checks fail exactly where solving
-    every entry and 1_U would, with the same messages and witnesses.
+    The cost is per distinct ideal, not per element; the dual of a global
+    action has D_s = D_{ss*}, so at most |E(S)| distinct generator lists.
+    Lists are keyed by content, the entries of each generator, and equal
+    lists span the same module and give the same coefficients, so one span
+    solver and one solve of each point indicator serve every s with that
+    list.  The key is exact: ring values (ints and Fractions) that compare
+    equal normalise alike, and lists that differ only in spelling are
+    merely solved twice.  A failing list raises at its first s, in index
+    order, so every NotAnIdeal and NoLocalUnits witness is the least one.
+
+    The ideal check solves v * 1_x only when 1_x is not in D_s, since a
+    multiple of a member is a member, and the local-unit check solves 1_U
+    only when some 1_x is not in D_s, since 1_U is the sum of the 1_x.  So
+    the checks fail exactly where solving every entry and 1_U would, with
+    the same messages.
+
+    theta_s(y) is read from alpha_s(1_y) = sum_j c_j alpha_s(g_j), for the
+    coefficients c of 1_y.  When they are the single entry {j: 1}, as on a
+    dual built by dual_action, that sum is alpha_s(g_j) itself, the j-th
+    image with its values normalised (so 6 over Z/5 reads as 1).
     """
     ring = alg.ring
     if not ring.is_indecomposable():
         raise rings.DecomposableRing(f"{ring!r} has nontrivial idempotents")
     S = alg.semigroup
+    one = ring.one
+    solved = {}
     supports = []
     point_coeffs = []
-    for s in range(len(S)):
-        gens = alg.ideal_gens[s]
-        solve = rings.span_solver(ring, gens)
-        supp = ideal_support(gens)
-        coeffs = {x: solve({x: ring.one}) for x in supp}
-        for g in gens:
-            for x, v in g.items():
-                if coeffs[x] is None and solve({x: v}) is None:
-                    raise NotAnIdeal(
-                        f"D_{S.name(s)} is not closed under multiplication by functions", s
-                    )
-        if None in coeffs.values() and solve(indicator(ring, supp)) is None:
-            raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
+    for s, gens in enumerate(alg.ideal_gens):
+        key = tuple(frozenset(g.items()) for g in gens)
+        if key not in solved:
+            solve = rings.span_solver(ring, gens)
+            supp = ideal_support(ring, gens)
+            coeffs = {x: solve({x: one}) for x in supp}
+            for g in gens:
+                for x, v in g.items():
+                    if coeffs.get(x) is None and solve({x: v}) is None:
+                        raise NotAnIdeal(
+                            f"D_{S.name(s)} is not closed under multiplication by functions", s
+                        )
+            if None in coeffs.values() and solve(indicator(ring, supp)) is None:
+                raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
+            solved[key] = supp, coeffs
+        supp, coeffs = solved[key]
         supports.append(supp)
         point_coeffs.append(coeffs)
     maps = []
@@ -341,14 +369,17 @@ def recover_action_from_dual(alg):
             coeffs = point_coeffs[s_star][y]
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
-            img = {}
-            for j, c in coeffs.items():
-                # generators past the end of a short image list map to nothing
-                if j < len(images):
-                    for x, b in images[j].items():
-                        img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
+            # generators past the end of a short image list map to nothing
+            if len(coeffs) == 1 and (j := next(iter(coeffs))) < len(images) and coeffs[j] == one:
+                img = {x: ring.normalize(b) for x, b in images[j].items()}
+            else:
+                img = {}
+                for j, c in coeffs.items():
+                    if j < len(images):
+                        for x, b in images[j].items():
+                            img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
             pts = [x for x, v in img.items() if v]
-            if len(pts) != 1 or img[pts[0]] != ring.one:
+            if len(pts) != 1 or img[pts[0]] != one:
                 raise RecoveryFailed(
                     f"alpha_{S.name(s)} does not map a point indicator to a point indicator",
                     (s, y),

@@ -254,6 +254,12 @@ def isotropy_by_scan(G, u):
     return tuple(a for a in range(len(G.arrows)) if G.source[a] == u and G.target[a] == u)
 
 
+def bisection_product_by_pairs(G, A, B):
+    """germs.bisection_product as it was: every pair (a, b) of A x B is
+    tried, and the composable ones are composed."""
+    return frozenset(G.compose[a][b] for a in A for b in B if G.composable(a, b))
+
+
 def generalized_inverses(elements, table):
     """The generalized inverse of every element, found by trying every j for
     every i; or (message, witness) of the least i without exactly one."""
@@ -681,9 +687,11 @@ def dense_span_solver(ring, gens):
 # --- dual recovery: every entry and every point solved again --------------------
 
 def recover_by_two_solves(alg):
-    """paction.recover_action_from_dual as a plain loop: solve v * 1_x for
-    every entry of every generator and 1_U for every D_s, then solve each
-    1_y again for theta, with dense coefficients."""
+    """paction.recover_action_from_dual as a plain loop: a solver for every
+    D_s, U(D_s) as the points where some generator's entry is nonzero in
+    the ring, v * 1_x solved for every entry of every generator and 1_U for
+    every D_s, then each 1_y solved again for theta, with dense
+    coefficients."""
     ring = alg.ring
     if not ring.is_indecomposable():
         raise DecomposableRing(f"{ring!r} has nontrivial idempotents")
@@ -693,7 +701,7 @@ def recover_by_two_solves(alg):
     for s in range(len(S)):
         gens = alg.ideal_gens[s]
         solve = dense_span_solver(ring, gens)
-        supp = paction.ideal_support(gens)
+        supp = tuple(sorted({x for g in gens for x, v in g.items() if ring.normalize(v) != ring.zero}))
         for g in gens:
             for x, v in g.items():
                 if solve({x: v}) is None:

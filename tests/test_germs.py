@@ -182,6 +182,24 @@ def test_ample_semigroup_pair_groupoid_is_i2():
             assert tau[AB] == I2.mul(tau[A], tau[B])
 
 
+def test_bisection_product_matches_all_pairs_oracle():
+    # every ordered pair of bisections of each catalog groupoid, then drawn
+    # arrow sets that need not be bisections, and the set of all arrows
+    rng = random.Random(11)
+    non_bisections = 0
+    for name in catalog.GROUPOID_NAMES:
+        G = catalog.groupoid(name)
+        bis = germs.ample_semigroup(G).bisections
+        for A, B in product(bis, repeat=2):
+            assert germs.bisection_product(G, A, B) == oracles.bisection_product_by_pairs(G, A, B), name
+        arrows = frozenset(range(len(G)))
+        drawn = [frozenset(a for a in arrows if rng.random() < 0.6) for _ in range(30)] + [arrows]
+        for A, B in product(drawn, repeat=2):
+            assert germs.bisection_product(G, A, B) == oracles.bisection_product_by_pairs(G, A, B), name
+        non_bisections += sum(not germs.is_bisection(G, A) for A in drawn)
+    assert non_bisections
+
+
 def test_ample_semigroup_generated():
     G = catalog.pair_groupoid(2)
     non_unit = [a for a in range(4) if a not in G.units]

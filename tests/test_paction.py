@@ -303,8 +303,8 @@ def test_lattice_bijection_on_four_points():
     for mask in range(16):
         subset = [i for i in range(4) if mask >> i & 1]
         ideal = paction.indicator_ideal(ring, subset)
-        assert list(paction.ideal_support(ideal)) == subset
-        again = paction.indicator_ideal(ring, paction.ideal_support(ideal))
+        assert list(paction.ideal_support(ring, ideal)) == subset
+        again = paction.indicator_ideal(ring, paction.ideal_support(ring, ideal))
         assert paction.spans_equal(ring, ideal, again)
 
 
@@ -328,8 +328,10 @@ def _replace(items, k, value):
 
 def _corrupted_duals(alg):
     """The dual with one ideal generator or one alpha-image changed, for the
-    first s whose D_{s*} has a generator: each change keeps the data well
-    typed, so recovery has to find what is wrong with it."""
+    first s whose D_{s*} has a generator; then, for the first generator list
+    repeated at indices i < k, the copy at k changed, and a list that is not
+    an ideal put at both i and k.  Each change keeps the data well typed, so
+    recovery has to find what is wrong with it."""
     ring, n = alg.ring, len(alg.carrier)
     s = next((s for s in range(len(alg.semigroup)) if alg.alpha_images[s]), None)
     if s is None:
@@ -359,6 +361,22 @@ def _corrupted_duals(alg):
         for y, b in gens[1].items():
             merged[y] = ring.add(merged.get(y, ring.zero), b)
         yield "generators-merged", with_gens((merged,) + gens[2:])
+    ideal_gens = alg.ideal_gens
+    repeat = next(((i, k) for k, gens in enumerate(ideal_gens) for i in range(k)
+                   if gens and ideal_gens[i] == gens), None)
+    if repeat is None:
+        return
+    i, k = repeat
+
+    def with_ideals(new):
+        return paction.AlgebraicPartialAction(alg.semigroup, ring, alg.carrier, new, alg.alpha_images)
+
+    later = ideal_gens[k]
+    yield "later-copy-times-2", with_ideals(
+        _replace(ideal_gens, k, _replace(later, 0, {y: ring.mul(two, b) for y, b in later[0].items()})))
+    if n > 1:
+        diagonal = ({0: ring.one, 1: ring.one},)
+        yield "non-ideal-twice", with_ideals(_replace(_replace(ideal_gens, i, diagonal), k, diagonal))
 
 
 def _recovery_cases():
@@ -384,6 +402,77 @@ def test_recovery_agrees_with_two_solve_oracle():
         assert got == _recovery_outcome(oracles.recover_by_two_solves, alg), label
         reached.add(got[0])
     assert {"ok", paction.NotAnIdeal, paction.NoLocalUnits, paction.RecoveryFailed} <= reached
+
+
+def test_recovery_reads_an_unnormalised_image_entry_as_one():
+    # an image entry 6 over Z/5 is 1: every catalog action comes back as it was
+    ring = rings.ring_zmod(5)
+    for name in catalog.ACTION_NAMES:
+        theta = catalog.action(name)
+        alg = paction.dual_action(theta, ring)
+        s = next(s for s in range(len(alg.semigroup)) if alg.alpha_images[s])
+        images = alg.alpha_images[s]
+        (x, v), = images[0].items()
+        six = paction.AlgebraicPartialAction(
+            alg.semigroup, ring, alg.carrier, alg.ideal_gens,
+            _replace(alg.alpha_images, s, _replace(images, 0, {x: v + 5})))
+        assert _recovery_outcome(paction.recover_action_from_dual, six) == ("ok", theta), name
+        assert _recovery_outcome(oracles.recover_by_two_solves, six) == ("ok", theta), name
+
+
+def test_non_ideal_at_two_indices_is_reported_at_the_first():
+    theta = catalog.action("munn-i2")
+    alg = dict(_corrupted_duals(paction.dual_action(theta, rings.RING_Q)))["non-ideal-twice"]
+    i = next(s for s, gens in enumerate(alg.ideal_gens) if gens == ({0: 1, 1: 1},))
+    with pytest.raises(paction.NotAnIdeal) as err:
+        paction.recover_action_from_dual(alg)
+    assert err.value.witness == i
+
+
+@pytest.mark.parametrize("make", [invsemi.munn_representation, invsemi.canonical_self_action])
+def test_recovery_solves_once_per_distinct_ideal(make, monkeypatch):
+    # I_4 has 16 idempotents, so both duals have 16 distinct ideals among
+    # their 209 generator lists, and dual_action builds each once
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = make(S4)
+    alg = paction.dual_action(theta, rings.RING_Q)
+    assert len({id(gens) for gens in alg.ideal_gens}) == 16
+    built = []
+    span_solver = rings.span_solver
+    monkeypatch.setattr(rings, "span_solver", lambda ring, gens: built.append(gens) or span_solver(ring, gens))
+    assert paction.recover_action_from_dual(alg) == theta
+    assert len(built) == 16
+
+
+@pytest.mark.parametrize("ring, zero", [(rings.RING_Q, 0), (rings.ring_zmod(5), 5)])
+def test_explicit_zero_entries_do_not_fake_a_missing_local_unit(ring, zero):
+    # Z/2 on {x, y} with D_g = R 1_x, its generator spelled with an explicit
+    # zero at y and without one: both give X_g = {x}
+    unit = ({0: ring.one}, {1: ring.one})
+    recovered = []
+    for spelled in ({0: ring.one, 1: zero}, {0: ring.one}):
+        alg = paction.AlgebraicPartialAction(
+            Z2, ring, ("x", "y"), (unit, (spelled,)), (unit, ({0: ring.one},)))
+        got = _recovery_outcome(paction.recover_action_from_dual, alg)
+        assert got == _recovery_outcome(oracles.recover_by_two_solves, alg)
+        recovered.append(got)
+    assert recovered[0] == recovered[1]
+    assert recovered[0][1].domains == ((0, 1), (0,))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_restricted_actions(), st.sampled_from(("Q", "Zp:5", "Z")), st.data())
+def test_recovery_agrees_with_two_solve_oracle_on_restrictions(theta, spec, data):
+    # the dual of a restricted action, or one of its corrupted copies: the
+    # same theta, or the same exception class, message and witness
+    alg = paction.dual_action(theta, rings.parse_ring_spec(spec))
+    bad = dict(_corrupted_duals(alg))
+    label = data.draw(st.sampled_from(["dual"] + sorted(bad)))
+    alg = bad.get(label, alg)
+    got = _recovery_outcome(paction.recover_action_from_dual, alg)
+    assert got == _recovery_outcome(oracles.recover_by_two_solves, alg)
+    if label == "dual":
+        assert got == ("ok", theta)
 
 
 def _two_points(ring, image):
