@@ -112,39 +112,19 @@ def diagonal_subalgebra(G, ring):
     return tuple(SteinbergElement.indicator(G, ring, [u]) for u in G.units)
 
 
-def indicator_representation_check(G, ring, ample=None):
-    """Verify 1_U * 1_V = 1_{UV} and additivity over disjoint unions on all
-    bisection pairs; returns a report whose violation list is expected to be
-    empty."""
-    amp = ample or germs.ample_semigroup(G)
-    bis = list(amp.bisections)
-    pairs = [(i, j) for i in range(len(bis)) for j in range(len(bis))]
-    violations = []
-    for i, j in pairs:
-        left = convolve(
-            SteinbergElement.indicator(G, ring, bis[i]),
-            SteinbergElement.indicator(G, ring, bis[j]),
-        )
-        right = SteinbergElement.indicator(G, ring, germs.bisection_product(G, bis[i], bis[j]))
-        if left != right:
-            violations.append(("mult", i, j))
-        u, v = bis[i], bis[j]
-        if not (u & v) and (u | v) in amp.index:
-            lhs = SteinbergElement.indicator(G, ring, u) + SteinbergElement.indicator(G, ring, v)
-            if lhs != SteinbergElement.indicator(G, ring, u | v):
-                violations.append(("add", i, j))
-    return {"pairs_checked": len(pairs), "violations": violations}
-
-
 def boolean_rep_hom(G, ring, pi, ample=None):
     """Universal extension of a Boolean representation of the bisections.
 
     pi maps each bisection (a frozenset of arrows) to a target algebra
-    element supporting +, *, == and .scale(ring element).  Conditions
-    (i) pi(AB) = pi(A)pi(B) and (ii) pi(A) = pi(A - B) + pi(B) for B inside A
-    are checked on all pairs; the returned extension sends f to the pi-image
-    of its singleton decomposition and is checked against pi on every
-    bisection.
+    element supporting +, *, == and .scale(ring element), bilinear over
+    ring.  Conditions (i) pi(AB) = pi(A)pi(B) and (ii) pi(A) = pi(A - B) +
+    pi(B) for B inside A are checked on all pairs; the returned extension
+    sends f to the sum of f(a) pi({a}).  It extends pi and is a
+    homomorphism, with no check of its own: (ii) at A = B = empty gives
+    pi(empty) = 0, and then, taking out one arrow at a time, pi(U) = sum of
+    pi({a}) over a in U; (i) on singletons gives pi({a})pi({b}) =
+    pi({a}{b}), which is pi({ab}) when ab is defined and 0 otherwise, so by
+    bilinearity extend(f)extend(g) = extend(f * g).
     """
     amp = ample or germs.ample_semigroup(G)
     values = {b: pi(b) for b in amp.bisections}
@@ -162,17 +142,6 @@ def boolean_rep_hom(G, ring, pi, ample=None):
             out = out + values[frozenset([a])].scale(c)
         return out
 
-    for U in amp.bisections:
-        if not extend(SteinbergElement.indicator(G, ring, U)) == values[U]:
-            raise NotBooleanRep("extension disagrees with pi on a bisection", U)
-    # homomorphism spot-check on indicator products
-    sample = amp.bisections[:12]
-    for U in sample:
-        for V in sample:
-            fu = SteinbergElement.indicator(G, ring, U)
-            fv = SteinbergElement.indicator(G, ring, V)
-            if not extend(convolve(fu, fv)) == extend(fu) * extend(fv):
-                raise NotBooleanRep("extension is not multiplicative", (U, V))
     return extend
 
 

@@ -16,7 +16,7 @@ semigroups coincide and only the latter is exposed.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import count
 from operator import itemgetter
 
@@ -328,42 +328,55 @@ def ample_semigroup(G, max_size=20000, generators=None):
     """The inverse semigroup of compact-open bisections under the set product.
 
     With generators given, only the sub-semigroup they generate (closed under
-    product and inverse) is built.
+    product and inverse) is built: the bisections are reached by right
+    products with the generators and their inverses, and the table is filled
+    by `invsemi.tabulate` from those products, so each is computed once.
+    Without, every bisection is one of the generators.
+
+    The table is not validated: it is an inverse semigroup by proof, with
+    U^-1 the inverse of U and the sets of units the idempotents.
+    - The set product is associative, as G's composition is.
+    - U U^-1 U = U: uv^-1w is defined for u, v, w in U only when s(u) = s(v)
+      and t(v) = t(w), that is u = v = w.
+    - UU = U makes tau_U (`canonical_bisection_action`) an idempotent
+      partial bijection, the identity on its domain, so each a in U has
+      s(a) = t(a); then aa is the arrow of U = UU with the source of a:
+      aa = a, a unit.  Sets of units commute, their product being their
+      intersection, so the semigroup is inverse (Howie, Thm 5.1.1).
     """
     if generators is None:
-        bis = all_bisections(G, max_size)
+        bis = letters = all_bisections(G, max_size)
+        mul = partial(bisection_product, G)
     else:
-        seen = {frozenset(g) for g in generators}
-        queue = list(seen)
-        while queue:
-            cur = queue.pop()
-            for nxt in [bisection_inverse(G, cur)] + [
-                bisection_product(G, cur, other) for other in list(seen)
-            ] + [bisection_product(G, other, cur) for other in list(seen)]:
-                if nxt not in seen:
-                    if len(seen) >= max_size:
+        gens = [frozenset(g) for g in generators]
+        letters = list(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]))
+        found = list(letters)
+        pos = {U: k for k, U in enumerate(found)}
+        right = []  # right[k][j] = pos[found[k] letters[j]]
+        for U in found:  # found grows while it is scanned
+            row = []
+            for g in letters:
+                UV = bisection_product(G, U, g)
+                if UV not in pos:
+                    if len(found) >= max_size:
                         raise ResourceLimit(f"generated more than {max_size} bisections")
-                    seen.add(nxt)
-                    queue.append(nxt)
-        bis = sorted(seen, key=lambda b: (len(b), sorted(b)))
+                    pos[UV] = len(found)
+                    found.append(UV)
+                row.append(pos[UV])
+            right.append(row)
+        bis = sorted(found, key=lambda b: (len(b), sorted(b)))
+        letter = {g: j for j, g in enumerate(letters)}
+
+        def mul(U, g):  # tabulate reads the products made above
+            return found[right[pos[U]][letter[g]]]
     index = {b: i for i, b in enumerate(bis)}
-
-    def fmt(b):
-        if not b:
-            return "{}"
-        return "{" + ",".join(G.arrows[a] for a in sorted(b)) + "}"
-
-    names = tuple(fmt(b) for b in bis)
-    tbl = []
-    for A in bis:
-        row = []
-        for B in bis:
-            p = bisection_product(G, A, B)
-            if p not in index:
-                raise GroupoidError("bisections are not closed under product", (A, B))
-            row.append(index[p])
-        tbl.append(row)
-    S = invsemi.validate_inverse_semigroup(names, tbl)
+    tbl = invsemi.tabulate(bis, mul, letters)
+    units = frozenset(G.units)
+    S = invsemi._inverse_semigroup(
+        tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis), tbl,
+        tuple(index[bisection_inverse(G, b)] for b in bis),
+        tuple(i for i, b in enumerate(bis) if b <= units),
+        tuple(invsemi.table_closure(tbl)[0]))
     return AmpleSemigroup(G, tuple(bis), S, index)
 
 
@@ -384,24 +397,28 @@ def canonical_bisection_action(amp):
 
 @dataclass
 class FullPseudogroupReport:
-    taus: tuple
     injective: bool
+    witness: object  # the least pair of arrows a < b with equal ends, or None
     effective: bool
     theorem_holds: bool
 
 
-def full_pseudogroup(amp):
-    """tau_U as partial bijections of the unit space; tau is injective on
-    bisections exactly when the groupoid is effective."""
-    G = amp.groupoid
-    upos = {u: i for i, u in enumerate(G.units)}
-    taus = tuple(
-        tuple(sorted((upos[G.source[a]], upos[G.target[a]]) for a in b))
-        for b in amp.bisections
-    )
-    injective = len(set(taus)) == len(taus)
+def full_pseudogroup(G):
+    """Whether tau, U -> tau_U = {(s(a), t(a)) : a in U}, is injective on
+    bisections, and whether G is effective; the theorem says they agree.
+
+    Decided in O(|arrows|): tau is injective iff a -> (s(a), t(a)) is.
+    Arrows a != b with equal ends give tau({a}) = tau({b}), and the least
+    such pair is the witness; otherwise U is read back from tau(U).  They
+    exist iff b^-1 a is an isotropy arrow other than the unit s(a), that is
+    iff G is not effective (`isotropy_report`).
+    """
+    by_ends = {}
+    for a, ends in enumerate(zip(G.source, G.target)):
+        by_ends.setdefault(ends, []).append(a)
+    witness = min((tuple(arrows[:2]) for arrows in by_ends.values() if len(arrows) > 1), default=None)
     effective = isotropy_report(G).effective
-    return FullPseudogroupReport(taus, injective, effective, injective == effective)
+    return FullPseudogroupReport(witness is None, witness, effective, (witness is None) == effective)
 
 
 def basic_bisection(germ, s, points):

@@ -82,10 +82,9 @@ def validate_inverse_semigroup(elements, table):
     unique generalized inverse, with the first witness in index order.
     Associativity is Light's test, (xa)y = x(ay) for all x, y and each a in
     a generating set A, so it costs O(n^2 |A|).  A and the walk reaching
-    every element from it are the `closure` of the table scanned by
-    descending |sS| (distinct entries in row s), ties by index.  The least
-    triple (i, j, k) with (ij)k != i(jk) is searched for only once the test
-    has failed.  Inverses are read along the walk in O(n |A|)
+    every element from it are the `table_closure`.  The least triple
+    (i, j, k) with (ij)k != i(jk) is searched for only once the test has
+    failed.  Inverses are read along the walk in O(n |A|)
     (`_inverses_along`); only a table that is not inverse is scanned for the
     least element without a unique inverse.  A is kept as `S.gens`.
     """
@@ -101,9 +100,7 @@ def validate_inverse_semigroup(elements, table):
         if not valid.issuperset(row):
             j = next(j for j, x in enumerate(row) if x not in valid)
             raise SemigroupError("table entry out of range", (i, j))
-    one_unit = (0,) * n
-    gens, steps = closure(tbl, sorted(range(n), key=lambda s: (-len(set(tbl[s])), s)),
-                          one_unit, one_unit)
+    gens, steps = table_closure(tbl)
     if not _light_test(tbl, gens):
         # only reached on a non-associative table: find its least witness
         for i in range(n):
@@ -245,6 +242,18 @@ def closure(rows, order, source, target):
         for c in fresh:
             reached_from.setdefault(source[c], []).append(c)
     return gens, steps
+
+
+def table_closure(tbl):
+    """The `closure` of a Cayley table scanned by descending |sS| (distinct
+    entries in row s), ties by index, with a left identity (row s equal to
+    0, 1, ..., n-1) last: it joins the generators only when the others do
+    not reach it."""
+    n = len(tbl)
+    identity_row = tuple(range(n))
+    order = sorted(range(n), key=lambda s: (tuple(tbl[s]) == identity_row, -len(set(tbl[s])), s))
+    one_unit = (0,) * n
+    return closure(tbl, order, one_unit, one_unit)
 
 
 def _light_test(tbl, gens):

@@ -294,16 +294,17 @@ def dual_action(theta, ring):
     """D_s = functions supported in X_s; alpha_s(f) = f o theta_{s*}, extended
     by zero.  On point indicators: alpha_s(1_y) = 1_{theta_s(y)}.
 
-    Each distinct domain gets one tuple of point indicators, shared by every
-    s with that domain.  On a global action, such as the Munn and self
-    actions, X_s = X_{ss*}, so there are at most |E(S)| distinct domains
-    and the ideals hold the sum of |X_e| over the idempotents e in
-    generator dicts, not |L|."""
+    Each carrier point gets one indicator dict and each distinct domain one
+    tuple of them, shared by every ideal and image that holds them; no
+    reader mutates them (`recover_action_from_dual` and
+    `algebra._indicator_maps` only read).  On a global action, such as the
+    Munn and self actions, X_s = X_{ss*}: at most |E(S)| distinct domains."""
     S = theta.semigroup
-    ideals = {d: indicator_ideal(ring, d) for d in set(theta.domains)}
+    points = [indicator(ring, [x]) for x in range(len(theta.carrier))]
+    ideals = {d: tuple(points[x] for x in sorted(d)) for d in set(theta.domains)}
     ideal_gens = tuple(ideals[d] for d in theta.domains)
     alpha_images = tuple(
-        tuple(indicator(ring, [theta.theta(s, y)]) for y in sorted(theta.domains[S.inv(s)]))
+        tuple(points[theta.theta(s, y)] for y in sorted(theta.domains[S.inv(s)]))
         for s in range(len(S))
     )
     return AlgebraicPartialAction(S, ring, theta.carrier, ideal_gens, alpha_images)

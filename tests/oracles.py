@@ -260,6 +260,44 @@ def bisection_product_by_pairs(G, A, B):
     return frozenset(G.compose[a][b] for a in A for b in B if G.composable(a, b))
 
 
+# --- bisections: every one listed ---------------------------------------------------
+
+def taus_injective_by_enumeration(G):
+    """Whether tau, U -> {(s(a), t(a)) : a in U}, is injective on the
+    bisections of G, deciding it over `germs.all_bisections` (which raises
+    ResourceLimit past 20000 bisections)."""
+    upos = {u: i for i, u in enumerate(G.units)}
+    taus = [tuple(sorted((upos[G.source[a]], upos[G.target[a]]) for a in b))
+            for b in germs.all_bisections(G)]
+    return len(set(taus)) == len(taus)
+
+
+def ample_semigroup_validated(G, max_size=20000, generators=None):
+    """germs.ample_semigroup as it was: the generated bisections are closed
+    under inverses and products in both orders against every one seen, then
+    all |bis|^2 products are tabulated again and the table is validated."""
+    if generators is None:
+        bis = germs.all_bisections(G, max_size)
+    else:
+        seen = {frozenset(g) for g in generators}
+        queue = list(seen)
+        while queue:
+            cur = queue.pop()
+            for nxt in [germs.bisection_inverse(G, cur)] + [
+                germs.bisection_product(G, cur, other) for other in list(seen)
+            ] + [germs.bisection_product(G, other, cur) for other in list(seen)]:
+                if nxt not in seen:
+                    if len(seen) >= max_size:
+                        raise germs.ResourceLimit(f"generated more than {max_size} bisections")
+                    seen.add(nxt)
+                    queue.append(nxt)
+        bis = sorted(seen, key=lambda b: (len(b), sorted(b)))
+    index = {b: i for i, b in enumerate(bis)}
+    names = ["{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis]
+    tbl = [[index[germs.bisection_product(G, A, B)] for B in bis] for A in bis]
+    return germs.AmpleSemigroup(G, tuple(bis), invsemi.validate_inverse_semigroup(names, tbl), index)
+
+
 def generalized_inverses(elements, table):
     """The generalized inverse of every element, found by trying every j for
     every i; or (message, witness) of the least i without exactly one."""
@@ -476,7 +514,7 @@ def generating_set(tbl):
     """Indices that generate the magma tbl by left-normed products.
 
     Elements are scanned by descending |sS| (distinct entries in row s), ties
-    by index.  One joins the set when the closure of the set so far under
+    by index, with a left identity last.  One joins the set when the closure of the set so far under
     right multiplication by it does not yet reach that element, so the
     closure ends as everything; O(n^2) for the scan, O(n * |A|) for the
     closure.
@@ -484,7 +522,9 @@ def generating_set(tbl):
     reached = [False] * len(tbl)
     closure = []
     gens = []
-    for s in sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s)):
+    identity_row = tuple(range(len(tbl)))
+    order = sorted(range(len(tbl)), key=lambda s: (tuple(tbl[s]) == identity_row, -len(set(tbl[s])), s))
+    for s in order:
         if reached[s]:
             continue
         gens.append(s)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import oracles
 import pytest
@@ -68,12 +69,6 @@ def test_diagonal_subalgebra():
             prod = convolve(u, v)
             assert set(prod.coeffs) <= set(PAIR.units)
             assert prod == convolve(v, u)
-
-
-def test_indicator_representation_check_pair():
-    rep = algebra.indicator_representation_check(PAIR, Q)
-    assert rep["pairs_checked"] == 49
-    assert rep["violations"] == []
 
 
 def test_empty_bisection_indicator_is_zero():
@@ -150,6 +145,17 @@ def test_boolean_rep_matrix_units():
     f = SteinbergElement(PAIR, Q, {a: a + 1 for a in range(4)})
     g = SteinbergElement(PAIR, Q, {a: 2 - a for a in range(4)})
     assert extend(convolve(f, g)) == extend(f) * extend(g)
+
+
+def test_boolean_rep_extension_is_multiplicative_on_every_pair():
+    # what the conditions prove, checked on every pair of bisection
+    # indicators of the pair groupoid and of the one-unit Z2 groupoid
+    for G in (PAIR, Z2G):
+        bis = germs.ample_semigroup(G).bisections
+        extend = algebra.boolean_rep_hom(G, Q, lambda U, G=G: SteinbergElement.indicator(G, Q, U))
+        for U, V in product(bis, repeat=2):
+            fu, fv = SteinbergElement.indicator(G, Q, U), SteinbergElement.indicator(G, Q, V)
+            assert extend(convolve(fu, fv)) == extend(fu) * extend(fv)
 
 
 def test_boolean_rep_violation_detected():

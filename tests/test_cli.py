@@ -183,6 +183,35 @@ def test_constructed_semigroup_output_unchanged(capsys, tmp_path):
     assert digest.hexdigest() == "4946d1308816f8165e0c1d0e7a9ce7b3411bd907f18c9e2342c36c1cd55294b3"
 
 
+def test_table_and_graph_output_unchanged(capsys, tmp_path):
+    # one sha256 over the exit code and stdout of `validate`, `analyze` and
+    # `maxgroup` on table documents (Z_1..Z_7, the chains of 1..5 elements
+    # and I_3) and of `graph analyze` and `graph coe-search` on the catalog
+    # graphs, recorded while a monoid's identity was always the first of the
+    # generators a validated table kept
+    from germkit import invsemi
+
+    tables = {f"z{n}": ([f"a{i}" for i in range(n)],
+                        [[(i + j) % n for j in range(n)] for i in range(n)]) for n in range(1, 8)}
+    tables.update({f"chain{n}": ([f"e{i}" for i in range(n)],
+                                 [[max(i, j) for j in range(n)] for i in range(n)]) for n in range(1, 6)})
+    i3 = invsemi.symmetric_inverse_semigroup(3)[0]
+    tables["i3"] = (list(i3.elements), [list(row) for row in i3.table])
+    argvs = []
+    for name, (elements, table) in tables.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({"schema": "semigroup", "version": 1, "elements": elements, "table": table}))
+        argvs += [(cmd, str(f)) for cmd in ("validate", "analyze", "maxgroup")]
+    for e in catalog.GRAPH_NAMES:
+        argvs.append(("graph", "analyze", f"catalog:{e}"))
+        argvs += [("graph", "coe-search", f"catalog:{e}", f"catalog:{f}") for f in catalog.GRAPH_NAMES]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "0bf5c1ad13d1d7dfe9aac4cf9169b949bf68a16d2909feecd80aaf6b0804c9ea"
+
+
 def test_verify_steinberg_crossed_has_no_seed(capsys):
     code, _, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--seed", "1")
     assert code == 2

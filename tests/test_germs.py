@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import oracles
@@ -209,16 +210,101 @@ def test_ample_semigroup_generated():
     assert all(germs.is_bisection(G, b) for b in amp.bisections)
 
 
+def _least_pair_with_equal_ends(G):
+    """The least arrow a that shares its ends with another, and the least
+    such other b > a; None when no two arrows share their ends."""
+    ends = list(zip(G.source, G.target))
+    shared = Counter(ends)
+    a = next((a for a, e in enumerate(ends) if shared[e] > 1), None)
+    return None if a is None else (a, ends.index(ends[a], a + 1))
+
+
 def test_full_pseudogroup_matches_effectiveness():
-    for name in catalog.GROUPOID_NAMES:
+    # the verdict read off the arrows' ends agrees with the one read off every
+    # bisection, on the germ groupoids of every catalog action (Munn I_2's
+    # among them) too, and tau is equal on the witness pair
+    for name in _catalog_groupoid_names():
         G = catalog.groupoid(name)
-        rep = germs.full_pseudogroup(germs.ample_semigroup(G))
+        rep = germs.full_pseudogroup(G)
         assert rep.theorem_holds, name
+        assert rep.injective == oracles.taus_injective_by_enumeration(G), name
+        assert rep.witness == _least_pair_with_equal_ends(G), name
+        if rep.witness is not None:
+            a, b = rep.witness
+            assert (G.source[a], G.target[a]) == (G.source[b], G.target[b]), name
 
 
 def test_full_pseudogroup_one_unit_z2_not_injective():
-    rep = germs.full_pseudogroup(germs.ample_semigroup(catalog.groupoid("z2-one-unit")))
+    rep = germs.full_pseudogroup(catalog.groupoid("z2-one-unit"))
     assert not rep.injective and not rep.effective
+    assert rep.witness == (0, 1)
+
+
+@pytest.mark.parametrize("n, kind", [(3, "munn"), (4, "munn"), (5, "munn"), (3, "self"), (4, "self")])
+def test_full_pseudogroup_past_the_enumeration(n, kind):
+    # the Munn germ groupoids are not effective and the self ones are; listing
+    # their bisections hits its limit, the arrows' ends decide at once
+    S, _ = invsemi.symmetric_inverse_semigroup(n, max_elements=1546)
+    theta = invsemi.munn_representation(S) if kind == "munn" else invsemi.canonical_self_action(S)
+    G = germs.groupoid_of_germs(theta).groupoid
+    rep = germs.full_pseudogroup(G)
+    assert rep.theorem_holds and rep.effective == (kind == "self")
+    assert rep.witness == _least_pair_with_equal_ends(G)
+    with pytest.raises(germs.ResourceLimit):
+        oracles.taus_injective_by_enumeration(G)
+
+
+def _ample_cases():
+    """(name, groupoid, generators or None): every catalog groupoid, with
+    every bisection and with every third one as generators, the basic
+    bisections of the Munn actions of I_2 and I_3, and one arrow of the
+    pair groupoid."""
+    cases = []
+    for name in catalog.GROUPOID_NAMES:
+        G = catalog.groupoid(name)
+        cases += [(name, G, None), (f"{name}/gen", G, germs.all_bisections(G)[1::3])]
+    for n in (2, 3):
+        gg = germs.groupoid_of_germs(invsemi.munn_representation(invsemi.symmetric_inverse_semigroup(n)[0]))
+        theta = gg.action
+        cases.append((f"munn-i{n}/basic", gg.groupoid,
+                      [germs.basic_bisection(gg, s, theta.dom(s)) for s in range(len(theta.semigroup))]))
+    pair = catalog.groupoid("pair")
+    cases.append(("pair/arrow", pair, [frozenset([next(a for a in range(len(pair)) if a not in pair.units)])]))
+    return cases
+
+
+def test_ample_semigroup_matches_validated_build():
+    for name, G, gens in _ample_cases():
+        amp = germs.ample_semigroup(G, generators=gens)
+        want = oracles.ample_semigroup_validated(G, generators=gens)
+        assert (amp.bisections, amp.index) == (want.bisections, want.index), name
+        S, T = amp.semigroup, want.semigroup
+        assert (S.elements, S.table, S.inverse, S.idempotents, S.zero) == (
+            T.elements, T.table, T.inverse, T.idempotents, T.zero), name
+        assert (S.below, S.gens) == (T.below, T.gens), name
+
+
+def test_ample_semigroup_builds_no_table_twice(monkeypatch):
+    # the generated table is read off the products made while reaching the
+    # bisections, and it is not validated again
+    gg = germs.groupoid_of_germs(invsemi.munn_representation(invsemi.symmetric_inverse_semigroup(3)[0]))
+    theta = gg.action
+    gens = [germs.basic_bisection(gg, s, theta.dom(s)) for s in range(len(theta.semigroup))]
+    calls = []
+    product = germs.bisection_product
+
+    def counted(G, A, B):
+        calls.append((A, B))
+        return product(G, A, B)
+
+    def refuse(*args):
+        raise AssertionError("the ample semigroup's table was validated")
+
+    monkeypatch.setattr(germs, "bisection_product", counted)
+    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", refuse)
+    amp = germs.ample_semigroup(gg.groupoid, generators=gens)
+    letters = set(gens) | {germs.bisection_inverse(gg.groupoid, g) for g in gens}
+    assert len(calls) == len(set(calls)) == len(amp.bisections) * len(letters)
 
 
 def test_canonical_bisection_action_recovers_groupoid():
@@ -676,11 +762,11 @@ def _cyclic_partial_action(n, carrier, maps):
 
 def test_germs_of_gens_need_not_generate_the_germ_groupoid():
     # Z/3 on {0, 1}, theta_g = {0 -> 1}, theta_g2 = {1 -> 0}: [g2, 1] is no
-    # product of germs of S.gens = (1, g), but the derived arrows generate
+    # product of germs of S.gens = (g,), but the derived arrows generate
     theta = _cyclic_partial_action(3, ("0", "1"), {1: {0: 1}, 2: {1: 0}})
     gg = germs.groupoid_of_germs(theta)
     G, S = gg.groupoid, theta.semigroup
-    assert S.gens == (0, 1)
+    assert S.gens == (1,)
     of_gens = {gg.germ(s, x) for s in S.gens for x in theta.dom(s)}
     assert gg.germ(2, 1) not in _generated(G, of_gens)
     assert _generated(G, G.gens) == set(range(len(G.arrows)))
@@ -694,7 +780,7 @@ def test_derived_generators_reach_every_arrow(name):
 
 def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
     # Z/6 on {0, 1, 2}: g moves 0 to 1, g2 and g4 fix 2, so the isotropy at 2
-    # is {[1,2], [g2,2], [g4,2]} and no germ of S.gens = (1, g) reaches it;
+    # is {[1,2], [g2,2], [g4,2]} and no germ of S.gens = (g,) reaches it;
     # a corrupted [g2,2][g2,2] must still be found
     theta = _cyclic_partial_action(6, ("0", "1", "2"),
                                    {1: {0: 1}, 5: {1: 0}, 2: {2: 2}, 4: {2: 2}})

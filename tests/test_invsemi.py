@@ -809,17 +809,21 @@ def _closure_table(name):
     return catalog.semigroup(name)
 
 
-def _table_closure(tbl):
-    """invsemi.closure of a Cayley table, scanned as validation scans it."""
-    one_unit = (0,) * len(tbl)
-    order = sorted(range(len(tbl)), key=lambda s: (-len(set(tbl[s])), s))
-    return invsemi.closure(tbl, order, one_unit, one_unit)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_validation_scans_the_identity_last(n):
+    # the identity of I_n is the product of other elements, so it joins no
+    # validated generating set: n of them, not n + 1; Z_5 needs only 1
+    S, maps = invsemi.symmetric_inverse_semigroup(n, max_elements=1546)
+    identity = maps.index(invsemi.PartialBijection(tuple((x, x) for x in range(n))))
+    gens = invsemi.validate_inverse_semigroup(S.elements, S.table).gens
+    assert identity not in gens and len(gens) == n
+    assert _cyclic(5).gens == (1,)
 
 
 @pytest.mark.parametrize("name", [*catalog.SEMIGROUP_NAMES, "i4", "sz7", "chain120"])
 def test_closure_of_a_table_matches_the_walks_it_replaced(name):
     S = _closure_table(name)
-    gens, steps = _table_closure(S.table)
+    gens, steps = invsemi.table_closure(S.table)
     assert gens == oracles.generating_set(S.table)
     assert oracles.closure_walk_failure(S.table, gens, steps) is None
     assert invsemi.validate_inverse_semigroup(S.elements, S.table).gens == tuple(gens)
@@ -878,7 +882,7 @@ def test_closure_matches_the_walks_on_subsemigroups_of_i4(case):
     pos = {x: k for k, x in enumerate(items)}
     tbl = [[pos[S.mul(x, y)] for y in items] for x in items]
     names = [S.elements[x] for x in items]
-    gens, steps = _table_closure(tbl)
+    gens, steps = invsemi.table_closure(tbl)
     assert gens == oracles.generating_set(tbl)
     assert oracles.closure_walk_failure(tbl, gens, steps) is None
     T = invsemi.validate_inverse_semigroup(names, tbl)

@@ -79,12 +79,12 @@ def _cyclic(n):
 
 
 def test_generator_inclusions_do_not_make_an_action():
-    # every theta_a theta_t <= theta_(a+t) holds for the generators a = 0, 1,
-    # yet theta_2 theta_2 = id on {a} is not a restriction of theta_4 = {}:
-    # inclusion over the generators is not enough, the equality over them is
-    # what proves the laws
+    # every theta_a theta_t <= theta_(a+t) holds for the generator a = 1 (the
+    # identity is scanned last, so 1 alone generates), yet theta_2 theta_2 =
+    # id on {a} is not a restriction of theta_4 = {}: inclusion over the
+    # generators is not enough, the equality over them is what proves the laws
     Z5 = _cyclic(5)
-    assert Z5.gens == (0, 1)
+    assert Z5.gens == (1,)
     ida = {0: 0}
     maps = ({0: 0, 1: 1, 2: 2}, {}, ida, ida, {})
     domains = tuple(tuple(sorted(m.values())) for m in maps)
@@ -442,6 +442,24 @@ def test_recovery_solves_once_per_distinct_ideal(make, monkeypatch):
     monkeypatch.setattr(rings, "span_solver", lambda ring, gens: built.append(gens) or span_solver(ring, gens))
     assert paction.recover_action_from_dual(alg) == theta
     assert len(built) == 16
+
+
+@pytest.mark.parametrize("ringspec", ["Q", "Zp:5"])
+def test_dual_holds_one_indicator_per_point(ringspec):
+    # every ideal generator and every image is the one dict of its point,
+    # and recovery still returns the action
+    ring = rings.parse_ring_spec(ringspec)
+    S3, _ = invsemi.symmetric_inverse_semigroup(3)
+    named = [(name, catalog.action(name)) for name in catalog.ACTION_NAMES]
+    for name, theta in named + [("munn-i3", invsemi.munn_representation(S3)),
+                                ("self-i3", invsemi.canonical_self_action(S3))]:
+        alg = paction.dual_action(theta, ring)
+        of_point = {}
+        for vec in (v for vecs in alg.ideal_gens + alg.alpha_images for v in vecs):
+            (x,) = vec
+            assert of_point.setdefault(x, vec) is vec, name
+        assert len(of_point) == len(theta.carrier), name
+        assert paction.recover_action_from_dual(alg) == theta, name
 
 
 @pytest.mark.parametrize("ring, zero", [(rings.RING_Q, 0), (rings.ring_zmod(5), 5)])
