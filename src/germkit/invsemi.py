@@ -11,15 +11,16 @@ was checked with, or a model's construction generators.
 Associativity of a table is decided by Light's test over a generating set A
 read off the table: O(n^2 |A|); only a table that fails it is scanned for
 its least non-associative triple.  The models I_n and S(G) are associative
-inverse semigroups by proof (see their constructors): their tables, filled
-by `tabulate`, are not checked, and their inverses come from the model.
+inverse semigroups by proof (see their constructors): their inverses,
+idempotents, zero and order come from the model, and their tables, filled
+by `tabulate` the first time S.table is read, are not checked.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from . import GermkitError, ResourceLimit
 
@@ -40,15 +41,36 @@ class NonUniqueInverse(SemigroupError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseSemigroup:
+    """A finite inverse semigroup on range(n); S.table is its Cayley table.
+
+    Equality and hashing read the table.  A model (`_ModelSemigroup`) fills
+    its table the first time S.table is read.
+    """
+
     elements: tuple
-    table: tuple
+    table: InitVar[tuple]
     inverse: tuple
     idempotents: tuple
     zero: object = None
-    below: tuple = field(kw_only=True, compare=False, repr=False)
-    gens: tuple = field(kw_only=True, compare=False, repr=False)
+    below: tuple = field(kw_only=True, repr=False)
+    gens: tuple = field(kw_only=True, repr=False)
+
+    def __post_init__(self, table):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_idempotent_set", frozenset(self.idempotents))
+
+    def _key(self):
+        return self.elements, self.table, self.inverse, self.idempotents, self.zero
+
+    def __eq__(self, other):
+        if not isinstance(other, InverseSemigroup):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
         return len(self.elements)
@@ -66,13 +88,38 @@ class InverseSemigroup:
         return self.inverse[i]
 
     def is_idempotent(self, i):
-        return self.table[i][i] == i
+        return i in self._idempotent_set
 
     def index(self, name):
         return self.elements.index(name)
 
     def name(self, i):
         return self.elements[i]
+
+
+class _TableOnRead:
+    """S.table of a model: S._tabulate() at the first read, kept as an
+    instance attribute, which hides this descriptor from then on."""
+
+    def __get__(self, S, owner=None):
+        if S is None:
+            return self
+        table = S._tabulate()
+        object.__setattr__(S, "table", table)
+        return table
+
+
+class _ModelSemigroup(InverseSemigroup):
+    """I_n or S(G).  In the table's place it takes a function that tabulates
+    the table, called the first time S.table is read.  Only models carry
+    the descriptor: on a table given as it is, S.table stays a plain
+    attribute, which keeps the interpreter's fast attribute loads in S.mul."""
+
+    table = _TableOnRead()
+
+    def __post_init__(self, tabulate):
+        object.__setattr__(self, "_tabulate", tabulate)
+        object.__setattr__(self, "_idempotent_set", frozenset(self.idempotents))
 
 
 def validate_inverse_semigroup(elements, table):
@@ -511,15 +558,20 @@ def exel_semigroup(G, max_elements=4096):
     pairwise distinct and ri != 1; the product rule is
     (eps_R [g])(eps_Q [h]) = eps_{(R u gQ u {g}) \\ {1, gh}} [gh].
 
-    The table `tabulate` fills from the [g], kept as gens, is not checked,
-    as S(G) is an inverse semigroup by proof.  (R, g) -> (R u {1, g}, g) is
-    a bijection onto the Birget-Rhodes pairs (A, g) with 1, g in A, whose
-    product (A, g)(B, h) = (A u gB, gh) is plainly associative; `mul` is
-    that product read back (both give R u gQ u {1, g, gh} with gh).
-    (A, g)(g^-1 A, g^-1)(A, g) = (A, g); the idempotents are the (A, 1),
-    and they commute.  So S(G) is inverse (Howie, Fundamentals of Semigroup
-    Theory, Thm 5.1.1), (R, g)* = (g^-1 R, g^-1), and (A, g) <= (B, h) iff
-    g = h and B is a subset of A.
+    S(G) is an inverse semigroup by proof, so nothing here is checked.
+    (R, g) -> (R u {1, g}, g) is a bijection onto the Birget-Rhodes pairs
+    (A, g) with 1, g in A, whose product (A, g)(B, h) = (A u gB, gh) is
+    plainly associative; `mul` is that product read back (both give
+    R u gQ u {1, g, gh} with gh).  (A, g)(g^-1 A, g^-1)(A, g) = (A, g); the
+    idempotents are the (A, 1), and they commute.  So S(G) is inverse
+    (Howie, Fundamentals of Semigroup Theory, Thm 5.1.1), (R, g)* =
+    (g^-1 R, g^-1), and (A, g) <= (B, h) iff g = h and B is a subset of A:
+    below[(R, g)] holds the (R', g) with R' a superset of R, that is (R, g)
+    and the below rows of the (R u {r}, g), which come later in the forms.
+    A zero would be an idempotent (A, 1), but (A, 1)[g] = (A u {g}, g) is
+    not (A, 1) for g != 1, so S(G) has a zero only when G is trivial.  The
+    table is filled by `tabulate` from the [g], kept as gens, the first
+    time S.table is read.
     """
     if not is_group(G):
         raise SemigroupError("exel_semigroup needs a group")
@@ -549,10 +601,16 @@ def exel_semigroup(G, max_elements=4096):
 
     names = tuple(fmt(fg) for fg in forms)
     of_group = tuple(index[(frozenset(), g)] for g in range(n))
-    tbl = tabulate(forms, mul, [forms[a] for a in of_group])
     inverse = tuple(index[(frozenset(G.mul(G.inv(g), r) for r in R), G.inv(g))] for R, g in forms)
     idem = tuple(i for i, (R, g) in enumerate(forms) if g == one)
-    S = _inverse_semigroup(names, tbl, inverse, idem, of_group)
+    below = [0] * len(forms)
+    for i in reversed(range(len(forms))):
+        R, g = forms[i]
+        below[i] = reduce(or_, (below[index[(R | {r}, g)]] for r in others if r != g and r not in R), 1 << i)
+    zero = of_group[one] if n == 1 else None
+    letters = [forms[a] for a in of_group]
+    S = _ModelSemigroup(names, lambda: tabulate(forms, mul, letters), inverse, idem, zero,
+                        below=tuple(below), gens=of_group)
     return ExelSemigroup(S, tuple(forms), G, of_group)
 
 
@@ -584,11 +642,16 @@ def symmetric_inverse_semigroup(n, max_elements=600):
 
     Returns (InverseSemigroup, tuple of PartialBijection payloads).
 
-    The table `tabulate` fills from three generators, kept as gens, is not
-    checked, as I_n is an inverse semigroup by proof.  Partial bijections
-    compose as functions, so the product is associative; f f^-1 f = f; an
-    injective f with f f = f is a partial identity, and id_A id_B = id_(A n B),
-    so idempotents commute.  So I_n is inverse (Howie, Thm 5.1.1), f* = f^-1.
+    I_n is an inverse semigroup by proof, so nothing here is checked.
+    Partial bijections compose as functions, so the product is associative;
+    f f^-1 f = f; an injective f with f f = f is a partial identity, and
+    id_A id_B = id_(A n B), so idempotents commute.  So I_n is inverse
+    (Howie, Thm 5.1.1), f* = f^-1, and f <= g iff f = g f^-1 f, the
+    restriction of g to the domain of f: below[g] holds g's restrictions to
+    the subsets of its domain, that is g and the below rows of the
+    restrictions one point smaller, which come earlier in the maps.  The
+    empty map is the zero.  The table is filled by `tabulate` from three
+    generators, kept as gens, the first time S.table is read.
     """
     count = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
     if count > max_elements:
@@ -609,12 +672,15 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     if n >= 2:
         gens.append(PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
     names = tuple(fmt(f) for f in maps)
-    index = {f: i for i, f in enumerate(maps)}
-    tbl = tabulate(maps, compose_partial, gens)
-    inverse = tuple(index[PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))]
-                    for f in maps)
+    index = {f.mapping: i for i, f in enumerate(maps)}
+    inverse = tuple(index[tuple(sorted((y, x) for x, y in f.mapping))] for f in maps)
     idem = tuple(i for i, f in enumerate(maps) if all(x == y for x, y in f.mapping))
-    S = _inverse_semigroup(names, tbl, inverse, idem, tuple(dict.fromkeys(index[g] for g in gens)))
+    below = []
+    for i, f in enumerate(maps):
+        m = f.mapping
+        below.append(reduce(or_, (below[index[m[:j] + m[j + 1:]]] for j in range(len(m))), 1 << i))
+    S = _ModelSemigroup(names, lambda: tabulate(maps, compose_partial, gens), inverse, idem, index[()],
+                        below=tuple(below), gens=tuple(dict.fromkeys(index[g.mapping] for g in gens)))
     return S, tuple(maps)
 
 

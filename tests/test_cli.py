@@ -183,6 +183,21 @@ def test_constructed_semigroup_output_unchanged(capsys, tmp_path):
     assert digest.hexdigest() == "4946d1308816f8165e0c1d0e7a9ce7b3411bd907f18c9e2342c36c1cd55294b3"
 
 
+def test_exel_output_unchanged_past_z7(capsys, tmp_path):
+    # one sha256 over the exit code and stdout of `exel` on Z_8 and Z_9,
+    # recorded while exel_semigroup still tabulated S(G) at build time
+    digest = hashlib.sha256()
+    for n in (8, 9):
+        f = tmp_path / f"z{n}.json"
+        f.write_text(json.dumps({"schema": "semigroup", "version": 1,
+                                 "elements": [f"a{i}" for i in range(n)],
+                                 "table": [[(i + j) % n for j in range(n)] for i in range(n)]}))
+        code, out, _ = run(capsys, "exel", str(f))
+        assert code == 0, n
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "1fc5b166454319162f7ca1cda0b1bcabed5367f8fed64161a908e2dc7493b071"
+
+
 def test_table_and_graph_output_unchanged(capsys, tmp_path):
     # one sha256 over the exit code and stdout of `validate`, `analyze` and
     # `maxgroup` on table documents (Z_1..Z_7, the chains of 1..5 elements

@@ -529,12 +529,16 @@ def _compose_after(f, g):
     return tuple(sorted((x, fd[y]) for x, y in g.mapping if y in fd))
 
 
+def _symmetric_pairwise_table(maps):
+    index = {f.mapping: i for i, f in enumerate(maps)}
+    return tuple(tuple(index[_compose_after(f, g)] for g in maps) for f in maps)
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_symmetric_table_matches_pairwise_composition(n):
     S, maps = invsemi.symmetric_inverse_semigroup(n)
-    index = {f.mapping: i for i, f in enumerate(maps)}
-    assert len(set(index)) == len(S) == sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
-    assert S.table == tuple(tuple(index[_compose_after(f, g)] for g in maps) for f in maps)
+    assert len({f.mapping for f in maps}) == len(S) == sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+    assert S.table == _symmetric_pairwise_table(maps)
 
 
 def _exel_pairwise_table(G, forms):
@@ -835,33 +839,74 @@ def test_closure_of_a_table_matches_the_walks_it_replaced(name):
     assert oracles.closure_walk_failure(S.table, given, steps) is None
 
 
-def test_constructors_agree_with_validated_tables(monkeypatch):
-    # I_0..I_5 and S(Z_1)..S(Z_8) are built with Light's test and the
-    # validator made to raise; each keeps the generators `tabulate` filled
-    # its table from, and S(G)'s table validates to the constructed
-    # semigroup (I_n's: test_validate_over_construction_generators_matches_derived)
-    def refuse(*args):
-        raise AssertionError("a constructor validated its own table")
+def _construction_gens(n):
+    points = range(n)
+    gens = [invsemi.PartialBijection(tuple((x, (x + 1) % n) for x in points))]
+    if n >= 1:
+        gens.append(invsemi.PartialBijection(tuple((x, x) for x in points[1:])))
+    if n >= 2:
+        gens.append(invsemi.PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
+    return gens
 
+
+def _refuse(*args):
+    raise AssertionError("a constructor tabulated or validated its own table")
+
+
+def test_constructors_agree_with_validated_tables(monkeypatch):
+    # I_0..I_5 and S(Z_1)..S(Z_8) are built with `tabulate`, Light's test
+    # and the validator made to raise: inverses, idempotents, zero, order
+    # and gens come from the model.  Each then agrees, field by field and
+    # row by row, with its materialised table validated, and that table
+    # with the pairwise product rule (I_5's: against the validated one only)
     groups = [_cyclic(n) for n in range(1, 9)]
     with monkeypatch.context() as m:
-        m.setattr(invsemi, "_light_test", refuse)
-        m.setattr(invsemi, "validate_inverse_semigroup", refuse)
+        for name in ("tabulate", "_light_test", "validate_inverse_semigroup"):
+            m.setattr(invsemi, name, _refuse)
         built = [invsemi.symmetric_inverse_semigroup(n, max_elements=1546) for n in range(6)]
         exels = [invsemi.exel_semigroup(G) for G in groups]
-    for n, (S, maps) in enumerate(built):
-        points = range(n)
-        gens = [invsemi.PartialBijection(tuple((x, (x + 1) % n) for x in points))]
-        if n >= 1:
-            gens.append(invsemi.PartialBijection(tuple((x, x) for x in points[1:])))
-        if n >= 2:
-            gens.append(invsemi.PartialBijection(((0, 1), (1, 0)) + tuple((x, x) for x in points[2:])))
-        assert S.gens == tuple(dict.fromkeys(maps.index(g) for g in gens)), n
-    for ex in exels:
-        S = ex.semigroup
+    cases = [(S, tuple(dict.fromkeys(maps.index(g) for g in _construction_gens(n))),
+              None if n == 5 else _symmetric_pairwise_table(maps))
+             for n, (S, maps) in enumerate(built)]
+    cases += [(ex.semigroup, tuple(ex.forms.index((frozenset(), g)) for g in range(len(ex.group))),
+               _exel_pairwise_table(ex.group, ex.forms)) for ex in exels]
+    for S, gens, pairwise in cases:
         T = invsemi.validate_inverse_semigroup(S.elements, S.table)
-        assert (T, T.below) == (S, S.below), len(ex.group)
-        assert S.gens == ex.of_group == tuple(ex.forms.index((frozenset(), g)) for g in range(len(ex.group)))
+        assert S.elements == T.elements
+        assert S.inverse == T.inverse
+        assert S.idempotents == T.idempotents
+        assert S.zero == T.zero
+        assert S.below == T.below
+        assert S.gens == gens
+        assert S.table == T.table and (pairwise is None or S.table == pairwise)
+        assert (S, hash(S)) == (T, hash(T))
+    assert [ex.of_group for ex in exels] == [S.gens for S, _, _ in cases[6:]]
+
+
+def test_constructors_reach_past_the_table(monkeypatch):
+    # I_6 (177.6M table entries) and S(Z_10) are built with `tabulate`
+    # refused; |below| summed over S is |L| of the Munn action
+    monkeypatch.setattr(invsemi, "tabulate", _refuse)
+    S, maps = invsemi.symmetric_inverse_semigroup(6, max_elements=13327)
+    assert len(S) == len(maps) == 13327 == sum(comb(6, k) ** 2 * factorial(k) for k in range(7))
+    assert sum(b.bit_count() for b in S.below) == 291793 == sum(
+        comb(6, k) ** 2 * factorial(k) * 2 ** k for k in range(7))
+    assert maps[S.zero].mapping == ()
+    ex = invsemi.exel_semigroup(_cyclic(10))
+    assert len(ex.semigroup) == 2816
+    assert sum(b.bit_count() for b in ex.semigroup.below) == 3 ** 9 + 9 * 3 ** 8 == 78732
+    assert ex.semigroup.zero is None
+    with pytest.raises(ResourceLimit, match=r"^\|I\(X\)\| = 13327 exceeds 13326$"):
+        invsemi.symmetric_inverse_semigroup(6, max_elements=13326)
+
+
+def test_is_idempotent_reads_no_table(monkeypatch):
+    # with `tabulate` refused, reading the table would raise
+    monkeypatch.setattr(invsemi, "tabulate", _refuse)
+    S, maps = invsemi.symmetric_inverse_semigroup(4)
+    assert [s for s in range(len(S)) if S.is_idempotent(s)] == list(S.idempotents)
+    monkeypatch.undo()
+    assert all(S.is_idempotent(s) == (S.mul(s, s) == s) for s in range(len(S)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
