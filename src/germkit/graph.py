@@ -7,6 +7,12 @@ Only finite graphs are supported, so every singular vertex is a sink.  For
 acyclic graphs the boundary path space is a finite set and everything is
 checked pointwise; for cyclic graphs the calculus stays at the level of
 cylinder sets truncated at a chosen depth.
+
+S_E is an inverse semigroup by proof, tabulated from its generators and not
+validated (`graph_semigroup`).  Its product of path pairs,
+`graph_semigroup_mul`, is the one prefix rule of the module: the canonical
+action on boundary paths and on cylinders and the product of Leavitt atoms
+all read it.
 """
 
 from collections import Counter
@@ -78,7 +84,11 @@ class Graph:
 def make_graph(vertices, edges):
     """edges: iterable of (name, src, dst) with vertex names."""
     vertices = tuple(vertices)
-    vidx = {v: i for i, v in enumerate(vertices)}
+    vidx = {}
+    for name in vertices:
+        if name in vidx:
+            raise GraphError(f"duplicate vertex name {name!r}")
+        vidx[name] = len(vidx)
     names, srcs, dsts = [], [], []
     for name, s, d in edges:
         if name in names:
@@ -219,9 +229,11 @@ def is_condition_L(g):
 def boundary_enumerate(g):
     """The finite boundary path space of an acyclic graph (paths ending at
     sinks, length-0 ones included), or None when a cycle makes it infinite."""
-    if has_cycle(g):
+    try:
+        paths = all_finite_paths(g)
+    except NotAcyclic:
         return None
-    return [p for p in all_finite_paths(g) if g.is_sink(path_end(g, p))]
+    return [p for p in paths if g.is_sink(path_end(g, p))]
 
 
 # --- graph inverse semigroup ---------------------------------------------------------
@@ -251,6 +263,18 @@ def graph_semigroup(g, max_elements=2000):
     marker or (mu, nu) path pairs with common range.  |S_E| = 1 + the sum
     over vertices v of (paths ending at v)^2 is counted, and checked against
     max_elements, before any pair is built.
+
+    S_E is an inverse semigroup by proof (Ash and Hall, Inverse semigroups
+    on graphs, Semigroup Forum 11, 1975), so its table is not checked.
+    (mu, nu) acts on the finite paths by nu x -> mu x, and 0 by the empty
+    map; `graph_semigroup_mul` is the composition of these partial
+    bijections, and (mu, nu) is recovered from its map (nu is the shortest
+    path in its domain, mu its image).  So the product is associative,
+    (nu, mu) is the inverse of (mu, nu), and the idempotents are 0 and the
+    (mu, mu).  0, the (v, v), the (e, r(e)) and the (r(e), e) generate:
+    with k + l > 0, (e_1...e_k, f_1...f_l) = (e_1, r(e_1))...(e_k, r(e_k))
+    (r(f_l), f_l)...(r(f_1), f_1), so `invsemi.tabulate` fills the table
+    from them.
     """
     paths = all_finite_paths(g)
     ends = Counter(path_end(g, p) for p in paths)
@@ -275,8 +299,15 @@ def graph_semigroup(g, max_elements=2000):
 
     elems.sort(key=key)
     index = {el: i for i, el in enumerate(elems)}
-    tbl = [[index[graph_semigroup_mul(g, a, b)] for b in elems] for a in elems]
-    S = invsemi.validate_inverse_semigroup(tuple(fmt(el) for el in elems), tbl)
+    vertices = [Path(v, ()) for v in range(len(g.vertices))]
+    edges = [(Path(g.esrc[e], (e,)), Path(g.edst[e], ())) for e in range(len(g.edge_names))]
+    letters = [ZERO] + [(v, v) for v in vertices] + edges + [(r, e) for e, r in edges]
+    tbl = invsemi.tabulate(elems, lambda a, b: graph_semigroup_mul(g, a, b), letters)
+    S = invsemi._inverse_semigroup(
+        tuple(fmt(el) for el in elems), tbl,
+        tuple(index[el if el == ZERO else el[::-1]] for el in elems),
+        tuple(i for i, el in enumerate(elems) if el == ZERO or el[0] == el[1]),
+        tuple(invsemi.table_closure(tbl)[0]))
     return S, tuple(elems)
 
 
@@ -385,22 +416,22 @@ class CylinderAction:
         return Cylinder(el[0])
 
     def apply(self, el, cylinder):
-        """Image of the part of the cylinder lying in Z(nu); None if disjoint."""
+        """Image of the part of the cylinder lying in Z(nu); None if disjoint.
+
+        That part is Z(nu') for (mu', nu') = el (alpha, alpha), alpha the
+        cylinder's path, less the forbidden edges, and its image is Z(mu')."""
         if el == ZERO:
             return None
-        g = self.graph
-        mu, nu = el
-        check_cylinder(g, cylinder)
-        if path_is_prefix(nu, cylinder.mu):
-            gamma = path_strip_prefix(g, nu, cylinder.mu)
-            return Cylinder(path_cat(g, mu, gamma), cylinder.forbidden)
-        if path_is_prefix(cylinder.mu, nu):
-            # restrict to Z(nu) first; empty when nu turns into a forbidden edge
-            k = len(cylinder.mu.edges)
-            if len(nu.edges) > k and nu.edges[k] in cylinder.forbidden:
-                return None
-            return Cylinder(mu, frozenset())
-        return None
+        check_cylinder(self.graph, cylinder)
+        prod = graph_semigroup_mul(self.graph, el, (cylinder.mu, cylinder.mu))
+        if prod == ZERO:
+            return None
+        mu, nu = prod
+        k = len(cylinder.mu.edges)
+        if len(nu.edges) == k:  # nu' = alpha: the forbidden edges carry over
+            return Cylinder(mu, cylinder.forbidden)
+        # alpha is a proper prefix of nu': empty when nu' turns into a forbidden edge
+        return None if nu.edges[k] in cylinder.forbidden else Cylinder(mu, frozenset())
 
 
 def canonical_graph_action(g):
@@ -409,7 +440,10 @@ def canonical_graph_action(g):
     For acyclic graphs: the concrete global action of S_E on the finite
     boundary path space, theta_(mu,nu) : Z(nu) -> Z(mu), nu x -> mu x,
     returned as (action, payload, boundary).  For cyclic graphs the boundary
-    space is infinite and a symbolic CylinderAction is returned instead."""
+    space is infinite and a symbolic CylinderAction is returned instead.
+
+    A boundary path q cannot be extended, so (mu,nu)(q,q) is (mu x, q) when
+    q = nu x and 0 otherwise: theta_(mu,nu)(q) is its first path."""
     boundary = boundary_enumerate(g)
     if boundary is None:
         return CylinderAction(g)
@@ -418,16 +452,11 @@ def canonical_graph_action(g):
     domains = []
     maps = []
     for el in payload:
-        if el == ZERO:
-            domains.append(())
-            maps.append({})
-            continue
-        mu, nu = el
         graph_map = {}
-        for q in boundary:
-            if path_is_prefix(nu, q):
-                x = path_strip_prefix(g, nu, q)
-                graph_map[pidx[q]] = pidx[path_cat(g, mu, x)]
+        for i, q in enumerate(boundary):
+            prod = graph_semigroup_mul(g, el, (q, q))
+            if prod != ZERO:
+                graph_map[i] = pidx[prod[0]]
         maps.append(graph_map)
         domains.append(tuple(sorted(graph_map.values())))
     carrier = tuple(fmt_path(g, p) for p in boundary)
@@ -452,7 +481,6 @@ def boundary_groupoid(g):
     boundary = boundary_enumerate(g)
     if boundary is None:
         raise NotAcyclic("boundary groupoid is infinite")
-    pidx = {p: i for i, p in enumerate(boundary)}
     ends = [path_end(g, p) for p in boundary]
     triples = [
         (i, len(x.edges) - len(y.edges), j)
@@ -481,8 +509,7 @@ def boundary_groupoid(g):
 
     def psi(s, xp):
         mu, nu = payload[s]
-        x = boundary[xp]
-        return (pidx[path_cat(g, mu, path_strip_prefix(g, nu, x))], len(mu.edges) - len(nu.edges), xp)
+        return (action.theta(s, xp), len(mu.edges) - len(nu.edges), xp)
 
     arrow_map = [None] * len(germ.groupoid.arrows)
     for (s, xp), cls in germ.pair_class.items():
@@ -604,20 +631,10 @@ def lv_edge_star(g, ring, e):
     return LeavittElement(g, ring, {CylinderBisection(mu, nu): ring.one}, 0)
 
 
-def _atom_product(g, a, b):
-    """Z(alpha,beta) . Z(alpha',beta') by comparability of beta and alpha'."""
-    if path_is_prefix(b.mu, a.nu):
-        gamma = path_strip_prefix(g, b.mu, a.nu)
-        return CylinderBisection(a.mu, path_cat(g, b.nu, gamma))
-    if path_is_prefix(a.nu, b.mu):
-        gamma = path_strip_prefix(g, a.nu, b.mu)
-        return CylinderBisection(path_cat(g, a.mu, gamma), b.nu)
-    return None
-
-
 def leavitt_multiply(x, y):
-    """Expand both operands to a common depth, multiply atom pairs by the
-    comparability rule, and renormalize to atomic form."""
+    """Expand both operands to a common depth, multiply atom pairs
+    Z(mu, nu) Z(mu', nu') = Z((mu, nu)(mu', nu')) in S_E, and renormalize
+    to atomic form."""
     x._check(y)
     g, ring = x.graph, x.ring
     lens = [0]
@@ -629,9 +646,9 @@ def leavitt_multiply(x, y):
     products = []
     for cb1, c1 in a.atoms.items():
         for cb2, c2 in b.atoms.items():
-            p = _atom_product(g, cb1, cb2)
-            if p is not None:
-                products.append((p, ring.mul(c1, c2)))
+            p = graph_semigroup_mul(g, (cb1.mu, cb1.nu), (cb2.mu, cb2.nu))
+            if p != ZERO:
+                products.append((CylinderBisection(*p), ring.mul(c1, c2)))
     if not products:
         return lv_zero(g, ring)
     dres = max(d, max(len(p.mu.edges) for p, _ in products))
@@ -882,6 +899,12 @@ class _Run:
                 return True
         return False
 
+    def finish(self):
+        """Step until no rule applies; returns the run."""
+        while self.step():
+            pass
+        return self
+
     def output_path(self):
         go = self.T.graph_out
         pieces = [p for p in self.emitted]
@@ -898,9 +921,7 @@ class _Run:
 def run_transducer(T, rules_index, path):
     """Run along a path to its end: the whole input must be consumed and
     the output must be a boundary path of the target graph."""
-    run = _Run(T, rules_index, path)
-    while run.step():
-        pass
+    run = _Run(T, rules_index, path).finish()
     if not run.done:
         raise RulesNotExhaustive(
             f"input {fmt_path(T.graph_in, path)} not fully consumed", path
@@ -920,10 +941,7 @@ def transducer_apply(T, cylinder, depth):
     rules_index = validate_transducer(T)
     out = []
     for atom in cylinder_atoms(T.graph_in, cylinder, depth):
-        run = _Run(T, rules_index, atom.mu)
-        while run.step():
-            pass
-        emitted = run.output_path()
+        emitted = _Run(T, rules_index, atom.mu).finish().output_path()
         if emitted is not None:
             out.append(Cylinder(emitted, frozenset()))
     uniq = sorted(set(out), key=lambda c: (len(c.mu.edges), fmt_path(T.graph_out, c.mu)))
@@ -947,16 +965,10 @@ def _invertible_upto(T, Tinv, ri, rj, depth):
                 if back != mu:
                     return False, atom
             else:
-                run = _Run(A, ra, mu)
-                while run.step():
-                    pass
-                y = run.output_path()
+                y = _Run(A, ra, mu).finish().output_path()
                 if y is None:
                     continue
-                back_run = _Run(B, rb, y)
-                while back_run.step():
-                    pass
-                back = back_run.output_path()
+                back = _Run(B, rb, y).finish().output_path()
                 if back is not None:
                     if not (path_is_prefix(back, mu) or path_is_prefix(mu, back)):
                         return False, atom

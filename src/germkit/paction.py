@@ -91,6 +91,9 @@ def validate_partial_action(semigroup, carrier, domains, maps):
     n = len(S)
     carrier = tuple(carrier)
     npts = len(carrier)
+    if len(set(carrier)) < npts:
+        x = next(x for x, name in enumerate(carrier) if name in carrier[:x])
+        raise ActionError(f"carrier lists point {carrier[x]} twice", x)
     if len(domains) != n or len(maps) != n:
         raise ActionError("domains and maps must be indexed by all of S")
     domains = tuple(tuple(sorted(d)) for d in domains)
@@ -334,6 +337,15 @@ def recover_action_from_dual(alg):
     coefficients c of 1_y.  When they are the single entry {j: 1}, as on a
     dual built by dual_action, that sum is alpha_s(g_j) itself, the j-th
     image with its values normalised (so 6 over Z/5 reads as 1).
+
+    Read off point indicators alone, alpha_s need not be a map on D_{s*}:
+    a generator listed twice may carry two images.  So each image list must
+    be as long as its ideal's generator list, and alpha_s(g_k) = sum_y
+    g_k(y) 1_{theta_s(y)}, with values normalised, for every generator g_k
+    of D_{s*}.  It holds at each g_k with 1_y = c g_k for some y: then g_k
+    = c^-1 1_y, and reading theta_s(y) found c alpha_s(g_k) = 1_{theta_s(y)}.
+    So only the other generators are compared.  A failure raises
+    RecoveryFailed at (s, k).
     """
     ring = alg.ring
     if not ring.is_indecomposable():
@@ -343,6 +355,11 @@ def recover_action_from_dual(alg):
     solved = {}
     supports = []
     point_coeffs = []
+    unread = []  # s -> the k with g_k not read as some 1_y
+
+    def nonzero(f):
+        return {x: v for x, b in f.items() if (v := ring.normalize(b))}
+
     for s, gens in enumerate(alg.ideal_gens):
         key = tuple(frozenset(g.items()) for g in gens)
         if key not in solved:
@@ -357,28 +374,32 @@ def recover_action_from_dual(alg):
                         )
             if None in coeffs.values() and solve(indicator(ring, supp)) is None:
                 raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
-            solved[key] = supp, coeffs
-        supp, coeffs = solved[key]
+            read = {j for c in coeffs.values() if c and len(c) == 1 for j in c}
+            solved[key] = supp, coeffs, [k for k in range(len(gens)) if k not in read]
+        supp, coeffs, rest = solved[key]
         supports.append(supp)
         point_coeffs.append(coeffs)
+        unread.append(rest)
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
-        images = alg.alpha_images[s]
+        gens, images = alg.ideal_gens[s_star], alg.alpha_images[s]
+        if len(images) != len(gens):
+            raise RecoveryFailed(
+                f"alpha_{S.name(s)} has {len(images)} images for the {len(gens)} "
+                f"generators of D_{S.name(s_star)}", (s, min(len(images), len(gens))))
         theta = {}
         for y in supports[s_star]:
             coeffs = point_coeffs[s_star][y]
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
-            # generators past the end of a short image list map to nothing
-            if len(coeffs) == 1 and (j := next(iter(coeffs))) < len(images) and coeffs[j] == one:
+            if len(coeffs) == 1 and coeffs[j := next(iter(coeffs))] == one:
                 img = {x: ring.normalize(b) for x, b in images[j].items()}
             else:
                 img = {}
                 for j, c in coeffs.items():
-                    if j < len(images):
-                        for x, b in images[j].items():
-                            img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
+                    for x, b in images[j].items():
+                        img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
             pts = [x for x, v in img.items() if v]
             if len(pts) != 1 or img[pts[0]] != one:
                 raise RecoveryFailed(
@@ -386,6 +407,11 @@ def recover_action_from_dual(alg):
                     (s, y),
                 )
             theta[y] = pts[0]
+        for k in unread[s_star]:
+            if nonzero(images[k]) != {theta[y]: v for y, v in nonzero(gens[k]).items()}:
+                raise RecoveryFailed(
+                    f"alpha_{S.name(s)} is not the dual of theta_{S.name(s)} on generator {k} "
+                    f"of D_{S.name(s_star)}", (s, k))
         maps.append(theta)
     return validate_partial_action(S, alg.carrier, tuple(supports), tuple(maps))
 

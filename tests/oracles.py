@@ -7,10 +7,11 @@ bijections, the identity transducer, the unit of a Steinberg algebra) that
 tests build their cases from.
 """
 
+from collections import Counter
 from itertools import permutations, product
 from types import SimpleNamespace
 
-from germkit import algebra, germs, graph, invsemi, paction
+from germkit import ResourceLimit, algebra, germs, graph, invsemi, paction
 from germkit.invsemi import natural_leq
 from germkit.rings import DecomposableRing, NotAField, RingError
 
@@ -108,6 +109,33 @@ def restrict_action(theta, keep):
             for graph in theta.maps]
     return paction.validate_partial_action(
         theta.semigroup, [theta.carrier[x] for x in keep], [sorted(g.values()) for g in maps], maps)
+
+
+# --- graphs: S_E from all of its products, validated ---------------------------
+
+def graph_semigroup_validated(g, max_elements=2000):
+    """graph.graph_semigroup as it was: every product of two path pairs by
+    `graph.graph_semigroup_mul`, and the n x n table validated."""
+    paths = graph.all_finite_paths(g)
+    ends = Counter(graph.path_end(g, p) for p in paths)
+    size = 1 + sum(c * c for c in ends.values())
+    if size > max_elements:
+        raise ResourceLimit(f"|S_E| = {size} exceeds {max_elements}")
+    elems = [graph.ZERO] + [(mu, nu) for mu in paths for nu in paths
+                            if graph.path_end(g, mu) == graph.path_end(g, nu)]
+
+    def fmt(el):
+        return "0" if el == graph.ZERO else f"({graph.fmt_path(g, el[0])},{graph.fmt_path(g, el[1])})"
+
+    def key(el):
+        if el == graph.ZERO:
+            return (-1, "", "")
+        return (len(el[0].edges) + len(el[1].edges), graph.fmt_path(g, el[0]), graph.fmt_path(g, el[1]))
+
+    elems.sort(key=key)
+    index = {el: i for i, el in enumerate(elems)}
+    tbl = [[index[graph.graph_semigroup_mul(g, a, b)] for b in elems] for a in elems]
+    return invsemi.validate_inverse_semigroup(tuple(fmt(el) for el in elems), tbl), tuple(elems)
 
 
 # --- graphs: the boundary groupoid by a search over shifts --------------------
@@ -731,7 +759,8 @@ def recover_by_two_solves(alg):
     D_s, U(D_s) as the points where some generator's entry is nonzero in
     the ring, v * 1_x solved for every entry of every generator and 1_U for
     every D_s, then each 1_y solved again for theta, with dense
-    coefficients."""
+    coefficients, and alpha_s compared with the dual of theta_s at every
+    generator of D_{s*}."""
     ring = alg.ring
     if not ring.is_indecomposable():
         raise DecomposableRing(f"{ring!r} has nontrivial idempotents")
@@ -755,6 +784,11 @@ def recover_by_two_solves(alg):
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
+        gens, images = alg.ideal_gens[s_star], alg.alpha_images[s]
+        if len(images) != len(gens):
+            raise paction.RecoveryFailed(
+                f"alpha_{S.name(s)} has {len(images)} images for the {len(gens)} "
+                f"generators of D_{S.name(s_star)}", (s, min(len(images), len(gens))))
         theta = {}
         for y in supports[s_star]:
             coeffs = solvers[s_star]({y: ring.one})
@@ -773,6 +807,16 @@ def recover_by_two_solves(alg):
                     (s, y),
                 )
             theta[y] = pts[0]
+        for k in range(len(gens)):
+            want = {}
+            for y, v in gens[k].items():
+                if ring.normalize(v) != ring.zero:
+                    want[theta[y]] = ring.normalize(v)
+            got = {x: ring.normalize(b) for x, b in images[k].items() if ring.normalize(b) != ring.zero}
+            if got != want:
+                raise paction.RecoveryFailed(
+                    f"alpha_{S.name(s)} is not the dual of theta_{S.name(s)} on generator {k} "
+                    f"of D_{S.name(s_star)}", (s, k))
         maps.append(theta)
     return paction.validate_partial_action(S, alg.carrier, tuple(supports), tuple(maps))
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -227,6 +228,51 @@ def test_table_and_graph_output_unchanged(capsys, tmp_path):
     assert digest.hexdigest() == "0bf5c1ad13d1d7dfe9aac4cf9169b949bf68a16d2909feecd80aaf6b0804c9ea"
 
 
+def _seeded_dag_doc(seed):
+    # vertices v0..v(n-1); edges only run from a lower to a higher index, so
+    # the graph is acyclic; parallel edges are allowed
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    edges = []
+    for k in range(rng.randint(0, 7) if n > 1 else 0):
+        s = rng.randrange(n - 1)
+        edges.append({"name": f"e{k}", "src": f"v{s}", "dst": f"v{rng.randrange(s + 1, n)}"})
+    return {"schema": "graph", "version": 1, "vertices": [f"v{i}" for i in range(n)], "edges": edges}
+
+
+def test_graph_semigroup_and_action_output_unchanged(capsys, tmp_path):
+    # one sha256 over the exit code and stdout of `validate`, `analyze` and
+    # `maxgroup` on S_E of the edge graph, of `germs`, `validate` and
+    # `verify steinberg-crossed --ring Zp:5` on its two actions and the two
+    # canonical boundary actions, of `graph analyze` on seeded DAGs and of
+    # `graph leavitt` on the catalog graphs, recorded while S_E was still
+    # built from all of its products and validated
+    argvs = [(cmd, "catalog:se-edge") for cmd in ("validate", "analyze", "maxgroup")]
+    for name in ("munn-se-edge", "self-se-edge", "edge-boundary", "fan-boundary"):
+        argvs += [("germs", f"catalog:{name}"), ("validate", f"catalog:{name}"),
+                  ("verify", "steinberg-crossed", f"catalog:{name}", "--ring", "Zp:5")]
+    for seed in range(12):
+        f = tmp_path / f"dag{seed}.json"
+        f.write_text(json.dumps(_seeded_dag_doc(seed)))
+        argvs.append(("graph", "analyze", str(f)))
+    exprs = {"loop": ["(* e e*)", "(* e* e)", "(+ (* 2 e e*) (* e e e* e*))"],
+             "loop-exit": ["(* e* f)", "(+ (* e e*) (* f f*))", "(* f* e e* f)"],
+             "edge": ["(* e e*)", "(* e* e)", "(* e* v e)"],
+             "fan": ["(+ (* e1 e1*) (* e2 e2*))", "(* e1* e2)", "(* e2 e2* e2)"],
+             "cycle2-exit": ["(* a b a* b*)", "(* b* a* a b)", "(+ (* a a*) (* b c c* b*))"]}
+    for name, texts in exprs.items():
+        for k, text in enumerate(texts):
+            f = tmp_path / f"{name}{k}.json"
+            f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1,
+                                     "graph": f"catalog:{name}", "expr": text}))
+            argvs += [("graph", "leavitt", str(f)), ("graph", "leavitt", str(f), "--depth", "3")]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "9e474666e9ae43b38770f7ef878d7633610826ca062a4c2b58137bee49a03b5b"
+
+
 def test_verify_steinberg_crossed_has_no_seed(capsys):
     code, _, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--seed", "1")
     assert code == 2
@@ -378,6 +424,34 @@ def test_action_domain_listing_a_point_twice_is_rejected(capsys, tmp_path):
     assert (code, json.loads(out)) == (1, {
         "command": "validate", "ok": False, "error": "X_g lists point y twice",
         "witness": [1, 1], "kind": "mathematical"})
+
+
+def test_action_carrier_naming_a_point_twice_is_rejected(capsys, tmp_path):
+    doc = _z2_swap_doc()
+    doc["carrier"] = ["x", "x"]
+    doc["domains"] = {"1": ["x"], "g": ["x"]}
+    doc["maps"] = {"1": {"x": "x"}, "g": {"x": "x"}}
+    f = tmp_path / "action.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(f))
+    assert (code, json.loads(out)) == (1, {
+        "command": "validate", "ok": False, "error": "carrier lists point x twice",
+        "witness": 1, "kind": "mathematical"})
+
+
+@pytest.mark.parametrize("vertices, edges, error", [
+    (["v", "v"], [{"name": "e", "src": "v", "dst": "v"}], "duplicate vertex name 'v'"),
+    (["v", "w"], [{"name": "e", "src": "v", "dst": "w"}, {"name": "e", "src": "w", "dst": "v"}],
+     "duplicate edge name 'e'"),
+], ids=["vertex", "edge"])
+def test_graph_naming_a_vertex_or_edge_twice_is_rejected(capsys, tmp_path, vertices, edges, error):
+    f = tmp_path / "graph.json"
+    f.write_text(json.dumps({"schema": "graph", "version": 1, "vertices": vertices, "edges": edges}))
+    for argv in (("validate", str(f)), ("graph", "analyze", str(f))):
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)) == (1, {
+            "command": " ".join(argv[:-1]), "ok": False, "error": error,
+            "witness": None, "kind": "mathematical"}), argv
 
 
 def test_graph_coe_search_no_match(capsys):

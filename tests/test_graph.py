@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import oracles
 import pytest
@@ -65,6 +66,69 @@ def test_graph_semigroup_is_meet_semilattice():
                     assert meet == maxima[0]
                 else:
                     assert maxima[0] == S.zero
+
+
+def _refuse(*args):
+    raise AssertionError("graph_semigroup checked its own table")
+
+
+def _assert_matches_validated_table(g, max_elements=2000):
+    # built with Light's test and the validator made to raise, S_E agrees
+    # field by field and row by row with all of its products validated
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(invsemi, "validate_inverse_semigroup", _refuse)
+        m.setattr(invsemi, "_light_test", _refuse)
+        S, payload = gr.graph_semigroup(g, max_elements)
+    T, expect = oracles.graph_semigroup_validated(g, max_elements)
+    assert payload == expect
+    assert S.elements == T.elements
+    assert S.table == T.table
+    assert S.inverse == T.inverse
+    assert S.idempotents == T.idempotents
+    assert S.zero == T.zero
+    assert S.below == T.below
+    assert S.gens == T.gens
+
+
+@pytest.mark.parametrize("name", catalog.GRAPH_NAMES)
+def test_graph_semigroup_agrees_with_validated_table_on_catalog(name):
+    g = catalog.graphs(name)
+    if gr.has_cycle(g):
+        for build in (gr.graph_semigroup, oracles.graph_semigroup_validated):
+            with pytest.raises(gr.NotAcyclic):
+                build(g)
+    else:
+        _assert_matches_validated_table(g)
+
+
+@st.composite
+def _dags(draw):
+    """An acyclic graph on 1-6 vertices with 0-8 edges, each running from a
+    lower to a higher vertex; parallel edges allowed."""
+    nv = draw(st.integers(1, 6))
+    edges = []
+    for k in range(draw(st.integers(0, 8 if nv > 1 else 0))):
+        a = draw(st.integers(0, nv - 2))
+        edges.append((f"e{k}", f"v{a}", f"v{draw(st.integers(a + 1, nv - 1))}"))
+    return gr.make_graph([f"v{i}" for i in range(nv)], edges)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_dags(), st.sampled_from([None, 0, -1]))
+@example(gr.make_graph(["v"], []), None)
+@example(gr.make_graph(["v"], []), -1)
+@example(gr.make_graph(["v", "w"], []), 0)
+def test_graph_semigroup_agrees_with_validated_table_on_dags(g, margin):
+    # margin None builds under the default limit; 0 and -1 put max_elements
+    # at |S_E| and one below it, where both builds raise the same limit
+    size = 1 + sum(c * c for c in Counter(gr.path_end(g, p) for p in gr.all_finite_paths(g)).values())
+    limit = 2000 if margin is None else size + margin
+    if size <= limit:
+        _assert_matches_validated_table(g, limit)
+        return
+    for build in (gr.graph_semigroup, oracles.graph_semigroup_validated):
+        with pytest.raises(ResourceLimit, match=rf"^\|S_E\| = {size} exceeds {limit}$"):
+            build(g, limit)
 
 
 # --- cylinders ----------------------------------------------------------------------

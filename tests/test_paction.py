@@ -64,6 +64,17 @@ def test_domain_listing_a_point_twice_is_rejected():
     assert (str(exc.value), exc.value.witness) == ("X_g lists point y twice", (1, 1))
 
 
+def test_carrier_naming_a_point_twice_is_rejected():
+    # the witness is the index of the second occurrence, reported before
+    # any domain is read
+    with pytest.raises(paction.ActionError) as exc:
+        paction.validate_partial_action(
+            Z2, ("x", "y", "x"), ((0, 1, 2), (0, 1, 2)), ({0: 0, 1: 1, 2: 2}, {0: 1, 1: 0, 2: 2})
+        )
+    assert type(exc.value) is paction.ActionError
+    assert (str(exc.value), exc.value.witness) == ("carrier lists point x twice", 2)
+
+
 def test_degenerate_detected():
     with pytest.raises(paction.Degenerate) as exc:
         paction.validate_partial_action(
@@ -355,6 +366,13 @@ def _corrupted_duals(alg):
     yield "image-dropped", with_images(images[:-1])
     if len(images) > 1:
         yield "images-swapped", with_images((images[1], images[0]) + images[2:])
+    # a second copy of the first generator: with no image, and with an image
+    # other than the first copy's, alpha_s is not a map on D_{s*}
+    yield "generator-repeated-without-image", with_gens(gens + gens[:1])
+    if n > 1:
+        yield "generator-repeated-other-image", paction.AlgebraicPartialAction(
+            alg.semigroup, ring, alg.carrier, _replace(alg.ideal_gens, s_star, gens + gens[:1]),
+            _replace(alg.alpha_images, s, images + ({(x + 1) % n: ring.one},)))
     yield "generator-times-2", with_gens(_replace(gens, 0, {y: ring.mul(two, b) for y, b in gens[0].items()}))
     if len(gens) > 1:
         merged = dict(gens[0])
@@ -402,6 +420,52 @@ def test_recovery_agrees_with_two_solve_oracle():
         assert got == _recovery_outcome(oracles.recover_by_two_solves, alg), label
         reached.add(got[0])
     assert {"ok", paction.NotAnIdeal, paction.NoLocalUnits, paction.RecoveryFailed} <= reached
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5", "Z"])
+def test_recovery_rejects_an_alpha_that_is_not_a_map(spec):
+    # z2-swap: D_{g*} = D_g lists 1_x a second time, with image 1_x where
+    # the first copy has image 1_y; point indicators alone recover z2-swap
+    ring = rings.parse_ring_spec(spec)
+    alg = paction.dual_action(catalog.action("z2-swap"), ring)
+    g = alg.semigroup.index("g")
+    gens, images = alg.ideal_gens[g], alg.alpha_images[g]
+    assert (gens[0], images[0]) == ({0: ring.one}, {1: ring.one})
+    bad = paction.AlgebraicPartialAction(
+        alg.semigroup, ring, alg.carrier, _replace(alg.ideal_gens, g, gens + gens[:1]),
+        _replace(alg.alpha_images, g, images + ({0: ring.one},)))
+    expect = (paction.RecoveryFailed,
+              "alpha_g is not the dual of theta_g on generator 2 of D_g", (g, 2))
+    assert _recovery_outcome(paction.recover_action_from_dual, bad) == expect
+    assert _recovery_outcome(oracles.recover_by_two_solves, bad) == expect
+    short = paction.AlgebraicPartialAction(
+        alg.semigroup, ring, alg.carrier, _replace(alg.ideal_gens, g, gens + gens[:1]), alg.alpha_images)
+    expect = (paction.RecoveryFailed, "alpha_g has 2 images for the 3 generators of D_g", (g, 2))
+    assert _recovery_outcome(paction.recover_action_from_dual, short) == expect
+    assert _recovery_outcome(oracles.recover_by_two_solves, short) == expect
+
+
+@pytest.mark.parametrize("spec", ["Q", "Zp:5", "Z"])
+def test_recovery_compares_alpha_on_generators_that_are_not_indicators(spec):
+    # Z/2 swapping x and y, with D_1 = D_g spanned by 1_x + 1_y and 1_y: 1_x
+    # is read off both generators, so alpha_g(1_x + 1_y) is compared with
+    # the dual of theta_g; it passes, and once the generator is listed
+    # again with image 2 1_y it fails there
+    ring = rings.parse_ring_spec(spec)
+    one = ring.one
+    basis = ({0: one, 1: one}, {1: one})
+    swapped = ({0: one, 1: one}, {0: one})
+    alg = paction.AlgebraicPartialAction(Z2, ring, ("x", "y"), (basis, basis), (basis, swapped))
+    theta = paction.validate_partial_action(Z2, ("x", "y"), ((0, 1), (0, 1)), ({0: 0, 1: 1}, {0: 1, 1: 0}))
+    assert _recovery_outcome(paction.recover_action_from_dual, alg) == ("ok", theta)
+    assert _recovery_outcome(oracles.recover_by_two_solves, alg) == ("ok", theta)
+    twice = basis + basis[:1]
+    bad = paction.AlgebraicPartialAction(
+        Z2, ring, ("x", "y"), (twice, twice), (twice, swapped + ({1: ring.normalize(2)},)))
+    expect = (paction.RecoveryFailed,
+              "alpha_g is not the dual of theta_g on generator 2 of D_g", (1, 2))
+    assert _recovery_outcome(paction.recover_action_from_dual, bad) == expect
+    assert _recovery_outcome(oracles.recover_by_two_solves, bad) == expect
 
 
 def test_recovery_reads_an_unnormalised_image_entry_as_one():
