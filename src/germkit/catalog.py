@@ -1,6 +1,7 @@
 """Built-in catalog: the semigroups, actions, graphs and groupoids that the
-acceptance sweep and the CLI operate on.  Every instance passes its validator
-at construction time.  Only the graph-backed instances import graph."""
+acceptance sweep and the CLI operate on.  Hand-written data is validated;
+derived instances are built by proof (see their constructors).  Only the
+graph-backed instances import graph."""
 
 from functools import lru_cache
 
@@ -77,10 +78,9 @@ def _z2_swap():
 @lru_cache(maxsize=None)
 def action(name):
     name = name.lower()
-    if name.startswith("munn-"):
-        return invsemi.munn_representation(semigroup(name[5:]))
-    if name.startswith("self-"):
-        return invsemi.canonical_self_action(semigroup(name[5:]))
+    if name[:5] in ("munn-", "self-") and name[5:] in SEMIGROUP_NAMES:
+        build = invsemi.munn_representation if name[:5] == "munn-" else invsemi.canonical_self_action
+        return build(semigroup(name[5:]))
     if name == "z2-swap":
         return _z2_swap()
     if name == "z2-swap-exel":
@@ -119,7 +119,10 @@ ACTION_NAMES = (
 
 
 def pair_groupoid(n=2):
-    """The full equivalence-relation groupoid on n units: arrows (i<-j)."""
+    """The full equivalence-relation groupoid on n units: arrows (i<-j).
+
+    A groupoid by proof, so not validated: (i<-j)(j<-k) = (i<-k) is typed
+    and associative, the (i<-i) are its units and (j<-i) inverts (i<-j)."""
     arrows = [(i, j) for i in range(n) for j in range(n)]
     aidx = {a: k for k, a in enumerate(arrows)}
     names = tuple(f"({i+1}|{j+1})" for i, j in arrows)
@@ -129,7 +132,7 @@ def pair_groupoid(n=2):
     inverse = tuple(aidx[(j, i)] for i, j in arrows)
     compose = germs.compose_table(
         source, target, lambda a, b: aidx[(arrows[a][0], arrows[b][1])])
-    return germs.validate_groupoid(names, units, source, target, inverse, compose)
+    return germs.FiniteGroupoid(names, units, source, target, inverse, compose)
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,12 @@ and isomorphism of finite groupoids by their orbit structure.
 Arrows are indexed; source/target of an arrow are indices of unit arrows.
 Composition is held as rows, compose[a] = {b: ab} over exactly the b with
 t(b) = s(a), the layout of a semigroup's S.table[a][b] cut down to the
-composable pairs; it is built and checked one row at a time, and
-associativity is Light's test over the generating set G.gens that
-`invsemi.closure` reads off the rows, with the triple scan kept for the
-least witness of a failure; homomorphisms are checked over G.gens too.  A
+composable pairs.  A groupoid given as data is checked by
+`validate_groupoid` one row at a time, and associativity is Light's test
+over the generating set G.gens that `invsemi.closure` reads off the rows,
+with the triple scan kept for the least witness of a failure;
+homomorphisms are checked over G.gens too.  The groupoid of germs of a
+partial action is a groupoid by proof and is built without that check.  A
 germ class is keyed by (s e_x, x); the tests check that key against the
 paper's relation, (s, x) ~ (t, x) iff se = te for some idempotent e with x
 in X_e (`germ_equivalent` in tests/oracles.py).  On finite discrete
@@ -15,8 +17,8 @@ groupoids every subset is compact-open, so the open and ample bisection
 semigroups coincide and only the latter is exposed.
 """
 
-from dataclasses import dataclass, field
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
 from itertools import count
 from operator import itemgetter
 
@@ -50,7 +52,15 @@ class FiniteGroupoid:
     target: tuple   # arrow -> unit arrow index (the range map)
     inverse: tuple
     compose: tuple  # rows: compose[a] = {b: ab}, over exactly the b with source[a] == target[b]
-    gens: tuple = field(kw_only=True, compare=False, repr=False)
+
+    @cached_property
+    def gens(self):
+        """The `invsemi.closure` of the rows scanned by descending row
+        length, ties by index: every arrow is a left-normed product of
+        these.  Read on first use, never at construction, so a copy made
+        with corrupted rows is built without reading them."""
+        order = sorted(range(len(self.arrows)), key=lambda a: -len(self.compose[a]))
+        return tuple(invsemi.closure(self.compose, order, self.source, self.target)[0])
 
     def __len__(self):
         return len(self.arrows)
@@ -112,10 +122,9 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
     associativity costs O(|compose|).
 
     Associativity is Light's test (`partial_light_test`), (xa)y = x(ay) for
-    a in A, s(x) = t(a) and t(y) = s(a), over A = G.gens, the
-    `invsemi.closure` of compose scanned by descending row length, ties by
-    index.  So that every arrow is a left-normed product of A is
-    established, not assumed: spanning arrows or isotropy generators
+    a in A, s(x) = t(a) and t(y) = s(a), over A = G.gens of the groupoid
+    built from the checked fields.  So that every arrow is a left-normed
+    product of A is established, not assumed: spanning arrows or isotropy generators
     presuppose the associativity under test.  The test is exact:
     - by the earlier checks, compose is defined exactly on the composable
       pairs and every composite is typed, s(ab) = s(b) and t(ab) = t(a);
@@ -171,9 +180,8 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
             raise GroupoidError(f"inverse is not an involution at {arrows[a]}", a)
         if compose[inverse[a]].get(a) != source[a] or compose[a].get(inverse[a]) != target[a]:
             raise GroupoidError(f"a^-1 a != s(a) at {arrows[a]}", a)
-    order = sorted(range(n), key=lambda a: -len(compose[a]))  # stable: ties by index
-    gens, _ = invsemi.closure(compose, order, source, target)
-    if not partial_light_test(compose, source, target, [a for a in gens if a not in unit_set]):
+    G = FiniteGroupoid(arrows, units, source, target, inverse, compose)
+    if not partial_light_test(compose, source, target, [a for a in G.gens if a not in unit_set]):
         # only reached when composition is not associative: its least triple
         for a in range(n):
             row_a = compose[a]
@@ -182,7 +190,7 @@ def validate_groupoid(arrows, units, source, target, inverse, compose):
                 for c in by_target[source[b]]:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise GroupoidError("composition is not associative", (a, b, c))
-    return FiniteGroupoid(arrows, units, source, target, inverse, compose, gens=tuple(gens))
+    return G
 
 
 # --- groupoid of germs ------------------------------------------------------------
@@ -208,6 +216,25 @@ def groupoid_of_germs(theta):
     t e_x and a class is keyed by (s e_x, x).  Classes are numbered in order
     of first appearance among the sorted pairs, so representatives are
     lexicographically minimal, which fixes the arrow order.
+
+    theta is a partial action, so the quotient is a groupoid by proof and
+    is not validated.  Write [s, x] for the class of (s, x) and z for
+    theta_s(x).
+    - Classes multiply by representatives: t e_y = e_x t e_y when x =
+      theta_t(y), since t* e_x t is an idempotent whose domain holds y, so
+      e_y <= t* e_x t and t e_y = t t* e_x t e_y = e_x t e_y.  Hence
+      st e_y = s e_x t e_y depends on s only through s e_x.
+    - x -> [e_x, x] is injective (the key holds x), so [s, x] and [t, y]
+      compose exactly when x = theta_t(y), and `compose_table` takes
+      exactly those pairs.  [s, theta_t(y)][t, y] = [st, y] is a defined
+      pair by the composition law: theta_s theta_t is defined at y and
+      contained in theta_st.  It is typed, with source the unit of y and
+      target that of theta_st(y) = theta_s(theta_t(y)).
+    - Associativity comes from S: both ways round give [rst, y].
+    - [s e_x, x] = [s, x] and [e_z s, x] = [s, x] are the unit laws.
+    - The inverse of [s, x] is [s*, z]: [s*, z][s, x] = [s*s, x] = [e_x, x],
+      as e_x <= s*s, and [s, x][s*, z] = [e_z, z] likewise; it is a class
+      map, s* e_z = (s e_x)* by the first point applied to s*.
     """
     S = theta.semigroup
     e_x = [reduce(S.mul, (e for e in S.idempotents if x in theta.maps[e]))
@@ -241,7 +268,7 @@ def groupoid_of_germs(theta):
     compose = compose_table(source, target, mul)
     units = tuple(sorted(set(unit_of_point)))
     names = tuple(f"[{S.name(s)},{theta.carrier[x]}]" for s, x in reps)
-    gpd = validate_groupoid(names, units, source, target, inverse, compose)
+    gpd = FiniteGroupoid(names, units, tuple(source), tuple(target), tuple(inverse), compose)
     point_of_unit = {unit_of_point[x]: x for x in range(len(theta.carrier))}
     return GermGroupoid(gpd, theta, pair_class, reps, unit_of_point, point_of_unit)
 

@@ -442,26 +442,41 @@ def canonical_graph_action(g):
     returned as (action, payload, boundary).  For cyclic graphs the boundary
     space is infinite and a symbolic CylinderAction is returned instead.
 
-    A boundary path q cannot be extended, so (mu,nu)(q,q) is (mu x, q) when
-    q = nu x and 0 otherwise: theta_(mu,nu)(q) is its first path."""
-    boundary = boundary_enumerate(g)
-    if boundary is None:
+    The paths are enumerated once, by `graph_semigroup`.  The boundary is
+    the q with (q, q) in the payload and q ending at a sink, in payload
+    order, which sorts the (q, q) by (|q|, fmt_path(q)) as
+    `boundary_enumerate` does.  A boundary path q cannot be extended, so
+    (mu,nu)(q,q) is (mu x, q) when q = nu x and 0 otherwise:
+    theta_(mu,nu)(q) is its first path, formed only for the q that extend
+    nu, one product per pair of L.
+
+    The action is not validated: (mu, nu) acts on the finite paths by
+    nu x -> mu x, and `graph_semigroup_mul` composes these maps
+    (`graph_semigroup`).  Prefix replacement keeps the end of a path, so
+    the boundary is invariant and the restrictions compose alike: theta is
+    a homomorphism S_E -> I(boundary), hence a global action.  It is
+    non-degenerate: q is in Z(v), the domain of (v, v), for v the start of q.
+    """
+    try:
+        S, payload = graph_semigroup(g)
+    except NotAcyclic:
         return CylinderAction(g)
-    S, payload = graph_semigroup(g)
+    boundary = [el[0] for el in payload
+                if el != ZERO and el[0] == el[1] and g.is_sink(path_end(g, el[0]))]
     pidx = {p: i for i, p in enumerate(boundary)}
+    extending = {}  # nu -> the indices of the boundary paths nu x
+    for i, q in enumerate(boundary):
+        for k in range(len(q.edges) + 1):
+            extending.setdefault(Path(q.start, q.edges[:k]), []).append(i)
     domains = []
     maps = []
     for el in payload:
-        graph_map = {}
-        for i, q in enumerate(boundary):
-            prod = graph_semigroup_mul(g, el, (q, q))
-            if prod != ZERO:
-                graph_map[i] = pidx[prod[0]]
+        ext = () if el == ZERO else extending.get(el[1], ())
+        graph_map = {i: pidx[graph_semigroup_mul(g, el, (boundary[i], boundary[i]))[0]] for i in ext}
         maps.append(graph_map)
         domains.append(tuple(sorted(graph_map.values())))
     carrier = tuple(fmt_path(g, p) for p in boundary)
-    action = paction.validate_partial_action(S, carrier, tuple(domains), tuple(maps))
-    return action, payload, boundary
+    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps)), payload, boundary
 
 
 def boundary_groupoid(g):
@@ -477,10 +492,18 @@ def boundary_groupoid(g):
     that sink.  Equal suffixes also have equal lengths, |x| - m = |y| - n,
     so m - n = |x| - |y| for every match, and the triples are read off
     without a search over (m, n).
+
+    The triples form a groupoid by proof, so they are not validated: they
+    are the pair groupoid of each fibre of x -> end(x), k being fixed by x
+    and y.  (x, k, y)(y, l, z) = (x, k + l, z) is a triple, as k + l =
+    |x| - |z|, and typed; composition is associative as addition is; the
+    units are the (x, 0, x) and (y, -k, x) inverts (x, k, y).  The
+    acyclicity and the boundary come from `canonical_graph_action`.
     """
-    boundary = boundary_enumerate(g)
-    if boundary is None:
+    result = canonical_graph_action(g)
+    if isinstance(result, CylinderAction):
         raise NotAcyclic("boundary groupoid is infinite")
+    action, payload, boundary = result
     ends = [path_end(g, p) for p in boundary]
     triples = [
         (i, len(x.edges) - len(y.edges), j)
@@ -501,10 +524,8 @@ def boundary_groupoid(g):
         (x, k, _), (_, l, z) = triples[i], triples[j]
         return tindex[(x, k + l, z)]
 
-    compose = germs.compose_table(source, target, cat)
-    gpd = germs.validate_groupoid(names, units, source, target, inverse, compose)
-
-    action, payload, _ = canonical_graph_action(g)
+    gpd = germs.FiniteGroupoid(names, units, source, target, inverse,
+                               germs.compose_table(source, target, cat))
     germ = germs.groupoid_of_germs(action)
 
     def psi(s, xp):
@@ -1159,9 +1180,11 @@ def graph_analyze(g):
 
     For acyclic graphs principality is computed from the canonical action and
     cross-checked against Condition (L); for cyclic graphs Condition (L)
-    decides it, and a failing loop is reported with its isolated cylinder."""
+    decides it, and a failing loop is reported with its isolated cylinder.
+    Acyclicity is read off `canonical_graph_action`."""
     cond_l, witness = is_condition_L(g)
-    acyclic = not has_cycle(g)
+    result = canonical_graph_action(g)
+    acyclic = not isinstance(result, CylinderAction)
     report = {
         "vertices": len(g.vertices),
         "edges": len(g.edge_names),
@@ -1171,7 +1194,7 @@ def graph_analyze(g):
         "witness_loop": fmt_path(g, witness) if witness else None,
     }
     if acyclic:
-        action, _, boundary = canonical_graph_action(g)
+        action, _, boundary = result
         dyn = paction.dynamics_report(action)
         if dyn.top_principal != cond_l:
             raise GraphError("principality disagrees with Condition (L)")

@@ -689,7 +689,14 @@ def symmetric_inverse_semigroup(n, max_elements=600):
 def munn_representation(S):
     """The Munn representation on E(S): X_s = {e <= ss*}, theta_s(e) = ses*.
 
-    Each X_f, f idempotent, is the row S.below[f] (all of it idempotent).
+    Each X_f, f idempotent, is the row S.below[f] (all of it idempotent),
+    one tuple shared by every s with ss* = f.  theta is a homomorphism
+    S -> I(E), so it is a global action and is not validated:
+    theta_s theta_t is defined at e iff e <= t*t and tet* <= s*s, iff e <=
+    t*s*st, the domain of theta_st (if e <= t*s*st, then tet* <= tt*s*s
+    and e <= t*t; if e <= t*t and tet* <= s*s, then e = t*(tet*)t <=
+    t*s*st), and there s(tet*)s* = (st)e(st)*.  It is non-degenerate: e is
+    in X_e.
     """
     from . import paction
 
@@ -697,13 +704,14 @@ def munn_representation(S):
     pos = {e: i for i, e in enumerate(E)}
     carrier = tuple(S.elements[e] for e in E)
     down = {f: tuple(members(S.below[f])) for f in E}
+    dom = {f: tuple(sorted(pos[e] for e in down[f])) for f in E}
     domains = []
     maps = []
     for s in range(len(S)):
         s_star = S.inv(s)
-        domains.append(tuple(pos[e] for e in down[S.mul(s, s_star)]))
+        domains.append(dom[S.mul(s, s_star)])
         maps.append({pos[e]: pos[S.prod(s, e, s_star)] for e in down[S.mul(s_star, s)]})
-    return paction.validate_partial_action(S, carrier, tuple(domains), tuple(maps))
+    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps))
 
 
 def canonical_self_action(S):
@@ -713,6 +721,13 @@ def canonical_self_action(S):
     action, and free, since st = t forces tt* <= s.  The t are grouped by
     tt* once, and each D_f, f idempotent, gathers the groups of the row
     S.below[f].
+
+    It is a homomorphism S -> I(S), so it is not validated.  alpha_s maps
+    D_{s*s} onto D_{ss*}, with inverse alpha_{s*}: s*st = t when tt* <=
+    s*s, and u = s(s*u) for uu* <= ss*.  alpha_s alpha_t is defined at u iff
+    uu* <= t*t and tuu*t* <= s*s, iff uu* <= t*s*st, the domain of
+    alpha_st (the Munn argument with e = uu*), and s(tu) = (st)u.  It is
+    non-degenerate: t is in D_{tt*}.
     """
     from . import paction
 
@@ -728,21 +743,21 @@ def canonical_self_action(S):
         row_s = S.table[s]
         domains.append(down[S.mul(s, S.inv(s))])
         maps.append({t: row_s[t] for t in down[S.mul(S.inv(s), s)]})
-    return paction.validate_partial_action(S, S.elements, tuple(domains), tuple(maps))
+    return paction.PartialAction(S, S.elements, tuple(domains), tuple(maps))
 
 
 def restricted_product_groupoid(S):
-    """(S, .): arrows are the elements, s.t defined iff s*s = tt*."""
+    """(S, .): arrows are the elements, s.t defined iff s*s = tt*.
+
+    A groupoid by proof, so not validated: when s*s = tt*, (st)*(st) =
+    t*tt*t = t*t and (st)(st)* = stt*s* = ss*ss* = ss*, so st is typed;
+    the units are the idempotents, e*e = e, with s(s*s) = s = (ss*)s; s*
+    inverts s; and the product is S's, so it is associative.
+    """
     from . import germs
 
     n = len(S)
     source = tuple(S.mul(S.inv(s), s) for s in range(n))
     target = tuple(S.mul(s, S.inv(s)) for s in range(n))
-    return germs.validate_groupoid(
-        arrows=S.elements,
-        units=S.idempotents,
-        source=source,
-        target=target,
-        inverse=S.inverse,
-        compose=germs.compose_table(source, target, S.mul),
-    )
+    return germs.FiniteGroupoid(S.elements, S.idempotents, source, target, S.inverse,
+                                germs.compose_table(source, target, S.mul))

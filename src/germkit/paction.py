@@ -4,9 +4,15 @@ A partial action assigns to each semigroup element s a subset X_s of the
 carrier and a bijection theta_s : X_{s*} -> X_s, subject to the partial
 homomorphism laws.  Carriers are finite and discrete, so every topological
 notion (interior, closure, density) is evaluated literally.
+
+`validate_partial_action` checks an action that comes in as data or is
+read off an algebra.  The actions made here from a given action, on the
+maximal group image, on S(G) and on one point, are partial actions by
+proof and are built as `PartialAction` directly, which derives
+`is_global` from the domains.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from . import GermkitError, invsemi, rings
 from .invsemi import members, natural_leq
 
@@ -49,7 +55,11 @@ class PartialAction:
     carrier: tuple
     domains: tuple  # s -> sorted tuple of carrier indices (X_s)
     maps: tuple     # s -> dict mapping X_{s*} points to X_s points
-    is_global: bool
+    is_global: bool = field(init=False, compare=False)  # X_{s*} = X_{s*s} for every s
+
+    def __post_init__(self):
+        S, domains = self.semigroup, self.domains
+        self.is_global = all(domains[S.inv(s)] == domains[S.mul(S.inv(s), s)] for s in range(len(S)))
 
     def theta(self, s, x):
         return self.maps[s][x]
@@ -68,7 +78,7 @@ class PartialAction:
 
 def validate_partial_action(semigroup, carrier, domains, maps):
     """Check bijectivity, the partial homomorphism laws and non-degeneracy;
-    returns the action with its global flag.
+    returns the action.
 
     The laws are theta_s theta_t <= theta_st (a restriction) for all s, t,
     and theta_s <= theta_t whenever s <= t.  Once theta_{s*} = theta_s^-1
@@ -127,10 +137,7 @@ def validate_partial_action(semigroup, carrier, domains, maps):
     for x in range(npts):
         if x not in covered:
             raise Degenerate(f"carrier point {carrier[x]} lies in no idempotent domain", x)
-    is_global = all(
-        set(domains[S.inv(s)]) == set(domains[S.mul(S.inv(s), s)]) for s in range(n)
-    )
-    return PartialAction(S, carrier, domains, tuple(graphs), is_global)
+    return PartialAction(S, carrier, domains, tuple(graphs))
 
 
 def _homomorphic_over_gens(S, graphs):
@@ -420,7 +427,23 @@ def recover_action_from_dual(alg):
 
 def _join_by_class(theta, class_of, m):
     """Union of the graphs theta_s over each congruence class; raises on any
-    disagreement between overlapping partial bijections."""
+    disagreement between overlapping partial bijections.
+
+    When no class disagrees and class_of is the minimum group congruence,
+    the joins theta~_gamma are a partial action of G(S), so nothing is
+    validated after them:
+    - theta~_gamma is injective, because the join of gamma^-1 is
+      consistent: theta~_{gamma^-1} joins the theta_{s*} = theta_s^-1, so
+      it is a map and inverts theta~_gamma, theta~_{gamma^-1} =
+      theta~_gamma^-1;
+    - theta~_gamma theta~_delta is contained in theta~_{gamma delta}: a
+      point moved by theta_s theta_t, [s] = gamma and [t] = delta, is moved
+      alike by theta_st, as theta_s theta_t <= theta_st, and [st] = gamma
+      delta;
+    - G(S) is a group, so its order is equality and preserves itself;
+    - it is non-degenerate through the identity class, which holds every
+      idempotent of S, so theta~_1 is defined on every X_e and hence on X.
+    """
     S = theta.semigroup
     joined = [dict() for _ in range(m)]
     owners = [dict() for _ in range(m)]
@@ -434,30 +457,30 @@ def _join_by_class(theta, class_of, m):
                 )
             joined[c][x] = y
             owners[c][x] = s
-    domains = tuple(tuple(sorted(set(g.values()))) for g in joined)
+    domains = tuple(tuple(sorted(g.values())) for g in joined)
     return domains, tuple(joined)
 
 
 def induced_group_action(theta):
     """For E-unitary S: the induced partial action of the maximal group image,
-    with theta~_gamma the join of {theta_s : [s] = gamma}."""
+    with theta~_gamma the join of {theta_s : [s] = gamma}, a partial action
+    by `_join_by_class`."""
     flag, witness = invsemi.is_e_unitary(theta.semigroup)
     if not flag:
         raise NotEUnitary(f"witness pair {witness}", witness)
     gi = invsemi.max_group_image(theta.semigroup)
     domains, maps = _join_by_class(theta, gi.class_of, len(gi.group))
-    action = validate_partial_action(gi.group, theta.carrier, domains, maps)
-    return action, gi
+    return PartialAction(gi.group, theta.carrier, domains, maps), gi
 
 
 def action_factors_through_group(theta):
-    """Whether theta factors through G(S): the class-wise joins must be
-    consistent partial bijections forming a valid partial action."""
+    """Whether theta factors through G(S): whether the class-wise joins are
+    consistent partial bijections.  Consistent joins form a partial action
+    of G(S) (`_join_by_class`), so the witness is the least disagreement."""
     gi = invsemi.max_group_image(theta.semigroup)
     try:
-        domains, maps = _join_by_class(theta, gi.class_of, len(gi.group))
-        validate_partial_action(gi.group, theta.carrier, domains, maps)
-    except ActionError as err:
+        _join_by_class(theta, gi.class_of, len(gi.group))
+    except IncompatibleJoin as err:
         return False, err.witness
     return True, None
 
@@ -465,7 +488,16 @@ def action_factors_through_group(theta):
 def induced_exel_action(theta):
     """Extend a partial group action to a global action of the universal
     inverse semigroup: eps_R [g] acts as theta_g restricted to the points
-    whose image lies in every X_r, r in R."""
+    whose image lies in every X_r, r in R.
+
+    This is Exel's correspondence (Exel, Proc. AMS 126, 1998): a partial
+    action of G is a homomorphism S(G) -> I(X), [g] -> theta_g, and eps_r =
+    [r][r^-1] goes to the identity of X_r, so eps_R [g] goes to theta_g
+    followed by the identity of the intersection of the X_r.  A homomorphism
+    into I(X) is a global action, so nothing is validated.  It is
+    non-degenerate: theta_1 = id_X, as theta is non-degenerate and 1 is the
+    only idempotent of G, and eps_{} [1] acts as theta_1.
+    """
     G = theta.semigroup
     if not invsemi.is_group(G):
         raise ActionError("induced_exel_action needs a partial group action")
@@ -480,14 +512,13 @@ def induced_exel_action(theta):
         graph = {x: y for x, y in theta_g.items() if y in allowed}
         maps.append(graph)
         domains.append(tuple(sorted(graph.values())))
-    action = validate_partial_action(ex.semigroup, theta.carrier, tuple(domains), tuple(maps))
-    if not action.is_global:
-        raise ActionError("induced universal action failed to be global")
-    return action, ex
+    return PartialAction(ex.semigroup, theta.carrier, tuple(domains), tuple(maps)), ex
 
 
 def one_point_trivial_action(S):
     """The trivial action of S on a single point; its groupoid of germs is the
-    maximal group image."""
+    maximal group image.  Every s acting as the identity of the point is a
+    homomorphism S -> I(X), so a global action, and non-degenerate, as
+    every idempotent acts as id_X; nothing is validated."""
     n = len(S)
-    return validate_partial_action(S, ("pt",), tuple(((0,),) * n), tuple(({0: 0},) * n))
+    return PartialAction(S, ("pt",), ((0,),) * n, tuple({0: 0} for _ in range(n)))

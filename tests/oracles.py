@@ -111,7 +111,31 @@ def restrict_action(theta, keep):
         theta.semigroup, [theta.carrier[x] for x in keep], [sorted(g.values()) for g in maps], maps)
 
 
+def factors_through_group_validated(theta):
+    """paction.action_factors_through_group as it was: the class-wise joins
+    are validated as a partial action of G(S), and any ActionError's
+    witness is returned."""
+    gi = invsemi.max_group_image(theta.semigroup)
+    try:
+        domains, maps = paction._join_by_class(theta, gi.class_of, len(gi.group))
+        paction.validate_partial_action(gi.group, theta.carrier, domains, maps)
+    except paction.ActionError as err:
+        return False, err.witness
+    return True, None
+
+
 # --- graphs: S_E from all of its products, validated ---------------------------
+
+def seeded_dag(rng, nv, ne):
+    """A DAG on nv vertices with ne edges, each from a lower to a higher
+    vertex, parallel edges allowed; random.Random(6) with 16 and 20 gives
+    |S_E| = 1798."""
+    edges = []
+    for i in range(ne):
+        a = rng.randrange(nv - 1)
+        edges.append((f"e{i}", f"v{a}", f"v{rng.randint(a + 1, nv - 1)}"))
+    return graph.make_graph([f"v{i}" for i in range(nv)], edges)
+
 
 def graph_semigroup_validated(g, max_elements=2000):
     """graph.graph_semigroup as it was: every product of two path pairs by

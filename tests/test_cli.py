@@ -163,6 +163,27 @@ def test_germs_and_catalog_run_output_unchanged(capsys):
     assert digest.hexdigest() == "33b0f5c00f67ca85d140a3dd397ba3578ff7adba9b8c64eaf31487266742ab4d"
 
 
+def test_canonical_action_and_groupoid_output_unchanged(capsys):
+    # one sha256 over the exit code and stdout of `catalog run --seed 0`,
+    # `validate` and `germs` on every catalog action, `verify
+    # steinberg-crossed` over Q and Z/5 on every catalog action and `graph
+    # analyze` on every catalog graph, recorded while the canonical actions
+    # and groupoids were still validated after they were built
+    argvs = [("catalog", "run", "--seed", "0")]
+    for name in catalog.ACTION_NAMES:
+        argvs += [("validate", f"catalog:{name}"), ("germs", f"catalog:{name}")]
+    for name in catalog.ACTION_NAMES:
+        for ring in ("Q", "Zp:5"):
+            argvs.append(("verify", "steinberg-crossed", f"catalog:{name}", "--ring", ring))
+    argvs += [("graph", "analyze", f"catalog:{name}") for name in catalog.GRAPH_NAMES]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert (len(catalog.ACTION_NAMES), len(catalog.GRAPH_NAMES)) == (17, 5)
+    assert digest.hexdigest() == "686f878fd6c66932299d795e9a46eb89725780e67fd31163ddac220ea0891b35"
+
+
 def test_constructed_semigroup_output_unchanged(capsys, tmp_path):
     # one sha256 over the exit code and stdout of `exel` on Z_1..Z_7 and of
     # `validate` and `analyze` on the catalog's I_2 and S(Z_2), recorded
@@ -774,6 +795,14 @@ def test_unknown_catalog_name_is_reported_without_extra_quotes(capsys):
     assert code == 2
     assert json.loads(out) == {"ok": False, "error": "unknown catalog action 'nosuch'", "kind": "input"}
     assert err == "input error: unknown catalog action 'nosuch'\n"
+
+
+@pytest.mark.parametrize("name", ["munn-nosuch", "self-nosuch", "MUNN-NoSuch"])
+def test_unknown_derived_catalog_action_is_reported_under_its_own_name(capsys, name):
+    code, out, err = run(capsys, "germs", f"catalog:{name}")
+    message = f"unknown catalog action {name.lower()!r}"
+    assert (code, json.loads(out)) == (2, {"ok": False, "error": message, "kind": "input"})
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("spec", ["Zp:x", "Zp:0", "Zp:1"])

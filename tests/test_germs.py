@@ -781,7 +781,8 @@ def test_derived_generators_reach_every_arrow(name):
 def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
     # Z/6 on {0, 1, 2}: g moves 0 to 1, g2 and g4 fix 2, so the isotropy at 2
     # is {[1,2], [g2,2], [g4,2]} and no germ of S.gens = (g,) reaches it;
-    # a corrupted [g2,2][g2,2] must still be found
+    # a corrupted [g2,2][g2,2] must still be found.  groupoid_of_germs builds
+    # by proof, so the corrupted rows go to validate_groupoid as data
     theta = _cyclic_partial_action(6, ("0", "1", "2"),
                                    {1: {0: 1}, 5: {1: 0}, 2: {2: 2}, 4: {2: 2}})
     built = []
@@ -796,8 +797,10 @@ def test_germ_groupoid_checks_arrows_off_the_germs_of_gens(monkeypatch):
         return table
 
     monkeypatch.setattr(germs, "compose_table", corrupted)
+    G = germs.groupoid_of_germs(theta).groupoid
+    assert G.compose is built[0][2]
     with pytest.raises(germs.GroupoidError) as err:
-        germs.groupoid_of_germs(theta)
+        germs.validate_groupoid(G.arrows, G.units, G.source, G.target, G.inverse, G.compose)
     witness = oracles.groupoid_associativity_failure(*built[0])
     assert witness is not None
     assert (str(err.value), err.value.witness) == ("composition is not associative", witness)

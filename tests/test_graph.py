@@ -716,3 +716,36 @@ def test_graph_analyze_reports():
     assert rep["acyclic"] and rep["boundary_size"] == 2
     rep = gr.graph_analyze(CYCLE2)
     assert not rep["acyclic"] and rep["condition_L"] and rep["top_principal"]
+
+
+@pytest.mark.parametrize("name", ["dag16", "cycle2-exit"])
+def test_analyze_and_boundary_groupoid_enumerate_paths_once(monkeypatch, name):
+    g = oracles.seeded_dag(random.Random(6), 16, 20) if name == "dag16" else catalog.graphs(name)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gr, "all_finite_paths", counted(gr.all_finite_paths))
+    monkeypatch.setattr(gr, "has_cycle", counted(gr.has_cycle))
+    rep = gr.graph_analyze(g)
+    assert calls == {"all_finite_paths": 1, "has_cycle": 1}
+    assert rep["acyclic"] == (name == "dag16")
+    calls.clear()
+    if name == "dag16":
+        gpd, _, _, rep = gr.boundary_groupoid(g)
+        assert rep["isomorphic"] and rep["boundary_arrows"] == len(gpd.arrows)
+    else:
+        with pytest.raises(gr.NotAcyclic, match="^boundary groupoid is infinite$"):
+            gr.boundary_groupoid(g)
+    assert calls == {"all_finite_paths": 1, "has_cycle": 1}
+
+
+def test_canonical_action_boundary_matches_enumeration():
+    # the boundary read off the payload is boundary_enumerate's, in its order
+    for g in _acyclic_graphs() + [oracles.seeded_dag(random.Random(6), 16, 20)]:
+        _, _, boundary = gr.canonical_graph_action(g)
+        assert boundary == gr.boundary_enumerate(g)
