@@ -142,9 +142,9 @@ def groupoid(name):
         return pair_groupoid(2)
     if name == "z2-one-unit":
         return germs.groupoid_of_germs(action("z2-trivial-pt")).groupoid
-    if name.startswith("rp-"):
+    if name[:3] == "rp-" and name[3:] in SEMIGROUP_NAMES:
         return invsemi.restricted_product_groupoid(semigroup(name[3:]))
-    if name.startswith("germ-"):
+    if name[:5] == "germ-" and name[5:] in ACTION_NAMES:
         return germs.groupoid_of_germs(action(name[5:])).groupoid
     if name == "boundary-edge":
         from . import graph

@@ -18,7 +18,7 @@ semigroups coincide and only the latter is exposed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import count
 from operator import itemgetter
 
@@ -358,7 +358,8 @@ def ample_semigroup(G, max_size=20000, generators=None):
     product and inverse) is built: the bisections are reached by right
     products with the generators and their inverses, and the table is filled
     by `invsemi.tabulate` from those products, so each is computed once.
-    Without, every bisection is one of the generators.
+    Without, every bisection is one of the generators, and the same walk
+    finds nothing new.
 
     The table is not validated: it is an inverse semigroup by proof, with
     U^-1 the inverse of U and the sets of units the idempotents.
@@ -371,31 +372,27 @@ def ample_semigroup(G, max_size=20000, generators=None):
       aa = a, a unit.  Sets of units commute, their product being their
       intersection, so the semigroup is inverse (Howie, Thm 5.1.1).
     """
-    if generators is None:
-        bis = letters = all_bisections(G, max_size)
-        mul = partial(bisection_product, G)
-    else:
-        gens = [frozenset(g) for g in generators]
-        letters = list(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]))
-        found = list(letters)
-        pos = {U: k for k, U in enumerate(found)}
-        right = []  # right[k][j] = pos[found[k] letters[j]]
-        for U in found:  # found grows while it is scanned
-            row = []
-            for g in letters:
-                UV = bisection_product(G, U, g)
-                if UV not in pos:
-                    if len(found) >= max_size:
-                        raise ResourceLimit(f"generated more than {max_size} bisections")
-                    pos[UV] = len(found)
-                    found.append(UV)
-                row.append(pos[UV])
-            right.append(row)
-        bis = sorted(found, key=lambda b: (len(b), sorted(b)))
-        letter = {g: j for j, g in enumerate(letters)}
+    gens = [frozenset(g) for g in (all_bisections(G, max_size) if generators is None else generators)]
+    letters = list(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]))
+    found = list(letters)
+    pos = {U: k for k, U in enumerate(found)}
+    right = []  # right[k][j] = pos[found[k] letters[j]]
+    for U in found:  # found grows while it is scanned
+        row = []
+        for g in letters:
+            UV = bisection_product(G, U, g)
+            if UV not in pos:
+                if len(found) >= max_size:
+                    raise ResourceLimit(f"generated more than {max_size} bisections")
+                pos[UV] = len(found)
+                found.append(UV)
+            row.append(pos[UV])
+        right.append(row)
+    bis = sorted(found, key=lambda b: (len(b), sorted(b)))
+    letter = {g: j for j, g in enumerate(letters)}
 
-        def mul(U, g):  # tabulate reads the products made above
-            return found[right[pos[U]][letter[g]]]
+    def mul(U, g):  # tabulate reads the products made above
+        return found[right[pos[U]][letter[g]]]
     index = {b: i for i, b in enumerate(bis)}
     tbl = invsemi.tabulate(bis, mul, letters)
     units = frozenset(G.units)

@@ -8,8 +8,9 @@ acyclic graphs the boundary path space is a finite set and everything is
 checked pointwise; for cyclic graphs the calculus stays at the level of
 cylinder sets truncated at a chosen depth.
 
-S_E is an inverse semigroup by proof, tabulated from its generators and not
-validated (`graph_semigroup`).  Its product of path pairs,
+S_E is an inverse semigroup by proof, a model like I_n whose table is
+tabulated from its generators on first read and not validated
+(`graph_semigroup`).  Its product of path pairs,
 `graph_semigroup_mul`, is the one prefix rule of the module: the canonical
 action on boundary paths and on cylinders and the product of Leavitt atoms
 all read it.
@@ -17,6 +18,8 @@ all read it.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import GermkitError, ResourceLimit, germs, invsemi, paction
 
@@ -265,49 +268,46 @@ def graph_semigroup(g, max_elements=2000):
     max_elements, before any pair is built.
 
     S_E is an inverse semigroup by proof (Ash and Hall, Inverse semigroups
-    on graphs, Semigroup Forum 11, 1975), so its table is not checked.
+    on graphs, Semigroup Forum 11, 1975), so nothing here is checked.
     (mu, nu) acts on the finite paths by nu x -> mu x, and 0 by the empty
     map; `graph_semigroup_mul` is the composition of these partial
     bijections, and (mu, nu) is recovered from its map (nu is the shortest
     path in its domain, mu its image).  So the product is associative,
     (nu, mu) is the inverse of (mu, nu), and the idempotents are 0 and the
-    (mu, mu).  0, the (v, v), the (e, r(e)) and the (r(e), e) generate:
-    with k + l > 0, (e_1...e_k, f_1...f_l) = (e_1, r(e_1))...(e_k, r(e_k))
-    (r(f_l), f_l)...(r(f_1), f_1), so `invsemi.tabulate` fills the table
-    from them.
+    (mu, mu).  0 is absorbing, so it is the zero.  s <= t iff s = t e for
+    an idempotent e, and (mu, nu)(gamma, gamma) is (mu x, nu x) when gamma
+    = nu x, (mu, nu) when nu = gamma x, and 0 otherwise: below[(mu, nu)]
+    holds (mu, nu), 0 and the (mu x, nu x) with x non-empty, that is the
+    below rows of the (mu e, nu e) for the edges e leaving r(mu), which
+    come later in the payload.  0, the (v, v), the (e, r(e)) and the
+    (r(e), e) generate: with k + l > 0, (e_1...e_k, f_1...f_l) =
+    (e_1, r(e_1))...(e_k, r(e_k)) (r(f_l), f_l)...(r(f_1), f_1).  They are
+    kept as gens, and `invsemi.tabulate` fills the table from them the
+    first time S.table is read.
     """
     paths = all_finite_paths(g)
     ends = Counter(path_end(g, p) for p in paths)
     size = 1 + sum(c * c for c in ends.values())
     if size > max_elements:
         raise ResourceLimit(f"|S_E| = {size} exceeds {max_elements}")
-    elems = [ZERO]
-    for mu in paths:
-        for nu in paths:
-            if path_end(g, mu) == path_end(g, nu):
-                elems.append((mu, nu))
-
-    def fmt(el):
-        if el == ZERO:
-            return "0"
-        return f"({fmt_path(g, el[0])},{fmt_path(g, el[1])})"
-
-    def key(el):
-        if el == ZERO:
-            return (-1, "", "")
-        return (len(el[0].edges) + len(el[1].edges), fmt_path(g, el[0]), fmt_path(g, el[1]))
-
-    elems.sort(key=key)
+    pairs = sorted(((mu, nu) for mu in paths for nu in paths if path_end(g, mu) == path_end(g, nu)),
+                   key=lambda el: (len(el[0].edges) + len(el[1].edges), fmt_path(g, el[0]), fmt_path(g, el[1])))
+    elems = [ZERO] + pairs  # the zero is index 0
     index = {el: i for i, el in enumerate(elems)}
+    below = [1] * len(elems)
+    for i in reversed(range(1, len(elems))):
+        mu, nu = elems[i]
+        below[i] = reduce(or_, (below[index[(Path(mu.start, mu.edges + (e,)), Path(nu.start, nu.edges + (e,)))]]
+                                for e in g.out_edges(path_end(g, mu))), 1 << i | 1)
     vertices = [Path(v, ()) for v in range(len(g.vertices))]
     edges = [(Path(g.esrc[e], (e,)), Path(g.edst[e], ())) for e in range(len(g.edge_names))]
     letters = [ZERO] + [(v, v) for v in vertices] + edges + [(r, e) for e, r in edges]
-    tbl = invsemi.tabulate(elems, lambda a, b: graph_semigroup_mul(g, a, b), letters)
-    S = invsemi._inverse_semigroup(
-        tuple(fmt(el) for el in elems), tbl,
-        tuple(index[el if el == ZERO else el[::-1]] for el in elems),
-        tuple(i for i, el in enumerate(elems) if el == ZERO or el[0] == el[1]),
-        tuple(invsemi.table_closure(tbl)[0]))
+    S = invsemi.InverseSemigroup(
+        ("0",) + tuple(f"({fmt_path(g, mu)},{fmt_path(g, nu)})" for mu, nu in pairs),
+        lambda: invsemi.tabulate(elems, lambda a, b: graph_semigroup_mul(g, a, b), letters),
+        (0,) + tuple(index[(nu, mu)] for mu, nu in pairs),
+        (0,) + tuple(i for i, (mu, nu) in enumerate(pairs, 1) if mu == nu), 0,
+        below=tuple(below), gens=tuple(index[el] for el in letters))
     return S, tuple(elems)
 
 

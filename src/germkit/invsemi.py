@@ -10,10 +10,12 @@ was checked with, or a model's construction generators.
 
 Associativity of a table is decided by Light's test over a generating set A
 read off the table: O(n^2 |A|); only a table that fails it is scanned for
-its least non-associative triple.  The models I_n and S(G) are associative
-inverse semigroups by proof (see their constructors): their inverses,
-idempotents, zero and order come from the model, and their tables, filled
-by `tabulate` the first time S.table is read, are not checked.
+its least non-associative triple.  The models I_n, S(G) and S_E
+(`graph.graph_semigroup`) are associative inverse semigroups by proof (see
+their constructors): their inverses, idempotents, zero and order come from
+the model, and their tables, filled by `tabulate` the first time S.table,
+S.mul or S.prod needs them, are not checked.  Models and validated tables
+are the one class `InverseSemigroup`.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -45,21 +47,33 @@ class NonUniqueInverse(SemigroupError):
 class InverseSemigroup:
     """A finite inverse semigroup on range(n); S.table is its Cayley table.
 
-    Equality and hashing read the table.  A model (`_ModelSemigroup`) fills
-    its table the first time S.table is read.
+    cayley is the table, or for a model (I_n, S(G), S_E) a function that
+    tabulates it, called the first time S.table, S.mul or S.prod needs it.
+    Equality and hashing read the table.  S.mul and S.prod load the plain
+    instance attribute _table, which nothing on the class shadows, so the
+    interpreter's fast attribute loads apply; until the table is filled
+    that load raises AttributeError, which costs nothing when it does not.
     """
 
     elements: tuple
-    table: InitVar[tuple]
+    cayley: InitVar[object]
     inverse: tuple
     idempotents: tuple
     zero: object = None
     below: tuple = field(kw_only=True, repr=False)
     gens: tuple = field(kw_only=True, repr=False)
 
-    def __post_init__(self, table):
-        object.__setattr__(self, "table", table)
+    def __post_init__(self, cayley):
+        object.__setattr__(self, "_tabulate" if callable(cayley) else "_table", cayley)
         object.__setattr__(self, "_idempotent_set", frozenset(self.idempotents))
+
+    @property
+    def table(self):
+        try:
+            return self._table
+        except AttributeError:
+            object.__setattr__(self, "_table", self._tabulate())
+            return self._table
 
     def _key(self):
         return self.elements, self.table, self.inverse, self.idempotents, self.zero
@@ -76,12 +90,19 @@ class InverseSemigroup:
         return len(self.elements)
 
     def mul(self, i, j):
-        return self.table[i][j]
+        try:
+            return self._table[i][j]
+        except AttributeError:
+            return self.table[i][j]
 
     def prod(self, *idxs):
+        try:
+            tbl = self._table
+        except AttributeError:
+            tbl = self.table
         acc = idxs[0]
         for j in idxs[1:]:
-            acc = self.table[acc][j]
+            acc = tbl[acc][j]
         return acc
 
     def inv(self, i):
@@ -95,31 +116,6 @@ class InverseSemigroup:
 
     def name(self, i):
         return self.elements[i]
-
-
-class _TableOnRead:
-    """S.table of a model: S._tabulate() at the first read, kept as an
-    instance attribute, which hides this descriptor from then on."""
-
-    def __get__(self, S, owner=None):
-        if S is None:
-            return self
-        table = S._tabulate()
-        object.__setattr__(S, "table", table)
-        return table
-
-
-class _ModelSemigroup(InverseSemigroup):
-    """I_n or S(G).  In the table's place it takes a function that tabulates
-    the table, called the first time S.table is read.  Only models carry
-    the descriptor: on a table given as it is, S.table stays a plain
-    attribute, which keeps the interpreter's fast attribute loads in S.mul."""
-
-    table = _TableOnRead()
-
-    def __post_init__(self, tabulate):
-        object.__setattr__(self, "_tabulate", tabulate)
-        object.__setattr__(self, "_idempotent_set", frozenset(self.idempotents))
 
 
 def validate_inverse_semigroup(elements, table):
@@ -609,8 +605,8 @@ def exel_semigroup(G, max_elements=4096):
         below[i] = reduce(or_, (below[index[(R | {r}, g)]] for r in others if r != g and r not in R), 1 << i)
     zero = of_group[one] if n == 1 else None
     letters = [forms[a] for a in of_group]
-    S = _ModelSemigroup(names, lambda: tabulate(forms, mul, letters), inverse, idem, zero,
-                        below=tuple(below), gens=of_group)
+    S = InverseSemigroup(names, lambda: tabulate(forms, mul, letters), inverse, idem, zero,
+                         below=tuple(below), gens=of_group)
     return ExelSemigroup(S, tuple(forms), G, of_group)
 
 
@@ -679,8 +675,8 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     for i, f in enumerate(maps):
         m = f.mapping
         below.append(reduce(or_, (below[index[m[:j] + m[j + 1:]]] for j in range(len(m))), 1 << i))
-    S = _ModelSemigroup(names, lambda: tabulate(maps, compose_partial, gens), inverse, idem, index[()],
-                        below=tuple(below), gens=tuple(dict.fromkeys(index[g.mapping] for g in gens)))
+    S = InverseSemigroup(names, lambda: tabulate(maps, compose_partial, gens), inverse, idem, index[()],
+                         below=tuple(below), gens=tuple(dict.fromkeys(index[g.mapping] for g in gens)))
     return S, tuple(maps)
 
 

@@ -9,10 +9,11 @@ notion (interior, closure, density) is evaluated literally.
 read off an algebra.  The actions made here from a given action, on the
 maximal group image, on S(G) and on one point, are partial actions by
 proof and are built as `PartialAction` directly, which derives
-`is_global` from the domains.
+`is_global` from the domains the first time it is read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from . import GermkitError, invsemi, rings
 from .invsemi import members, natural_leq
 
@@ -55,11 +56,13 @@ class PartialAction:
     carrier: tuple
     domains: tuple  # s -> sorted tuple of carrier indices (X_s)
     maps: tuple     # s -> dict mapping X_{s*} points to X_s points
-    is_global: bool = field(init=False, compare=False)  # X_{s*} = X_{s*s} for every s
 
-    def __post_init__(self):
+    @cached_property
+    def is_global(self):
+        """X_{s*} = X_{s*s} for every s.  Read on demand: it multiplies, which
+        fills a model semigroup's table."""
         S, domains = self.semigroup, self.domains
-        self.is_global = all(domains[S.inv(s)] == domains[S.mul(S.inv(s), s)] for s in range(len(S)))
+        return all(domains[S.inv(s)] == domains[S.mul(S.inv(s), s)] for s in range(len(S)))
 
     def theta(self, s, x):
         return self.maps[s][x]

@@ -132,3 +132,39 @@ def test_generated_subsemigroups_of_i4_build_by_proof(monkeypatch, seed):
     S = _generated_subsemigroup(rng)
     partial_actions = _restrictions(invsemi.canonical_self_action(S), rng, 2)
     _check_built_by_proof(monkeypatch, [S], partial_actions, [])
+
+
+def _is_global(theta):
+    """The formula `PartialAction.is_global` reads on demand."""
+    S, domains = theta.semigroup, theta.domains
+    return all(domains[S.inv(s)] == domains[S.mul(S.inv(s), s)] for s in range(len(S)))
+
+
+def _no_table(*args):
+    raise AssertionError("a table was filled where none is read")
+
+
+def test_no_table_is_filled_where_none_is_read(monkeypatch):
+    # S_E, its canonical action and the graph report, and the one-point
+    # actions of I_5 and S(Z_7), are all built with `tabulate` made to raise
+    rng = random.Random(31)
+    graphs = [catalog.graphs(name) for name in catalog.GRAPH_NAMES]
+    graphs = [g for g in graphs if not gr.has_cycle(g)]
+    graphs += [oracles.seeded_dag(rng, rng.randint(2, 6), rng.randint(0, 8)) for _ in range(30)]
+    dag16 = oracles.seeded_dag(random.Random(6), 16, 20)
+    graphs.append(dag16)
+    z7 = invsemi.validate_inverse_semigroup([str(i) for i in range(7)],
+                                            [[(i + j) % 7 for j in range(7)] for i in range(7)])
+    with monkeypatch.context() as m:
+        m.setattr(invsemi, "tabulate", _no_table)
+        semigroups = [gr.graph_semigroup(g)[0] for g in graphs]
+        reports = [gr.graph_analyze(g) for g in graphs]
+        actions = [gr.canonical_graph_action(g)[0] for g in graphs]
+        actions += [paction.one_point_trivial_action(S) for S in (
+            invsemi.symmetric_inverse_semigroup(5, max_elements=1546)[0],
+            invsemi.exel_semigroup(z7).semigroup)]
+    assert len(semigroups[-1]) == 1798
+    assert all(rep["acyclic"] and rep["top_principal"] for rep in reports)
+    assert gr.boundary_groupoid(dag16)[3]["isomorphic"]
+    assert [theta.is_global for theta in actions] == [_is_global(theta) for theta in actions]
+    assert all(theta.is_global for theta in actions)

@@ -254,6 +254,13 @@ def test_full_pseudogroup_past_the_enumeration(n, kind):
         oracles.taus_injective_by_enumeration(G)
 
 
+@pytest.mark.parametrize("name", ["rp-nosuch", "germ-nosuch"])
+def test_unknown_derived_catalog_groupoid_is_reported_under_its_own_name(name):
+    with pytest.raises(KeyError) as err:
+        catalog.groupoid(name)
+    assert err.value.args == (f"unknown catalog groupoid {name!r}",)
+
+
 def _ample_cases():
     """(name, groupoid, generators or None): every catalog groupoid, with
     every bisection and with every third one as generators, the basic

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germkit import ResourceLimit, catalog, invsemi, paction
+from germkit import ResourceLimit, catalog, germs, graph, invsemi, paction
 
 
 Z2 = catalog.semigroup("z2")
@@ -881,6 +881,25 @@ def test_constructors_agree_with_validated_tables(monkeypatch):
         assert S.table == T.table and (pairwise is None or S.table == pairwise)
         assert (S, hash(S)) == (T, hash(T))
     assert [ex.of_group for ex in exels] == [S.gens for S, _, _ in cases[6:]]
+
+
+def test_every_constructor_builds_the_one_semigroup_class():
+    # no subclass, and nothing on the class named like the instance
+    # attribute S.mul and S.prod load, which would keep the interpreter from
+    # specialising that load
+    z3 = catalog.semigroup("z3")
+    built = [invsemi.validate_inverse_semigroup(z3.elements, z3.table),
+             invsemi.symmetric_inverse_semigroup(3)[0],
+             invsemi.exel_semigroup(z3).semigroup,
+             graph.graph_semigroup(catalog.graphs("fan"))[0],
+             germs.ample_semigroup(catalog.groupoid("pair")).semigroup]
+    assert [type(S) for S in built] == [invsemi.InverseSemigroup] * len(built)
+    for S in built:
+        S.mul(0, 0)
+        for method in (invsemi.InverseSemigroup.mul, invsemi.InverseSemigroup.prod):
+            loaded = [name for name in method.__code__.co_names if name in vars(S)]
+            assert loaded == ["_table"]
+            assert not any(hasattr(invsemi.InverseSemigroup, name) for name in loaded)
 
 
 def test_constructors_reach_past_the_table(monkeypatch):
