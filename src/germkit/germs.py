@@ -395,11 +395,9 @@ def ample_semigroup(G, max_size=20000, generators=None):
         return found[right[pos[U]][letter[g]]]
     index = {b: i for i, b in enumerate(bis)}
     tbl = invsemi.tabulate(bis, mul, letters)
-    units = frozenset(G.units)
     S = invsemi._inverse_semigroup(
         tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis), tbl,
         tuple(index[bisection_inverse(G, b)] for b in bis),
-        tuple(i for i, b in enumerate(bis) if b <= units),
         tuple(invsemi.table_closure(tbl)[0]))
     return AmpleSemigroup(G, tuple(bis), S, index)
 

@@ -11,13 +11,14 @@ cylinder sets truncated at a chosen depth.
 S_E is an inverse semigroup by proof, a model like I_n whose table is
 tabulated from its generators on first read and not validated
 (`graph_semigroup`).  Its product of path pairs,
-`graph_semigroup_mul`, is the one prefix rule of the module: the canonical
-action on boundary paths and on cylinders and the product of Leavitt atoms
-all read it.
+`graph_semigroup_mul`, is the one prefix rule of the module: the action on
+cylinders and the product of Leavitt atoms read it.  The action on the
+finite boundary does not: it is the tight action of S_E
+(`invsemi.tight_action`), read off S_E's natural order.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import or_
 
@@ -274,7 +275,8 @@ def graph_semigroup(g, max_elements=2000):
     bijections, and (mu, nu) is recovered from its map (nu is the shortest
     path in its domain, mu its image).  So the product is associative,
     (nu, mu) is the inverse of (mu, nu), and the idempotents are 0 and the
-    (mu, mu).  0 is absorbing, so it is the zero.  s <= t iff s = t e for
+    (mu, mu), with d[(mu, nu)] = (nu, mu)(mu, nu) = (nu, nu) and d[0] = 0.
+    0 is absorbing, so it is the zero.  s <= t iff s = t e for
     an idempotent e, and (mu, nu)(gamma, gamma) is (mu x, nu x) when gamma
     = nu x, (mu, nu) when nu = gamma x, and 0 otherwise: below[(mu, nu)]
     holds (mu, nu), 0 and the (mu x, nu x) with x non-empty, that is the
@@ -306,7 +308,7 @@ def graph_semigroup(g, max_elements=2000):
         ("0",) + tuple(f"({fmt_path(g, mu)},{fmt_path(g, nu)})" for mu, nu in pairs),
         lambda: invsemi.tabulate(elems, lambda a, b: graph_semigroup_mul(g, a, b), letters),
         (0,) + tuple(index[(nu, mu)] for mu, nu in pairs),
-        (0,) + tuple(i for i, (mu, nu) in enumerate(pairs, 1) if mu == nu), 0,
+        (0,) + tuple(index[(nu, nu)] for mu, nu in pairs), 0,
         below=tuple(below), gens=tuple(index[el] for el in letters))
     return S, tuple(elems)
 
@@ -442,41 +444,23 @@ def canonical_graph_action(g):
     returned as (action, payload, boundary).  For cyclic graphs the boundary
     space is infinite and a symbolic CylinderAction is returned instead.
 
-    The paths are enumerated once, by `graph_semigroup`.  The boundary is
-    the q with (q, q) in the payload and q ending at a sink, in payload
-    order, which sorts the (q, q) by (|q|, fmt_path(q)) as
-    `boundary_enumerate` does.  A boundary path q cannot be extended, so
-    (mu,nu)(q,q) is (mu x, q) when q = nu x and 0 otherwise:
-    theta_(mu,nu)(q) is its first path, formed only for the q that extend
-    nu, one product per pair of L.
-
-    The action is not validated: (mu, nu) acts on the finite paths by
-    nu x -> mu x, and `graph_semigroup_mul` composes these maps
-    (`graph_semigroup`).  Prefix replacement keeps the end of a path, so
-    the boundary is invariant and the restrictions compose alike: theta is
-    a homomorphism S_E -> I(boundary), hence a global action.  It is
-    non-degenerate: q is in Z(v), the domain of (v, v), for v the start of q.
+    It is the tight action of S_E (`invsemi.tight_action`), with each atom
+    (q, q) renamed to its path q.  The boundary is the set of atoms of S_E:
+    below[(q, q)] is (q, q), 0 and the (qx, qx) with x non-empty, so (q,
+    q) is an atom iff q cannot be extended, that is q ends at a sink.  In
+    payload order the atoms are sorted by (|q|, fmt_path(q)), the order of
+    `boundary_enumerate`.  The tight action sends (q, q) to uu* for the u
+    <= (mu, nu) with u*u = (q, q): u = (mu x, nu x) for q = nu x, so q ->
+    mu x, which is prefix replacement.  The paths are enumerated once, by
+    `graph_semigroup`, and no path pair is multiplied.
     """
     try:
         S, payload = graph_semigroup(g)
     except NotAcyclic:
         return CylinderAction(g)
-    boundary = [el[0] for el in payload
-                if el != ZERO and el[0] == el[1] and g.is_sink(path_end(g, el[0]))]
-    pidx = {p: i for i, p in enumerate(boundary)}
-    extending = {}  # nu -> the indices of the boundary paths nu x
-    for i, q in enumerate(boundary):
-        for k in range(len(q.edges) + 1):
-            extending.setdefault(Path(q.start, q.edges[:k]), []).append(i)
-    domains = []
-    maps = []
-    for el in payload:
-        ext = () if el == ZERO else extending.get(el[1], ())
-        graph_map = {i: pidx[graph_semigroup_mul(g, el, (boundary[i], boundary[i]))[0]] for i in ext}
-        maps.append(graph_map)
-        domains.append(tuple(sorted(graph_map.values())))
-    carrier = tuple(fmt_path(g, p) for p in boundary)
-    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps)), payload, boundary
+    boundary = [payload[a][0] for a in invsemi.atoms(S)]
+    action = replace(invsemi.tight_action(S), carrier=tuple(fmt_path(g, q) for q in boundary))
+    return action, payload, boundary
 
 
 def boundary_groupoid(g):

@@ -1,19 +1,22 @@
 """Finite inverse semigroups as index-based Cayley tables.
 
 Elements are identified by their index into a declared name list.  A table
-a user supplies is checked at construction time, and its inverses and
-idempotents are computed from it.  The zero and the natural partial order
-are read off every table in one place (`_inverse_semigroup`); the order is
-a bit matrix: below[t] is an int whose bit s is set iff s <= t, and every
-order query reads it.  A generating set is kept as gens: the one a table
-was checked with, or a model's construction generators.
+a user supplies is checked at construction time, and its inverses are
+computed from it.  Every semigroup carries d, with d[s] = s*s (so ss* is
+d[s*]): a validated table reads it off the table, a model off its payloads.
+The idempotents are derived from d as the s with d[s] = s, and every reader
+of s*s or ss* reads d rather than multiplying.  The zero and the natural
+partial order are read off every table in one place (`_inverse_semigroup`);
+the order is a bit matrix: below[t] is an int whose bit s is set iff s <= t,
+and every order query reads it.  A generating set is kept as gens: the one
+a table was checked with, or a model's construction generators.
 
 Associativity of a table is decided by Light's test over a generating set A
 read off the table: O(n^2 |A|); only a table that fails it is scanned for
 its least non-associative triple.  The models I_n, S(G) and S_E
 (`graph.graph_semigroup`) are associative inverse semigroups by proof (see
-their constructors): their inverses, idempotents, zero and order come from
-the model, and their tables, filled by `tabulate` the first time S.table,
+their constructors): their inverses, d, zero and order come from the
+model, and their tables, filled by `tabulate` the first time S.table,
 S.mul or S.prod needs them, are not checked.  Models and validated tables
 are the one class `InverseSemigroup`.
 """
@@ -49,22 +52,27 @@ class InverseSemigroup:
 
     cayley is the table, or for a model (I_n, S(G), S_E) a function that
     tabulates it, called the first time S.table, S.mul or S.prod needs it.
-    Equality and hashing read the table.  S.mul and S.prod load the plain
-    instance attribute _table, which nothing on the class shadows, so the
-    interpreter's fast attribute loads apply; until the table is filled
-    that load raises AttributeError, which costs nothing when it does not.
+    d[s] is s*s, so ss* is d[s*]; the idempotents are the s with d[s] = s
+    (an idempotent is its own inverse, and s*s = s makes s idempotent), in
+    index order, derived here.  Equality and hashing read the table.  S.mul
+    and S.prod load the plain instance attribute _table, which nothing on
+    the class shadows, so the interpreter's fast attribute loads apply;
+    until the table is filled that load raises AttributeError, which costs
+    nothing when it does not.
     """
 
     elements: tuple
     cayley: InitVar[object]
     inverse: tuple
-    idempotents: tuple
+    d: tuple = field(repr=False)
     zero: object = None
     below: tuple = field(kw_only=True, repr=False)
     gens: tuple = field(kw_only=True, repr=False)
+    idempotents: tuple = field(init=False)
 
     def __post_init__(self, cayley):
         object.__setattr__(self, "_tabulate" if callable(cayley) else "_table", cayley)
+        object.__setattr__(self, "idempotents", tuple(s for s, e in enumerate(self.d) if e == s))
         object.__setattr__(self, "_idempotent_set", frozenset(self.idempotents))
 
     @property
@@ -76,7 +84,7 @@ class InverseSemigroup:
             return self._table
 
     def _key(self):
-        return self.elements, self.table, self.inverse, self.idempotents, self.zero
+        return self.elements, self.table, self.inverse, self.zero
 
     def __eq__(self, other):
         if not isinstance(other, InverseSemigroup):
@@ -173,23 +181,25 @@ def validate_inverse_semigroup(elements, table):
                 )
             inverse.append(cands[0])
         # unique inverses make tbl inverse, so idempotents commute (Howie, Thm 5.1.1)
-    return _inverse_semigroup(elements, tbl, tuple(inverse), idem, tuple(gens))
+    return _inverse_semigroup(elements, tbl, tuple(inverse), tuple(gens))
 
 
-def _inverse_semigroup(elements, tbl, inverse, idem, gens):
-    """The InverseSemigroup of an inverse semigroup's table, inverses,
-    idempotents and generators; the zero and the order are read off tbl.
+def _inverse_semigroup(elements, tbl, inverse, gens):
+    """The InverseSemigroup of an inverse semigroup's table, inverses and
+    generators; d[s] = s*s, the zero and the order are read off tbl.
 
     A zero absorbs every idempotent, so it can only be their product m.
     s <= t iff s = t s* s, iff s = t e for an idempotent e (then s* s =
     e t* t, and t e t* t = t e): below[t] is the set of row t at E(S).
     """
     n = len(tbl)
+    d = tuple(tbl[inverse[s]][s] for s in range(n))
+    idem = [s for s in range(n) if d[s] == s]
     m = reduce(lambda e, f: tbl[e][f], idem) if idem else None
     zero = m if idem and tbl[m].count(m) == n and all(row[m] == m for row in tbl) else None
     pick = _pick(idem)
     below = tuple(sum(1 << s for s in set(pick(row))) for row in tbl)
-    return InverseSemigroup(elements, tbl, inverse, idem, zero, below=below, gens=gens)
+    return InverseSemigroup(elements, tbl, inverse, d, zero, below=below, gens=gens)
 
 
 def _inverse_candidates(tbl, i, col_i):
@@ -561,13 +571,15 @@ def exel_semigroup(G, max_elements=4096):
     R u gQ u {1, g, gh} with gh).  (A, g)(g^-1 A, g^-1)(A, g) = (A, g); the
     idempotents are the (A, 1), and they commute.  So S(G) is inverse
     (Howie, Fundamentals of Semigroup Theory, Thm 5.1.1), (R, g)* =
-    (g^-1 R, g^-1), and (A, g) <= (B, h) iff g = h and B is a subset of A:
-    below[(R, g)] holds the (R', g) with R' a superset of R, that is (R, g)
-    and the below rows of the (R u {r}, g), which come later in the forms.
-    A zero would be an idempotent (A, 1), but (A, 1)[g] = (A u {g}, g) is
-    not (A, 1) for g != 1, so S(G) has a zero only when G is trivial.  The
-    table is filled by `tabulate` from the [g], kept as gens, the first
-    time S.table is read.
+    (g^-1 R, g^-1), and by the product rule d[(R, g)] = (g^-1 R, g^-1)(R,
+    g) = ((g^-1 R u {g^-1}) \\ {1}, 1): that is (R, 1) when g = 1, and
+    (g^-1 R u {g^-1}, 1) otherwise, as g is not in R.  (A, g) <= (B, h)
+    iff g = h and B is a subset of A: below[(R, g)] holds the (R', g) with
+    R' a superset of R, that is (R, g) and the below rows of the (R u {r},
+    g), which come later in the forms.  A zero would be an idempotent (A,
+    1), but (A, 1)[g] = (A u {g}, g) is not (A, 1) for g != 1, so S(G) has
+    a zero only when G is trivial.  The table is filled by `tabulate` from
+    the [g], kept as gens, the first time S.table is read.
     """
     if not is_group(G):
         raise SemigroupError("exel_semigroup needs a group")
@@ -597,15 +609,16 @@ def exel_semigroup(G, max_elements=4096):
 
     names = tuple(fmt(fg) for fg in forms)
     of_group = tuple(index[(frozenset(), g)] for g in range(n))
-    inverse = tuple(index[(frozenset(G.mul(G.inv(g), r) for r in R), G.inv(g))] for R, g in forms)
-    idem = tuple(i for i, (R, g) in enumerate(forms) if g == one)
+    inverse_forms = [(frozenset(map(G.table[G.inv(g)].__getitem__, R)), G.inv(g)) for R, g in forms]
+    inverse = tuple(map(index.__getitem__, inverse_forms))
+    d = tuple([index[(R | {g} if g != one else R, one)] for R, g in inverse_forms])
     below = [0] * len(forms)
     for i in reversed(range(len(forms))):
         R, g = forms[i]
         below[i] = reduce(or_, (below[index[(R | {r}, g)]] for r in others if r != g and r not in R), 1 << i)
     zero = of_group[one] if n == 1 else None
     letters = [forms[a] for a in of_group]
-    S = InverseSemigroup(names, lambda: tabulate(forms, mul, letters), inverse, idem, zero,
+    S = InverseSemigroup(names, lambda: tabulate(forms, mul, letters), inverse, d, zero,
                          below=tuple(below), gens=of_group)
     return ExelSemigroup(S, tuple(forms), G, of_group)
 
@@ -642,7 +655,8 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     Partial bijections compose as functions, so the product is associative;
     f f^-1 f = f; an injective f with f f = f is a partial identity, and
     id_A id_B = id_(A n B), so idempotents commute.  So I_n is inverse
-    (Howie, Thm 5.1.1), f* = f^-1, and f <= g iff f = g f^-1 f, the
+    (Howie, Thm 5.1.1), f* = f^-1, d[f] = f^-1 f is the identity on the
+    domain of f, and f <= g iff f = g f^-1 f, the
     restriction of g to the domain of f: below[g] holds g's restrictions to
     the subsets of its domain, that is g and the below rows of the
     restrictions one point smaller, which come earlier in the maps.  The
@@ -670,12 +684,12 @@ def symmetric_inverse_semigroup(n, max_elements=600):
     names = tuple(fmt(f) for f in maps)
     index = {f.mapping: i for i, f in enumerate(maps)}
     inverse = tuple(index[tuple(sorted((y, x) for x, y in f.mapping))] for f in maps)
-    idem = tuple(i for i, f in enumerate(maps) if all(x == y for x, y in f.mapping))
+    d = tuple(index[tuple([(x, x) for x, _ in f.mapping])] for f in maps)
     below = []
     for i, f in enumerate(maps):
         m = f.mapping
         below.append(reduce(or_, (below[index[m[:j] + m[j + 1:]]] for j in range(len(m))), 1 << i))
-    S = InverseSemigroup(names, lambda: tabulate(maps, compose_partial, gens), inverse, idem, index[()],
+    S = InverseSemigroup(names, lambda: tabulate(maps, compose_partial, gens), inverse, d, index[()],
                          below=tuple(below), gens=tuple(dict.fromkeys(index[g.mapping] for g in gens)))
     return S, tuple(maps)
 
@@ -685,29 +699,69 @@ def symmetric_inverse_semigroup(n, max_elements=600):
 def munn_representation(S):
     """The Munn representation on E(S): X_s = {e <= ss*}, theta_s(e) = ses*.
 
-    Each X_f, f idempotent, is the row S.below[f] (all of it idempotent),
-    one tuple shared by every s with ss* = f.  theta is a homomorphism
-    S -> I(E), so it is a global action and is not validated:
-    theta_s theta_t is defined at e iff e <= t*t and tet* <= s*s, iff e <=
-    t*s*st, the domain of theta_st (if e <= t*s*st, then tet* <= tt*s*s
-    and e <= t*t; if e <= t*t and tet* <= s*s, then e = t*(tet*)t <=
-    t*s*st), and there s(tet*)s* = (st)e(st)*.  It is non-degenerate: e is
-    in X_e.
+    It is read off the natural order, with no product.  For u <= s, u =
+    s u*u, so u -> u*u = d[u] maps S.below[s] onto the idempotents below
+    s*s, with inverse e -> se (se <= s, and (se)*(se) = e s*s = e), and
+    s(u*u)s* = (s u*u)(s u*u)* = uu* = d[u*]: theta_s sends d[u] to d[u*]
+    for each u <= s (`_conjugation_action`).  Each X_f, f idempotent, is
+    the row S.below[f] (all of it idempotent), one tuple shared by every s
+    with ss* = f.
+
+    theta is a homomorphism S -> I(E), so it is a global action and is not
+    validated: theta_s theta_t is defined at e iff e <= t*t and tet* <=
+    s*s, iff e <= t*s*st, the domain of theta_st (if e <= t*s*st, then tet*
+    <= tt*s*s and e <= t*t; if e <= t*t and tet* <= s*s, then e =
+    t*(tet*)t <= t*s*st), and there s(tet*)s* = (st)e(st)*.  It is
+    non-degenerate: e is in X_e.
     """
+    return _conjugation_action(S, S.idempotents)
+
+
+def atoms(S):
+    """The minimal idempotents other than the zero, in index order: the
+    idempotents e != 0 with S.below[e] within {e, 0}.  Without a zero that
+    is the least idempotent alone, the product of them all."""
+    zero = 0 if S.zero is None else 1 << S.zero
+    return [e for e in S.idempotents if e != S.zero and not S.below[e] & ~(1 << e | zero)]
+
+
+def tight_action(S):
+    """Exel's tight action of S: the Munn action restricted to the atoms.
+
+    The tight filters of a finite semilattice E(S) are the ultrafilters
+    up-set(a), a an atom (a minimal idempotent other than 0), and the tight
+    spectrum is that finite discrete set, on which s acts by a -> sas* for a
+    <= s*s (Exel, Inverse semigroups and combinatorial C*-algebras, Bull.
+    Braz. Math. Soc. 39, 2008).
+
+    It is a partial action by proof, so it is not validated.  Conjugation
+    by s is an order isomorphism from the idempotents below s*s onto those
+    below ss*, with inverse f -> s*fs, so it maps atoms to atoms: sas* !=
+    0, else a = s*(sas*)s = 0, and an idempotent f < sas* has s*fs < a, so
+    s*fs = 0 and f = s(s*fs)s* = 0.  The atoms are thus invariant under the
+    Munn action (`munn_representation`), and its restriction to them is
+    again a homomorphism S -> I(atoms), a global action.  It is
+    non-degenerate: every atom a lies in X_a.
+    """
+    return _conjugation_action(S, atoms(S))
+
+
+def _conjugation_action(S, points):
+    """theta_s(e) = ses* on the idempotents points, in index order, for a
+    set of points invariant under conjugation: X_s holds the points below
+    ss*, and theta_s sends d[u] to d[u*] for each u <= s with d[u] a point
+    (the proof is `munn_representation`'s).  Keys are sorted by point."""
     from . import paction
 
-    E = S.idempotents
-    pos = {e: i for i, e in enumerate(E)}
-    carrier = tuple(S.elements[e] for e in E)
-    down = {f: tuple(members(S.below[f])) for f in E}
-    dom = {f: tuple(sorted(pos[e] for e in down[f])) for f in E}
-    domains = []
-    maps = []
-    for s in range(len(S)):
-        s_star = S.inv(s)
-        domains.append(dom[S.mul(s, s_star)])
-        maps.append({pos[e]: pos[S.prod(s, e, s_star)] for e in down[S.mul(s_star, s)]})
-    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps))
+    pos = {e: k for k, e in enumerate(points)}
+    point = [pos.get(e) for e in S.d]  # u -> the point u*u, None off the points
+    arrow = [(point[u], point[t]) for u, t in enumerate(S.inverse)]  # u*u -> uu*
+    moving = sum(1 << u for u, k in enumerate(point) if k is not None)
+    mask = sum(1 << e for e in points)
+    dom = {f: tuple(pos[e] for e in members(S.below[f] & mask)) for f in S.idempotents}
+    domains = tuple(dom[S.d[t]] for t in S.inverse)  # X_s = X_{ss*}, ss* = d[s*]
+    maps = tuple(dict(sorted(map(arrow.__getitem__, members(b & moving)))) for b in S.below)
+    return paction.PartialAction(S, tuple(S.elements[e] for e in points), domains, maps)
 
 
 def canonical_self_action(S):
@@ -728,17 +782,18 @@ def canonical_self_action(S):
     from . import paction
 
     n = len(S)
+    d = S.d
     by_range = {f: [] for f in S.idempotents}
     for t in range(n):
-        by_range[S.mul(t, S.inv(t))].append(t)
+        by_range[d[S.inv(t)]].append(t)
     down = {f: tuple(sorted(t for e in members(S.below[f]) for t in by_range[e]))
             for f in S.idempotents}
     domains = []
     maps = []
     for s in range(n):
         row_s = S.table[s]
-        domains.append(down[S.mul(s, S.inv(s))])
-        maps.append({t: row_s[t] for t in down[S.mul(S.inv(s), s)]})
+        domains.append(down[d[S.inv(s)]])
+        maps.append({t: row_s[t] for t in down[d[s]]})
     return paction.PartialAction(S, S.elements, tuple(domains), tuple(maps))
 
 
@@ -748,12 +803,11 @@ def restricted_product_groupoid(S):
     A groupoid by proof, so not validated: when s*s = tt*, (st)*(st) =
     t*tt*t = t*t and (st)(st)* = stt*s* = ss*ss* = ss*, so st is typed;
     the units are the idempotents, e*e = e, with s(s*s) = s = (ss*)s; s*
-    inverts s; and the product is S's, so it is associative.
+    inverts s; and the product is S's, so it is associative.  The ends are
+    read from S.d; only the composition multiplies.
     """
     from . import germs
 
-    n = len(S)
-    source = tuple(S.mul(S.inv(s), s) for s in range(n))
-    target = tuple(S.mul(s, S.inv(s)) for s in range(n))
-    return germs.FiniteGroupoid(S.elements, S.idempotents, source, target, S.inverse,
-                                germs.compose_table(source, target, S.mul))
+    target = tuple(S.d[t] for t in S.inverse)  # ss* = d[s*]
+    return germs.FiniteGroupoid(S.elements, S.idempotents, S.d, target, S.inverse,
+                                germs.compose_table(S.d, target, S.mul))

@@ -59,10 +59,10 @@ class PartialAction:
 
     @cached_property
     def is_global(self):
-        """X_{s*} = X_{s*s} for every s.  Read on demand: it multiplies, which
-        fills a model semigroup's table."""
+        """X_{s*} = X_{s*s} for every s, with s*s read from S.d: no product
+        is formed, so no table is filled.  Read on demand."""
         S, domains = self.semigroup, self.domains
-        return all(domains[S.inv(s)] == domains[S.mul(S.inv(s), s)] for s in range(len(S)))
+        return all(domains[s_star] == domains[e] for s_star, e in zip(S.inverse, S.d))
 
     def theta(self, s, x):
         return self.maps[s][x]

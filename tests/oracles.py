@@ -124,6 +124,25 @@ def factors_through_group_validated(theta):
     return True, None
 
 
+# --- the Munn representation from products -----------------------------------
+
+def munn_by_products(S):
+    """invsemi.munn_representation as it was: theta_s(e) = s e s* by two
+    products for each e <= s*s, with s*s and ss* multiplied out."""
+    E = S.idempotents
+    pos = {e: i for i, e in enumerate(E)}
+    carrier = tuple(S.elements[e] for e in E)
+    down = {f: tuple(invsemi.members(S.below[f])) for f in E}
+    dom = {f: tuple(sorted(pos[e] for e in down[f])) for f in E}
+    domains = []
+    maps = []
+    for s in range(len(S)):
+        s_star = S.inv(s)
+        domains.append(dom[S.mul(s, s_star)])
+        maps.append({pos[e]: pos[S.prod(s, e, s_star)] for e in down[S.mul(s_star, s)]})
+    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps))
+
+
 # --- graphs: S_E from all of its products, validated ---------------------------
 
 def seeded_dag(rng, nv, ne):
@@ -160,6 +179,31 @@ def graph_semigroup_validated(g, max_elements=2000):
     index = {el: i for i, el in enumerate(elems)}
     tbl = [[index[graph.graph_semigroup_mul(g, a, b)] for b in elems] for a in elems]
     return invsemi.validate_inverse_semigroup(tuple(fmt(el) for el in elems), tbl), tuple(elems)
+
+
+def boundary_action_by_prefixes(g):
+    """graph.canonical_graph_action on an acyclic graph as it was built by
+    hand: an index from each path nu to the boundary paths nu x, and
+    theta_(mu,nu)(q) as the first path of (mu,nu)(q,q) by
+    `graph.graph_semigroup_mul`, one product per pair of L."""
+    S, payload = graph.graph_semigroup(g)
+    boundary = [el[0] for el in payload
+                if el != graph.ZERO and el[0] == el[1] and g.is_sink(graph.path_end(g, el[0]))]
+    pidx = {p: i for i, p in enumerate(boundary)}
+    extending = {}  # nu -> the indices of the boundary paths nu x
+    for i, q in enumerate(boundary):
+        for k in range(len(q.edges) + 1):
+            extending.setdefault(graph.Path(q.start, q.edges[:k]), []).append(i)
+    domains = []
+    maps = []
+    for el in payload:
+        ext = () if el == graph.ZERO else extending.get(el[1], ())
+        graph_map = {i: pidx[graph.graph_semigroup_mul(g, el, (boundary[i], boundary[i]))[0]]
+                     for i in ext}
+        maps.append(graph_map)
+        domains.append(tuple(sorted(graph_map.values())))
+    carrier = tuple(graph.fmt_path(g, p) for p in boundary)
+    return paction.PartialAction(S, carrier, tuple(domains), tuple(maps)), payload, boundary
 
 
 # --- graphs: the boundary groupoid by a search over shifts --------------------

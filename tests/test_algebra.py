@@ -543,3 +543,17 @@ def test_verify_steinberg_crossed_detects_shared_unit(monkeypatch):
     assert oracles.phi_not_multiplicative(theta, Q) is None
     with pytest.raises(algebra.VerificationFailed, match="Phi not multiplicative: .* share a unit"):
         algebra.verify_steinberg_crossed(theta, Q)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_tight_action_of_i_n_is_m_n(n):
+    # I_n acts tightly on its n rank-one idempotents; its germ groupoid is
+    # the pair groupoid on n points, and the main theorem gives M_n(R)
+    S, _ = invsemi.symmetric_inverse_semigroup(n, max_elements=1546)
+    theta = invsemi.tight_action(S)
+    assert len(theta.carrier) == n
+    gg = germs.groupoid_of_germs(theta)
+    assert germs.groupoid_iso_search(gg.groupoid, catalog.pair_groupoid(n)) is not None
+    rep = algebra.verify_steinberg_crossed(theta, rings.ring_zmod(5))
+    assert rep["checks"] == "all passed"
+    assert (rep["dims"]["L"], rep["dims"]["quotient"]) == ({2: 8, 3: 63, 4: 544, 5: 5225}[n], n * n)

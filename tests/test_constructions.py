@@ -10,6 +10,7 @@ and seeded DAGs, and seeded inverse subsemigroups of I_4.
 """
 
 import random
+from math import comb, factorial
 
 import oracles
 import pytest
@@ -41,7 +42,7 @@ def _build_all(semigroups, partial_actions, graphs):
 
     for S in semigroups:
         canonical = [invsemi.munn_representation(S), invsemi.canonical_self_action(S),
-                     paction.one_point_trivial_action(S)]
+                     paction.one_point_trivial_action(S), invsemi.tight_action(S)]
         global_actions.extend(canonical)
         groupoids.append(invsemi.restricted_product_groupoid(S))
         for theta in canonical:
@@ -134,6 +135,14 @@ def test_generated_subsemigroups_of_i4_build_by_proof(monkeypatch, seed):
     _check_built_by_proof(monkeypatch, [S], partial_actions, [])
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_munn_representation_of_generated_subsemigroups_is_the_one_from_products(seed):
+    S = _generated_subsemigroup(random.Random(seed))
+    theta, old = invsemi.munn_representation(S), oracles.munn_by_products(S)
+    assert theta.carrier == old.carrier and theta.domains == old.domains
+    assert [list(m.items()) for m in theta.maps] == [list(m.items()) for m in old.maps]
+
+
 def _is_global(theta):
     """The formula `PartialAction.is_global` reads on demand."""
     S, domains = theta.semigroup, theta.domains
@@ -144,25 +153,44 @@ def _no_table(*args):
     raise AssertionError("a table was filled where none is read")
 
 
+def _no_product(*args):
+    raise AssertionError("a path pair was multiplied where none is read")
+
+
 def test_no_table_is_filled_where_none_is_read(monkeypatch):
     # S_E, its canonical action and the graph report, and the one-point
-    # actions of I_5 and S(Z_7), are all built with `tabulate` made to raise
+    # actions of I_5 and S(Z_7), are all built with `tabulate` made to
+    # raise, the graph layer also with `graph_semigroup_mul` made to raise;
+    # so are the Munn and tight actions of I_6 and S(Z_10), and `is_global`
+    # is read on them
     rng = random.Random(31)
     graphs = [catalog.graphs(name) for name in catalog.GRAPH_NAMES]
     graphs = [g for g in graphs if not gr.has_cycle(g)]
     graphs += [oracles.seeded_dag(rng, rng.randint(2, 6), rng.randint(0, 8)) for _ in range(30)]
     dag16 = oracles.seeded_dag(random.Random(6), 16, 20)
     graphs.append(dag16)
-    z7 = invsemi.validate_inverse_semigroup([str(i) for i in range(7)],
-                                            [[(i + j) % 7 for j in range(7)] for i in range(7)])
+    z7, z10 = (invsemi.validate_inverse_semigroup([str(i) for i in range(n)],
+                                                  [[(i + j) % n for j in range(n)] for i in range(n)])
+               for n in (7, 10))
     with monkeypatch.context() as m:
         m.setattr(invsemi, "tabulate", _no_table)
+        m.setattr(gr, "graph_semigroup_mul", _no_product)
         semigroups = [gr.graph_semigroup(g)[0] for g in graphs]
         reports = [gr.graph_analyze(g) for g in graphs]
         actions = [gr.canonical_graph_action(g)[0] for g in graphs]
         actions += [paction.one_point_trivial_action(S) for S in (
             invsemi.symmetric_inverse_semigroup(5, max_elements=1546)[0],
             invsemi.exel_semigroup(z7).semigroup)]
+        big = []
+        for S in (invsemi.symmetric_inverse_semigroup(6, max_elements=13327)[0],
+                  invsemi.exel_semigroup(z10).semigroup):
+            big += [invsemi.munn_representation(S), invsemi.tight_action(S)]
+        assert all(theta.is_global for theta in big)
+    # |S|, |X| and |L|: I_6 acts tightly on its 6 rank-one idempotents, and
+    # S(Z_10), without a zero, on its least idempotent alone
+    tight_l = sum(comb(6, k) ** 2 * factorial(k) * k for k in range(7))
+    assert [(len(theta.semigroup), len(theta.carrier), len(theta.pairs())) for theta in big] == [
+        (13327, 64, 291793), (13327, 6, tight_l), (2816, 512, 78732), (2816, 1, 2816)]
     assert len(semigroups[-1]) == 1798
     assert all(rep["acyclic"] and rep["top_principal"] for rep in reports)
     assert gr.boundary_groupoid(dag16)[3]["isomorphic"]

@@ -757,3 +757,19 @@ def test_canonical_action_boundary_matches_enumeration():
     for g in _acyclic_graphs() + [oracles.seeded_dag(random.Random(6), 16, 20)]:
         _, _, boundary = gr.canonical_graph_action(g)
         assert boundary == gr.boundary_enumerate(g)
+
+
+def test_boundary_action_is_the_hand_built_one():
+    # the tight action of S_E, renamed to paths, against the action built
+    # by prefix replacement with one product per pair, key order included
+    rng = random.Random(32)
+    graphs = [g for g in map(catalog.graphs, catalog.GRAPH_NAMES) if not gr.has_cycle(g)]
+    graphs += [oracles.seeded_dag(rng, rng.randint(2, 8), rng.randint(1, 10)) for _ in range(30)]
+    graphs.append(oracles.seeded_dag(random.Random(6), 16, 20))
+    for g in graphs:
+        act, payload, boundary = gr.canonical_graph_action(g)
+        old, old_payload, old_boundary = oracles.boundary_action_by_prefixes(g)
+        assert (payload, boundary) == (old_payload, old_boundary)
+        assert act.carrier == old.carrier and act.domains == old.domains
+        assert [list(m.items()) for m in act.maps] == [list(m.items()) for m in old.maps]
+    assert len(act.semigroup) == 1798

@@ -1,4 +1,5 @@
 import functools
+import random
 from math import comb, factorial
 
 import oracles
@@ -953,3 +954,46 @@ def test_closure_matches_the_walks_on_subsemigroups_of_i4(case):
     assert T.gens == tuple(gens)
     G = invsemi.restricted_product_groupoid(T)
     assert G.gens == tuple(oracles.partial_generating_set(G.compose, G.source, G.target))
+
+
+def _relabelled(S, rng):
+    """S's table with its elements shuffled by rng, validated."""
+    order = list(range(len(S)))  # old index at each new position
+    rng.shuffle(order)
+    new = {s: k for k, s in enumerate(order)}
+    return invsemi.validate_inverse_semigroup(
+        [S.elements[s] for s in order], [[new[S.mul(a, b)] for b in order] for a in order])
+
+
+def test_d_is_s_star_s_on_every_constructor():
+    # d[s] = s*s, and the idempotents derived from d are the s with ss = s
+    catalog_semigroups = [catalog.semigroup(name) for name in catalog.SEMIGROUP_NAMES]
+    built = [invsemi.validate_inverse_semigroup(S.elements, S.table) for S in catalog_semigroups]
+    built += [invsemi.symmetric_inverse_semigroup(n, max_elements=1546)[0] for n in range(6)]
+    groups = [_cyclic(n) for n in range(1, 8)] + [S for S in catalog_semigroups if invsemi.is_group(S)]
+    built += [invsemi.exel_semigroup(G).semigroup for G in groups]
+    rng = random.Random(32)
+    graphs = [g for g in map(catalog.graphs, catalog.GRAPH_NAMES) if not graph.has_cycle(g)]
+    graphs += [oracles.seeded_dag(rng, rng.randint(2, 6), rng.randint(0, 8)) for _ in range(10)]
+    built += [graph.graph_semigroup(g)[0] for g in graphs]
+    built += [germs.ample_semigroup(catalog.groupoid(name)).semigroup for name in catalog.GROUPOID_NAMES]
+    built += [invsemi.max_group_image(S).group for S in built[:20]]
+    assert len(built) == 20 + 2 + len(graphs) + len(catalog.GROUPOID_NAMES) + 20
+    for S in built:
+        assert S.d == tuple(S.mul(S.inv(s), s) for s in range(len(S)))
+        assert S.idempotents == tuple(s for s in range(len(S)) if S.mul(s, s) == s)
+
+
+def test_munn_representation_is_the_one_from_products():
+    # read off the natural order, against s e s* by products, key order
+    # included; the relabelled copies have u -> u*u decreasing along below[s]
+    semigroups = [catalog.semigroup(name) for name in catalog.SEMIGROUP_NAMES]
+    I3, I4 = (invsemi.symmetric_inverse_semigroup(n)[0] for n in (3, 4))
+    semigroups += [I3, I4, invsemi.exel_semigroup(_cyclic(5)).semigroup,
+                   invsemi.exel_semigroup(_cyclic(6)).semigroup]
+    rng = random.Random(32)
+    semigroups += [_relabelled(I3, rng) for _ in range(20)] + [_relabelled(I4, rng) for _ in range(4)]
+    for S in semigroups:
+        theta, old = invsemi.munn_representation(S), oracles.munn_by_products(S)
+        assert theta.carrier == old.carrier and theta.domains == old.domains
+        assert [list(m.items()) for m in theta.maps] == [list(m.items()) for m in old.maps]
