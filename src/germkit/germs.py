@@ -14,7 +14,10 @@ germ class is keyed by (s e_x, x); the tests check that key against the
 paper's relation, (s, x) ~ (t, x) iff se = te for some idempotent e with x
 in X_e (`germ_equivalent` in tests/oracles.py).  On finite discrete
 groupoids every subset is compact-open, so the open and ample bisection
-semigroups coincide and only the latter is exposed.
+semigroups coincide and only the latter is exposed.  It is a model, like
+I_n: its bisections are reached over a greedy generating set, every field
+is read off the bisections, and `invsemi.tabulate` fills its table only
+when it is read.
 """
 
 from dataclasses import dataclass
@@ -354,56 +357,115 @@ class AmpleSemigroup:
 def ample_semigroup(G, max_size=20000, generators=None):
     """The inverse semigroup of compact-open bisections under the set product.
 
-    With generators given, only the sub-semigroup they generate (closed under
-    product and inverse) is built: the bisections are reached by right
-    products with the generators and their inverses, and the table is filled
-    by `invsemi.tabulate` from those products, so each is computed once.
-    Without, every bisection is one of the generators, and the same walk
-    finds nothing new.
+    With generators given, only the inverse sub-semigroup they generate is
+    built; without, every bisection is a generator.  Each given generator
+    is checked in O(sum |g|): its arrows must lie in G and form a
+    bisection, and the least offending index is the GroupoidError's
+    witness.  The semigroup is a model, like I_n: nothing is validated and
+    no table is filled at build time.
 
-    The table is not validated: it is an inverse semigroup by proof, with
-    U^-1 the inverse of U and the sets of units the idempotents.
-    - The set product is associative, as G's composition is.
-    - U U^-1 U = U: uv^-1w is defined for u, v, w in U only when s(u) = s(v)
-      and t(v) = t(w), that is u = v = w.
+    The walk.  The generators and their inverses, deduplicated, are scanned
+    by descending |U|, ties by first appearance; a candidate joins the
+    letters A only when the walk has not reached it yet.  Each bisection U
+    reached so far gives U c for a new letter c, and each newly reached U
+    gives U a for every letter a, so each reached bisection is multiplied
+    by each letter once: |bis| |A| calls to `bisection_product`.
+    The reached set is the closure of A under right products, so it is the
+    semigroup A generates; every candidate is in it, so A generates the
+    semigroup of the generators and their inverses, which is closed under
+    inverse ((UV)^-1 = V^-1 U^-1).  A is kept as gens, and `invsemi.tabulate`
+    fills the table from it the first time S.table is read.
+
+    It is an inverse semigroup by proof, with U^-1 the inverse of U and the
+    sets of units the idempotents.
+    - The set product is associative, as G's composition is: (ab)c and
+      a(bc) are defined together, when s(a) = t(b) and s(b) = t(c), and
+      are equal.
+    - U U^-1 U = U: uv^-1w is defined for u, v, w in U only when s(u) =
+      s(v) and t(v) = t(w), that is u = v = w.
     - UU = U makes tau_U (`canonical_bisection_action`) an idempotent
       partial bijection, the identity on its domain, so each a in U has
       s(a) = t(a); then aa is the arrow of U = UU with the source of a:
       aa = a, a unit.  Sets of units commute, their product being their
       intersection, so the semigroup is inverse (Howie, Thm 5.1.1).
+    The fields are read off the bisections.
+    - d[U] = U^-1 U = {a^-1 a : a in U}, the units at the sources of U.
+    - <= is inclusion: U e, for e a set of units, is {a in U : s(a) in e},
+      a subset of U; and V subset of U is U d[V].  So below[U] is the row of
+      U at E(S), as `invsemi._inverse_semigroup` reads it off a table, here
+      off the payloads: for an idempotent e it holds the e f = e n f, f in
+      E(S); for any other U, U e = U (e n d[U]) and e n d[U] is in
+      below[d[U]], so it holds the restrictions of U to the e in below[d[U]],
+      distinct as their sources are.  That is |E|^2 intersections and one
+      restriction for each pair V <= U, no subset test.
+    - A zero absorbs every idempotent, so it can only be their product, the
+      intersection m.  It is the zero when ma = am = m for every letter a:
+      then m absorbs every product of letters.  That is at most 2|A| more
+      products.
     """
-    gens = [frozenset(g) for g in (all_bisections(G, max_size) if generators is None else generators)]
-    letters = list(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]))
-    found = list(letters)
-    pos = {U: k for k, U in enumerate(found)}
-    right = []  # right[k][j] = pos[found[k] letters[j]]
-    for U in found:  # found grows while it is scanned
-        row = []
-        for g in letters:
-            UV = bisection_product(G, U, g)
-            if UV not in pos:
-                if len(found) >= max_size:
-                    raise ResourceLimit(f"generated more than {max_size} bisections")
-                pos[UV] = len(found)
-                found.append(UV)
-            row.append(pos[UV])
-        right.append(row)
-    bis = sorted(found, key=lambda b: (len(b), sorted(b)))
-    letter = {g: j for j, g in enumerate(letters)}
-
-    def mul(U, g):  # tabulate reads the products made above
-        return found[right[pos[U]][letter[g]]]
+    if generators is None:
+        gens = all_bisections(G, max_size)
+    else:
+        gens = [frozenset(g) for g in generators]
+        arrows = range(len(G.arrows))
+        for k, g in enumerate(gens):
+            if not (all(a in arrows for a in g) and is_bisection(G, g)):
+                raise GroupoidError(f"generator {k} is not a bisection of the groupoid", k)
+    candidates = sorted(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]), key=lambda U: -len(U))
+    letters, reached = [], {}  # reached is an ordered set
+    for c in candidates:
+        if c in reached:
+            continue
+        letters.append(c)
+        walk = [c] + [bisection_product(G, U, c) for U in reached]
+        for U in walk:  # walk grows while it is scanned
+            if U in reached:
+                continue
+            if len(reached) >= max_size:
+                raise ResourceLimit(f"generated more than {max_size} bisections")
+            reached[U] = None
+            walk.extend(bisection_product(G, U, a) for a in letters)
+    bis = sorted(reached, key=lambda b: (len(b), sorted(b)))
     index = {b: i for i, b in enumerate(bis)}
-    tbl = invsemi.tabulate(bis, mul, letters)
-    S = invsemi._inverse_semigroup(
-        tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis), tbl,
-        tuple(index[bisection_inverse(G, b)] for b in bis),
-        tuple(invsemi.table_closure(tbl)[0]))
+    source = G.source
+    d = tuple(index[frozenset(map(source.__getitem__, b))] for b in bis)
+    idem = [i for i, e in enumerate(d) if e == i]
+    below = [0] * len(bis)
+    for e in idem:
+        below[e] = sum(1 << index[f] for f in {bis[e] & bis[f] for f in idem})
+    for i, U in enumerate(bis):
+        if d[i] != i:
+            by_source = {source[a]: a for a in U}
+            below[i] = sum(1 << index[frozenset(map(by_source.__getitem__, bis[e]))]
+                           for e in invsemi.members(below[d[i]]))
+    zero = None
+    if idem:
+        m = frozenset.intersection(*(bis[e] for e in idem))
+        if all(bisection_product(G, m, a) == m == bisection_product(G, a, m) for a in letters):
+            zero = index[m]
+    S = invsemi.InverseSemigroup(
+        tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis),
+        lambda: invsemi.tabulate(bis, lambda U, V: bisection_product(G, U, V), letters),
+        tuple(index[bisection_inverse(G, b)] for b in bis), d, zero,
+        below=tuple(below), gens=tuple(index[a] for a in letters))
     return AmpleSemigroup(G, tuple(bis), S, index)
 
 
 def canonical_bisection_action(amp):
-    """The ample semigroup acting on unit points: tau_U = target o (source|_U)^-1."""
+    """The ample semigroup acting on unit points: tau_U = target o (source|_U)^-1.
+
+    tau_U sends s(a) to t(a) for a in U, a bijection from the sources of U
+    onto X_U, its targets, as U is a bisection.  tau is a homomorphism into
+    I(X), so it is a global action and is not validated: ab in UV runs from
+    s(b) to t(a) exactly when tau_V sends s(b) to t(b) = s(a) and tau_U sends
+    s(a) to t(a), so tau_UV = tau_U tau_V; and a^-1 runs from t(a) to s(a),
+    so tau_(U^-1) = tau_U^-1.  Both partial-action laws follow
+    (`paction.validate_partial_action`), and no product is formed, so no
+    table is filled.  It is non-degenerate iff every unit lies in an
+    idempotent bisection, true by proof without generators ({u} is one)
+    and checked here in O(sum |e|): the least uncovered unit is the
+    Degenerate witness, as the validator gives it.
+    """
     from . import paction
 
     G = amp.groupoid
@@ -414,7 +476,11 @@ def canonical_bisection_action(amp):
     for b in amp.bisections:
         domains.append(tuple(sorted(upos[G.target[a]] for a in b)))
         maps.append({upos[G.source[a]]: upos[G.target[a]] for a in b})
-    return paction.validate_partial_action(amp.semigroup, carrier, tuple(domains), tuple(maps))
+    covered = set().union(*(amp.bisections[e] for e in amp.semigroup.idempotents))
+    for x, u in enumerate(G.units):
+        if u not in covered:
+            raise paction.Degenerate(f"carrier point {carrier[x]} lies in no idempotent domain", x)
+    return paction.PartialAction(amp.semigroup, carrier, tuple(domains), tuple(maps))
 
 
 @dataclass

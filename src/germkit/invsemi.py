@@ -13,8 +13,9 @@ a table was checked with, or a model's construction generators.
 
 Associativity of a table is decided by Light's test over a generating set A
 read off the table: O(n^2 |A|); only a table that fails it is scanned for
-its least non-associative triple.  The models I_n, S(G) and S_E
-(`graph.graph_semigroup`) are associative inverse semigroups by proof (see
+its least non-associative triple.  The models I_n, S(G), S_E
+(`graph.graph_semigroup`) and the ample semigroup of a groupoid
+(`germs.ample_semigroup`) are associative inverse semigroups by proof (see
 their constructors): their inverses, d, zero and order come from the
 model, and their tables, filled by `tabulate` the first time S.table,
 S.mul or S.prod needs them, are not checked.  Models and validated tables
@@ -50,15 +51,15 @@ class NonUniqueInverse(SemigroupError):
 class InverseSemigroup:
     """A finite inverse semigroup on range(n); S.table is its Cayley table.
 
-    cayley is the table, or for a model (I_n, S(G), S_E) a function that
-    tabulates it, called the first time S.table, S.mul or S.prod needs it.
-    d[s] is s*s, so ss* is d[s*]; the idempotents are the s with d[s] = s
-    (an idempotent is its own inverse, and s*s = s makes s idempotent), in
-    index order, derived here.  Equality and hashing read the table.  S.mul
-    and S.prod load the plain instance attribute _table, which nothing on
-    the class shadows, so the interpreter's fast attribute loads apply;
-    until the table is filled that load raises AttributeError, which costs
-    nothing when it does not.
+    cayley is the table, or for a model (I_n, S(G), S_E, the ample
+    semigroup) a function that tabulates it, called the first time
+    S.table, S.mul or S.prod needs it.  d[s] is s*s, so ss* is d[s*]; the
+    idempotents are the s with d[s] = s (an idempotent is its own inverse,
+    and s*s = s makes s idempotent), in index order, derived here.
+    Equality and hashing read the table.  S.mul and S.prod load the plain
+    instance attribute _table, which nothing on the class shadows, so the
+    interpreter's fast attribute loads apply; until the table is filled
+    that load raises AttributeError, which costs nothing when it does not.
     """
 
     elements: tuple

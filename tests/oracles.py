@@ -143,6 +143,25 @@ def munn_by_products(S):
     return paction.PartialAction(S, carrier, tuple(domains), tuple(maps))
 
 
+def seeded_subsemigroup(rng, n=4):
+    """The inverse subsemigroup of I_n generated by 1-3 seeded partial
+    bijections and their inverses, tabulated and then validated."""
+    letters = []
+    for _ in range(rng.randint(1, 3)):
+        dom = rng.sample(range(n), rng.randint(0, n))
+        f = invsemi.PartialBijection(tuple(sorted(zip(dom, rng.sample(range(n), len(dom))))))
+        letters += [f, invsemi.PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))]
+    items = list(dict.fromkeys(letters))
+    for f in items:  # items grows while it is scanned
+        for a in letters:
+            fa = invsemi.compose_partial(f, a)
+            if fa not in items:
+                items.append(fa)
+    names = ["".join(f"{x}>{y}" for x, y in f.mapping) or "0" for f in items]
+    table = invsemi.tabulate(items, invsemi.compose_partial, list(dict.fromkeys(letters)))
+    return invsemi.validate_inverse_semigroup(names, table)
+
+
 # --- graphs: S_E from all of its products, validated ---------------------------
 
 def seeded_dag(rng, nv, ne):
@@ -392,6 +411,66 @@ def ample_semigroup_validated(G, max_size=20000, generators=None):
     names = ["{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis]
     tbl = [[index[germs.bisection_product(G, A, B)] for B in bis] for A in bis]
     return germs.AmpleSemigroup(G, tuple(bis), invsemi.validate_inverse_semigroup(names, tbl), index)
+
+
+def ample_semigroup_by_all_letters(G, max_size=20000, generators=None):
+    """germs.ample_semigroup as it was: every reached bisection is multiplied
+    by every generator and every inverse, `invsemi.tabulate` fills the table
+    from those products, and the generators are `invsemi.table_closure`'s."""
+    gens = [frozenset(g) for g in (germs.all_bisections(G, max_size) if generators is None else generators)]
+    letters = list(dict.fromkeys(gens + [germs.bisection_inverse(G, g) for g in gens]))
+    found = list(letters)
+    pos = {U: k for k, U in enumerate(found)}
+    right = []  # right[k][j] = pos[found[k] letters[j]]
+    for U in found:  # found grows while it is scanned
+        row = []
+        for g in letters:
+            UV = germs.bisection_product(G, U, g)
+            if UV not in pos:
+                if len(found) >= max_size:
+                    raise ResourceLimit(f"generated more than {max_size} bisections")
+                pos[UV] = len(found)
+                found.append(UV)
+            row.append(pos[UV])
+        right.append(row)
+    bis = sorted(found, key=lambda b: (len(b), sorted(b)))
+    letter = {g: j for j, g in enumerate(letters)}
+
+    def mul(U, g):  # tabulate reads the products made above
+        return found[right[pos[U]][letter[g]]]
+    index = {b: i for i, b in enumerate(bis)}
+    tbl = invsemi.tabulate(bis, mul, letters)
+    S = invsemi._inverse_semigroup(
+        tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis), tbl,
+        tuple(index[germs.bisection_inverse(G, b)] for b in bis),
+        tuple(invsemi.table_closure(tbl)[0]))
+    return germs.AmpleSemigroup(G, tuple(bis), S, index)
+
+
+def bisections_reached(G, letters):
+    """The bisections reached from letters by right products with them,
+    each product formed by trying every pair of arrows: the semigroup the
+    letters generate."""
+    seen = set(letters)
+    queue = list(seen)
+    for U in queue:  # queue grows while it is scanned
+        for a in letters:
+            Ua = bisection_product_by_pairs(G, U, a)
+            if Ua not in seen:
+                seen.add(Ua)
+                queue.append(Ua)
+    return seen
+
+
+def canonical_bisection_action_validated(amp):
+    """germs.canonical_bisection_action as it was: tau_U read off U, then
+    checked by `paction.validate_partial_action`."""
+    G = amp.groupoid
+    upos = {u: i for i, u in enumerate(G.units)}
+    carrier = tuple(G.arrows[u] for u in G.units)
+    domains = tuple(tuple(sorted(upos[G.target[a]] for a in b)) for b in amp.bisections)
+    maps = tuple({upos[G.source[a]]: upos[G.target[a]] for a in b} for b in amp.bisections)
+    return paction.validate_partial_action(amp.semigroup, carrier, domains, maps)
 
 
 def generalized_inverses(elements, table):

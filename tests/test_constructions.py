@@ -104,40 +104,17 @@ def test_canonical_objects_are_built_without_validation(monkeypatch):
     assert len(actions) > 3 * len(semigroups) and len(groupoids) > 4 * len(semigroups)
 
 
-def _random_partial_bijection(rng, n):
-    dom = rng.sample(range(n), rng.randint(0, n))
-    return invsemi.PartialBijection(tuple(sorted(zip(dom, rng.sample(range(n), len(dom))))))
-
-
-def _generated_subsemigroup(rng, n=4):
-    """The inverse subsemigroup of I_n generated by 1-3 seeded partial
-    bijections and their inverses, tabulated and then validated."""
-    letters = []
-    for _ in range(rng.randint(1, 3)):
-        f = _random_partial_bijection(rng, n)
-        letters += [f, invsemi.PartialBijection(tuple(sorted((y, x) for x, y in f.mapping)))]
-    items = list(dict.fromkeys(letters))
-    for f in items:  # items grows while it is scanned
-        for a in letters:
-            fa = invsemi.compose_partial(f, a)
-            if fa not in items:
-                items.append(fa)
-    names = ["".join(f"{x}>{y}" for x, y in f.mapping) or "0" for f in items]
-    table = invsemi.tabulate(items, invsemi.compose_partial, list(dict.fromkeys(letters)))
-    return invsemi.validate_inverse_semigroup(names, table)
-
-
 @pytest.mark.parametrize("seed", range(24))
 def test_generated_subsemigroups_of_i4_build_by_proof(monkeypatch, seed):
     rng = random.Random(seed)
-    S = _generated_subsemigroup(rng)
+    S = oracles.seeded_subsemigroup(rng)
     partial_actions = _restrictions(invsemi.canonical_self_action(S), rng, 2)
     _check_built_by_proof(monkeypatch, [S], partial_actions, [])
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_munn_representation_of_generated_subsemigroups_is_the_one_from_products(seed):
-    S = _generated_subsemigroup(random.Random(seed))
+    S = oracles.seeded_subsemigroup(random.Random(seed))
     theta, old = invsemi.munn_representation(S), oracles.munn_by_products(S)
     assert theta.carrier == old.carrier and theta.domains == old.domains
     assert [list(m.items()) for m in theta.maps] == [list(m.items()) for m in old.maps]
@@ -162,7 +139,8 @@ def test_no_table_is_filled_where_none_is_read(monkeypatch):
     # actions of I_5 and S(Z_7), are all built with `tabulate` made to
     # raise, the graph layer also with `graph_semigroup_mul` made to raise;
     # so are the Munn and tight actions of I_6 and S(Z_10), and `is_global`
-    # is read on them
+    # is read on them, and the ample semigroup of the Munn germs of I_4,
+    # whose size, zero and order are read
     rng = random.Random(31)
     graphs = [catalog.graphs(name) for name in catalog.GRAPH_NAMES]
     graphs = [g for g in graphs if not gr.has_cycle(g)]
@@ -172,6 +150,8 @@ def test_no_table_is_filled_where_none_is_read(monkeypatch):
     z7, z10 = (invsemi.validate_inverse_semigroup([str(i) for i in range(n)],
                                                   [[(i + j) % n for j in range(n)] for i in range(n)])
                for n in (7, 10))
+    munn4 = germs.groupoid_of_germs(invsemi.munn_representation(invsemi.symmetric_inverse_semigroup(4)[0]))
+    basic4 = [germs.basic_bisection(munn4, s, munn4.action.dom(s)) for s in range(209)]
     with monkeypatch.context() as m:
         m.setattr(invsemi, "tabulate", _no_table)
         m.setattr(gr, "graph_semigroup_mul", _no_product)
@@ -186,6 +166,10 @@ def test_no_table_is_filled_where_none_is_read(monkeypatch):
                   invsemi.exel_semigroup(z10).semigroup):
             big += [invsemi.munn_representation(S), invsemi.tight_action(S)]
         assert all(theta.is_global for theta in big)
+        ample = germs.ample_semigroup(munn4.groupoid, generators=basic4).semigroup
+        zero = ample.zero  # the unit at the empty map, the zero of I_4
+        assert (len(ample), ample.elements[zero], len(ample.idempotents)) == (209, "{[[],[]]}", 16)
+        assert all(row >> zero & 1 for row in ample.below)
     # |S|, |X| and |L|: I_6 acts tightly on its 6 rank-one idempotents, and
     # S(Z_10), without a zero, on its least idempotent alone
     tight_l = sum(comb(6, k) ** 2 * factorial(k) * k for k in range(7))

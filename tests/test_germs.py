@@ -280,38 +280,154 @@ def _ample_cases():
     return cases
 
 
+def _refuse(*args):
+    raise AssertionError("a table was filled or a validator ran at build time")
+
+
+def _assert_same_ample_semigroup(amp, want, name):
+    """Every field of amp equals want's, the table included, but gens, which
+    need only generate: right products reach every bisection from them."""
+    assert (amp.bisections, amp.index) == (want.bisections, want.index), name
+    S, T = amp.semigroup, want.semigroup
+    assert (S.elements, S.inverse, S.d, S.idempotents, S.zero, S.below) == (
+        T.elements, T.inverse, T.d, T.idempotents, T.zero, T.below), name
+    letters = [amp.bisections[a] for a in S.gens]
+    assert oracles.bisections_reached(amp.groupoid, letters) == set(amp.bisections), name
+    assert S.table == T.table, name
+
+
 def test_ample_semigroup_matches_validated_build():
     for name, G, gens in _ample_cases():
         amp = germs.ample_semigroup(G, generators=gens)
-        want = oracles.ample_semigroup_validated(G, generators=gens)
-        assert (amp.bisections, amp.index) == (want.bisections, want.index), name
-        S, T = amp.semigroup, want.semigroup
-        assert (S.elements, S.table, S.inverse, S.idempotents, S.zero) == (
-            T.elements, T.table, T.inverse, T.idempotents, T.zero), name
-        assert (S.below, S.gens) == (T.below, T.gens), name
+        _assert_same_ample_semigroup(amp, oracles.ample_semigroup_validated(G, generators=gens), name)
+        _assert_same_ample_semigroup(amp, oracles.ample_semigroup_by_all_letters(G, generators=gens), name)
 
 
-def test_ample_semigroup_builds_no_table_twice(monkeypatch):
-    # the generated table is read off the products made while reaching the
-    # bisections, and it is not validated again
+def test_ample_semigroup_builds_no_table(monkeypatch):
+    # each reached bisection is multiplied by each greedy letter once, the
+    # zero check adds at most two products a letter, and no table is filled
+    # or read: the letters are a subset of the generators and inverses
     gg = germs.groupoid_of_germs(invsemi.munn_representation(invsemi.symmetric_inverse_semigroup(3)[0]))
     theta = gg.action
     gens = [germs.basic_bisection(gg, s, theta.dom(s)) for s in range(len(theta.semigroup))]
     calls = []
-    product = germs.bisection_product
+    multiply = germs.bisection_product
 
     def counted(G, A, B):
         calls.append((A, B))
-        return product(G, A, B)
-
-    def refuse(*args):
-        raise AssertionError("the ample semigroup's table was validated")
+        return multiply(G, A, B)
 
     monkeypatch.setattr(germs, "bisection_product", counted)
-    monkeypatch.setattr(invsemi, "validate_inverse_semigroup", refuse)
+    for name in ("validate_inverse_semigroup", "tabulate", "table_closure"):
+        monkeypatch.setattr(invsemi, name, _refuse)
     amp = germs.ample_semigroup(gg.groupoid, generators=gens)
-    letters = set(gens) | {germs.bisection_inverse(gg.groupoid, g) for g in gens}
-    assert len(calls) == len(set(calls)) == len(amp.bisections) * len(letters)
+    letters = [amp.bisections[a] for a in amp.semigroup.gens]
+    assert set(letters) <= set(gens) | {germs.bisection_inverse(gg.groupoid, g) for g in gens}
+    k = len(amp.bisections) * len(letters)
+    walk, zero_check = calls[:k], calls[k:]
+    assert len(set(walk)) == k and set(walk) == set(product(amp.bisections, letters))
+    m = amp.bisections[amp.semigroup.zero]
+    assert len(zero_check) <= 2 * len(letters) and all(m in pair for pair in zero_check)
+    # 4 letters of the 34 the old walk multiplied by
+    assert len(letters) == 4 and len(amp.bisections) == 34
+
+
+def test_ample_semigroup_rejects_a_generator_that_is_not_a_bisection():
+    # two arrows with one source once gave a 4-element table that is not
+    # inverse ({(1|1)} had inverses {(1|1)} and {(1|1),(1|2)})
+    G = catalog.groupoid("pair")
+    assert G.source[0] == G.source[2]
+    with pytest.raises(germs.GroupoidError) as err:
+        germs.ample_semigroup(G, generators=[frozenset({0, 2})])
+    assert err.value.witness == 0
+    # the least offending index is the witness, for arrows outside G too
+    good = frozenset({0})
+    for bad in ([frozenset({len(G.arrows)})], [frozenset({-1})], [frozenset({"0"})], [frozenset({0, 2})]):
+        with pytest.raises(germs.GroupoidError) as err:
+            germs.ample_semigroup(G, generators=[good, good] + bad + [frozenset({0, 2})])
+        assert err.value.witness == 2
+
+
+def test_canonical_bisection_action_is_the_validated_one(monkeypatch):
+    # tau is built by proof, with no validator run and no table filled; the
+    # validator, run on the same maps after the build, returns the same
+    # action or raises the same Degenerate
+    def outcome(build, amp):
+        try:
+            return build(amp)
+        except paction.ActionError as err:
+            return type(err), str(err), err.witness
+
+    degenerate = []
+    for name, G, gens in _ample_cases():
+        amp = germs.ample_semigroup(G, generators=gens)
+        with monkeypatch.context() as m:
+            m.setattr(paction, "validate_partial_action", _refuse)
+            m.setattr(invsemi, "tabulate", _refuse)
+            tau = outcome(germs.canonical_bisection_action, amp)
+        want = outcome(oracles.canonical_bisection_action_validated, amp)
+        assert tau == want, name
+        if isinstance(tau, paction.PartialAction):
+            assert tau.maps == want.maps and tau.is_global, name
+        else:
+            degenerate.append(name)
+    assert degenerate == ["rp-chain2/gen"]
+
+
+def _random_bisection(rng, G):
+    """A seeded bisection of G: a random set of arrows, each kept when its
+    source and target are still free."""
+    sources, targets, out = set(), set(), []
+    for a in rng.sample(range(len(G.arrows)), rng.randint(1, len(G.arrows))):
+        if G.source[a] not in sources and G.target[a] not in targets:
+            sources.add(G.source[a])
+            targets.add(G.target[a])
+            out.append(a)
+    return frozenset(out)
+
+
+def _seeded_basic_bisection(rng, germ):
+    """[s, U] for a seeded s and a seeded subset U of its domain."""
+    theta = germ.action
+    s = rng.randrange(len(theta.semigroup))
+    dom = theta.dom(s)
+    return germs.basic_bisection(germ, s, rng.sample(dom, rng.randint(0, len(dom))))
+
+
+def _check_seeded_ample_semigroups(monkeypatch, S, rng):
+    """The ample semigroups of 1-3 seeded basic and of 1-3 seeded random
+    bisections of S's Munn and self germ groupoids, built with `tabulate`
+    refused, against the walk over every letter; past 2000 bisections both
+    raise."""
+    for theta in (invsemi.munn_representation(S), invsemi.canonical_self_action(S)):
+        germ = germs.groupoid_of_germs(theta)
+        G = germ.groupoid
+        for draw in (lambda: _seeded_basic_bisection(rng, germ), lambda: _random_bisection(rng, G)):
+            gens = [draw() for _ in range(rng.randint(1, 3))]
+            name = f"{len(S)}/{len(G.arrows)}/{gens}"
+            try:
+                want = oracles.ample_semigroup_by_all_letters(G, max_size=2000, generators=gens)
+            except germs.ResourceLimit:
+                with pytest.raises(germs.ResourceLimit):
+                    germs.ample_semigroup(G, max_size=2000, generators=gens)
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(invsemi, "tabulate", _refuse)
+                amp = germs.ample_semigroup(G, max_size=2000, generators=gens)
+            _assert_same_ample_semigroup(amp, want, name)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ample_semigroups_of_seeded_subsemigroups_of_i4(monkeypatch, seed):
+    rng = random.Random(seed)
+    _check_seeded_ample_semigroups(monkeypatch, oracles.seeded_subsemigroup(rng), rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ample_semigroups_over_s_z5(monkeypatch, seed):
+    z5 = invsemi.validate_inverse_semigroup([str(i) for i in range(5)],
+                                            [[(i + j) % 5 for j in range(5)] for i in range(5)])
+    _check_seeded_ample_semigroups(monkeypatch, invsemi.exel_semigroup(z5).semigroup, random.Random(seed))
 
 
 def test_canonical_bisection_action_recovers_groupoid():
