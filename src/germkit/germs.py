@@ -305,14 +305,20 @@ def is_bisection(G, arrow_set):
     return len(set(srcs)) == len(srcs) and len(set(tgts)) == len(tgts)
 
 
-def bisection_product(G, A, B):
-    """AB = {ab : a in A, b in B, s(a) = t(b)}.  B is grouped by target, so
-    each a meets only the b it composes with: O(|A| + |B|) on bisections,
-    and exact on any arrow sets."""
+def right_multiplication(G, B):
+    """A -> AB = {ab : a in A, b in B, s(a) = t(b)}.  B is grouped by target
+    once, here, so each a meets only the b it composes with: a product costs
+    O(|A|) on bisections, and is exact on any arrow sets."""
     by_target = {}
     for b in B:
         by_target.setdefault(G.target[b], []).append(b)
-    return frozenset(G.compose[a][b] for a in A for b in by_target.get(G.source[a], ()))
+    compose, source = G.compose, G.source
+    return lambda A: frozenset(compose[a][b] for a in A for b in by_target.get(source[a], ()))
+
+
+def bisection_product(G, A, B):
+    """AB, in O(|A| + |B|) on bisections (`right_multiplication`)."""
+    return right_multiplication(G, B)(A)
 
 
 def bisection_inverse(G, A):
@@ -369,7 +375,8 @@ def ample_semigroup(G, max_size=20000, generators=None):
     letters A only when the walk has not reached it yet.  Each bisection U
     reached so far gives U c for a new letter c, and each newly reached U
     gives U a for every letter a, so each reached bisection is multiplied
-    by each letter once: |bis| |A| calls to `bisection_product`.
+    by each letter once: |bis| |A| products, each O(|U|), as each letter is
+    grouped by target once, when it joins A (`right_multiplication`).
     The reached set is the closure of A under right products, so it is the
     semigroup A generates; every candidate is in it, so A generates the
     semigroup of the generators and their inverses, which is closed under
@@ -412,19 +419,20 @@ def ample_semigroup(G, max_size=20000, generators=None):
             if not (all(a in arrows for a in g) and is_bisection(G, g)):
                 raise GroupoidError(f"generator {k} is not a bisection of the groupoid", k)
     candidates = sorted(dict.fromkeys(gens + [bisection_inverse(G, g) for g in gens]), key=lambda U: -len(U))
-    letters, reached = [], {}  # reached is an ordered set
+    letters, times, reached = [], [], {}  # times[i] is U -> U letters[i]; reached is an ordered set
     for c in candidates:
         if c in reached:
             continue
         letters.append(c)
-        walk = [c] + [bisection_product(G, U, c) for U in reached]
+        times.append(times_c := right_multiplication(G, c))
+        walk = [c] + [times_c(U) for U in reached]
         for U in walk:  # walk grows while it is scanned
             if U in reached:
                 continue
             if len(reached) >= max_size:
                 raise ResourceLimit(f"generated more than {max_size} bisections")
             reached[U] = None
-            walk.extend(bisection_product(G, U, a) for a in letters)
+            walk.extend(times_a(U) for times_a in times)
     bis = sorted(reached, key=lambda b: (len(b), sorted(b)))
     index = {b: i for i, b in enumerate(bis)}
     source = G.source
@@ -441,7 +449,8 @@ def ample_semigroup(G, max_size=20000, generators=None):
     zero = None
     if idem:
         m = frozenset.intersection(*(bis[e] for e in idem))
-        if all(bisection_product(G, m, a) == m == bisection_product(G, a, m) for a in letters):
+        times_m = right_multiplication(G, m)
+        if all(times_a(m) == m == times_m(a) for a, times_a in zip(letters, times)):
             zero = index[m]
     S = invsemi.InverseSemigroup(
         tuple("{" + ",".join(G.arrows[a] for a in sorted(b)) + "}" for b in bis),

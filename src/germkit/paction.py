@@ -310,8 +310,10 @@ def dual_action(theta, ring):
     Each carrier point gets one indicator dict and each distinct domain one
     tuple of them, shared by every ideal and image that holds them; no
     reader mutates them (`recover_action_from_dual` and
-    `algebra._indicator_maps` only read).  On a global action, such as the
-    Munn and self actions, X_s = X_{ss*}: at most |E(S)| distinct domains."""
+    `algebra._indicator_maps` only read), and recovery reads each shared
+    tuple and dict once.  On a global action, such as the Munn and self
+    actions, X_s = X_{ss*}: at most |E(S)| distinct domains, and over Q
+    every entry is the int 1."""
     S = theta.semigroup
     points = [indicator(ring, [x]) for x in range(len(theta.carrier))]
     ideals = {d: tuple(points[x] for x in sorted(d)) for d in set(theta.domains)}
@@ -332,10 +334,15 @@ def recover_action_from_dual(alg):
     Lists are keyed by content, the entries of each generator, and equal
     lists span the same module and give the same coefficients, so one span
     solver and one solve of each point indicator serve every s with that
-    list.  The key is exact: ring values (ints and Fractions) that compare
-    equal normalise alike, and lists that differ only in spelling are
-    merely solved twice.  A failing list raises at its first s, in index
-    order, so every NotAnIdeal and NoLocalUnits witness is the least one.
+    list.  The key is exact: ring values that compare equal hash alike and
+    normalise alike (over Q the int 1 and Fraction(1) are one key and both
+    read as 1), and lists that differ only in spelling are merely solved
+    twice.  The key is computed once per generator tuple object, and each
+    image dict is normalised and read as a point once, so a dual that
+    shares them, as dual_action's does, costs per distinct object; equal
+    lists held in distinct objects still meet at the content key.  A
+    failing list raises at its first s, in index order, so every
+    NotAnIdeal and NoLocalUnits witness is the least one.
 
     The ideal check solves v * 1_x only when 1_x is not in D_s, since a
     multiple of a member is a member, and the local-unit check solves 1_U
@@ -362,7 +369,9 @@ def recover_action_from_dual(alg):
         raise rings.DecomposableRing(f"{ring!r} has nontrivial idempotents")
     S = alg.semigroup
     one = ring.one
-    solved = {}
+    solved = {}  # content key -> read_ideal of the first list with it
+    by_object = {}  # id of a generator tuple -> its entry of solved
+    pointed = {}  # id of an image dict -> the x it is 1_x of, or None
     supports = []
     point_coeffs = []
     unread = []  # s -> the k with g_k not read as some 1_y
@@ -370,23 +379,32 @@ def recover_action_from_dual(alg):
     def nonzero(f):
         return {x: v for x, b in f.items() if (v := ring.normalize(b))}
 
+    def point(img):
+        """The x with img = 1_x, img's values normalised, or None."""
+        pts = [x for x, v in img.items() if v]
+        return pts[0] if len(pts) == 1 and img[pts[0]] == one else None
+
+    def read_ideal(s, gens):
+        """(U(D_s), the coefficients of each 1_x in D_s, the unread k)."""
+        solve = rings.span_solver(ring, gens)
+        supp = ideal_support(ring, gens)
+        coeffs = {x: solve({x: one}) for x in supp}
+        for g in gens:
+            for x, v in g.items():
+                if coeffs.get(x) is None and solve({x: v}) is None:
+                    raise NotAnIdeal(f"D_{S.name(s)} is not closed under multiplication by functions", s)
+        if None in coeffs.values() and solve(indicator(ring, supp)) is None:
+            raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
+        read = {j for c in coeffs.values() if c and len(c) == 1 for j in c}
+        return supp, coeffs, [k for k in range(len(gens)) if k not in read]
+
     for s, gens in enumerate(alg.ideal_gens):
-        key = tuple(frozenset(g.items()) for g in gens)
-        if key not in solved:
-            solve = rings.span_solver(ring, gens)
-            supp = ideal_support(ring, gens)
-            coeffs = {x: solve({x: one}) for x in supp}
-            for g in gens:
-                for x, v in g.items():
-                    if coeffs.get(x) is None and solve({x: v}) is None:
-                        raise NotAnIdeal(
-                            f"D_{S.name(s)} is not closed under multiplication by functions", s
-                        )
-            if None in coeffs.values() and solve(indicator(ring, supp)) is None:
-                raise NoLocalUnits(f"D_{S.name(s)} has no local units", s)
-            read = {j for c in coeffs.values() if c and len(c) == 1 for j in c}
-            solved[key] = supp, coeffs, [k for k in range(len(gens)) if k not in read]
-        supp, coeffs, rest = solved[key]
+        if id(gens) not in by_object:
+            key = tuple(frozenset(g.items()) for g in gens)
+            if key not in solved:
+                solved[key] = read_ideal(s, gens)
+            by_object[id(gens)] = solved[key]
+        supp, coeffs, rest = by_object[id(gens)]
         supports.append(supp)
         point_coeffs.append(coeffs)
         unread.append(rest)
@@ -404,19 +422,22 @@ def recover_action_from_dual(alg):
             if coeffs is None:
                 raise RecoveryFailed(f"1_{{{alg.carrier[y]}}} not in D_{S.name(s_star)}", (s, y))
             if len(coeffs) == 1 and coeffs[j := next(iter(coeffs))] == one:
-                img = {x: ring.normalize(b) for x, b in images[j].items()}
+                image = images[j]
+                if id(image) not in pointed:
+                    pointed[id(image)] = point({x: ring.normalize(b) for x, b in image.items()})
+                x = pointed[id(image)]
             else:
                 img = {}
                 for j, c in coeffs.items():
                     for x, b in images[j].items():
                         img[x] = ring.add(img.get(x, ring.zero), ring.mul(c, b))
-            pts = [x for x, v in img.items() if v]
-            if len(pts) != 1 or img[pts[0]] != one:
+                x = point(img)
+            if x is None:
                 raise RecoveryFailed(
                     f"alpha_{S.name(s)} does not map a point indicator to a point indicator",
                     (s, y),
                 )
-            theta[y] = pts[0]
+            theta[y] = x
         for k in unread[s_star]:
             if nonzero(images[k]) != {theta[y]: v for y, v in nonzero(gens[k]).items()}:
                 raise RecoveryFailed(

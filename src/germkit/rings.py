@@ -1,8 +1,10 @@
 """Exact coefficient rings (Q, Z, Z/n) and the linear algebra used on top of them.
 
-Ring values are plain Python objects: Fraction for Q, int for Z and Z/n
-(normalized to 0..n-1).  All arithmetic is exact; there are no tolerances
-anywhere in this package.
+Ring values are plain Python objects: int for Z and Z/n (normalized to
+0..n-1), and for Q an int when the value is integral and a Fraction only when
+its denominator is not 1.  An int and a Fraction of equal value compare and
+hash alike, so the two spellings of an integral rational are one dict key.
+All arithmetic is exact; there are no tolerances anywhere in this package.
 
 Vectors are sparse {column: nonzero entry} dicts.  Span membership has one
 elimination: `span_solver` reduces them as rows by division with remainder,
@@ -41,9 +43,15 @@ def is_prime(n):
 
 class Ring:
     """One of Q, Z, or Z/n for n >= 2.  Z/n with composite n is constructible
-    so that operations which require indecomposability can reject it."""
+    so that operations which require indecomposability can reject it.
 
-    __slots__ = ("kind", "modulus", "zero", "one")
+    Over Q a value is an int when integral, otherwise a Fraction; zero and
+    one are 0 and 1 in every ring.  This class is the only code that tells
+    the two apart: every value that enters arithmetic passes `normalize`."""
+
+    __slots__ = ("kind", "modulus")
+    zero = 0
+    one = 1
 
     def __init__(self, kind, modulus=None):
         if kind not in ("Q", "Z", "Zmod"):
@@ -54,8 +62,6 @@ class Ring:
             modulus = None
         self.kind = kind
         self.modulus = modulus
-        self.zero = Fraction(0) if kind == "Q" else 0
-        self.one = Fraction(1) if kind == "Q" else 1
 
     def __eq__(self, other):
         return (
@@ -95,7 +101,11 @@ class Ring:
 
     def normalize(self, v):
         if self.kind == "Q":
-            return v if isinstance(v, Fraction) else Fraction(v)
+            if type(v) is int:
+                return v
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            return v.numerator if v.denominator == 1 else v
         if self.kind == "Z":
             if isinstance(v, Fraction):
                 if v.denominator != 1:
@@ -121,7 +131,7 @@ class Ring:
         if a == self.zero:
             raise RingError("division by zero")
         if self.kind == "Q":
-            return Fraction(1) / a
+            return a if a == 1 or a == -1 else self.normalize(Fraction(1) / a)
         if self.kind == "Zmod":
             if _gcd(a, self.modulus) != 1:
                 raise RingError(f"{a} is not a unit mod {self.modulus}")
@@ -133,7 +143,7 @@ class Ring:
     def parse(self, text):
         """Parse a ring element from its JSON string/int form."""
         if self.kind == "Q":
-            return Fraction(str(text))
+            return self.normalize(Fraction(str(text)))
         return self.normalize(int(text))
 
     def fmt(self, v):

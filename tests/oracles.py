@@ -8,12 +8,13 @@ tests build their cases from.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from types import SimpleNamespace
 
 from germkit import ResourceLimit, algebra, germs, graph, invsemi, paction
 from germkit.invsemi import natural_leq
-from germkit.rings import DecomposableRing, NotAField, RingError
+from germkit.rings import DecomposableRing, NotAField, Ring, RingError
 
 
 # --- partial-action laws: every pair (s, t) -----------------------------------
@@ -792,6 +793,37 @@ def partial_generating_set(compose, source, target):
                     reached[p] = True
                     fresh.append(p)
     return gens
+
+# --- Q with every value a Fraction -----------------------------------------------
+
+class FractionQ(Ring):
+    """rings.RING_Q as it was before integral values became ints: every
+    value, 0 and 1 included, is a Fraction.  It equals RING_Q as a Ring, so
+    anything that takes a ring runs on it unchanged."""
+
+    __slots__ = ()
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def __init__(self):
+        super().__init__("Q")
+
+    def normalize(self, v):
+        return v if isinstance(v, Fraction) else Fraction(v)
+
+    def inv(self, a):
+        a = self.normalize(a)
+        if a == self.zero:
+            raise RingError("division by zero")
+        return Fraction(1) / a
+
+    def parse(self, text):
+        return Fraction(str(text))
+
+    def fmt(self, v):
+        f = Fraction(v)
+        return str(f.numerator) if f.denominator == 1 else str(f)
+
 
 # --- dense row reduction over a field ------------------------------------------
 

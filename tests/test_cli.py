@@ -294,6 +294,39 @@ def test_graph_semigroup_and_action_output_unchanged(capsys, tmp_path):
     assert digest.hexdigest() == "9e474666e9ae43b38770f7ef878d7633610826ca062a4c2b58137bee49a03b5b"
 
 
+def test_rational_values_output_unchanged(capsys, tmp_path):
+    # one sha256 over the exit code and stdout of `graph leavitt` on
+    # loop-exit with rational, integral and vanishing coefficients over Q, Z
+    # and Z/5, and of `verify steinberg-crossed --ring Q` on the Munn actions
+    # of seeded subsemigroups of I_4, recorded while every Q value was a
+    # Fraction
+    import oracles
+    from germkit import invsemi
+
+    exprs = ["(* 1/2 v)", "(+ (* 2/3 e) (* 1/3 e))", "(* 2 1/2 v)", "(* -3/4 e e*)",
+             "(* 0 v)", "(+ (* 1/2 v) (* -1/2 v))", "(* 6/4 e* e)"]
+    argvs = []
+    for k, text in enumerate(exprs):
+        f = tmp_path / f"q{k}.json"
+        f.write_text(json.dumps({"schema": "leavitt-expr", "version": 1,
+                                 "graph": "catalog:loop-exit", "expr": text}))
+        for ring in ("Q", "Z", "Zp:5"):
+            argvs += [("graph", "leavitt", str(f), "--ring", ring),
+                      ("graph", "leavitt", str(f), "--ring", ring, "--depth", "2"),
+                      ("graph", "leavitt", str(f), "--ring", ring, "--equals", "(* 1/2 v)")]
+    for seed in (0, 4, 5, 9, 12, 19):
+        theta = invsemi.munn_representation(oracles.seeded_subsemigroup(random.Random(seed)))
+        f = tmp_path / f"munn{seed}.json"
+        f.write_text(json.dumps(_action_json(theta, range(len(theta.semigroup)),
+                                             range(len(theta.carrier)), "")))
+        argvs.append(("verify", "steinberg-crossed", str(f), "--ring", "Q"))
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "5d2d8a38853916124f348f3555b4d6a1ba7ec630f8becdfbef11286b55dc34aa"
+
+
 def test_verify_steinberg_crossed_has_no_seed(capsys):
     code, _, _ = run(capsys, "verify", "steinberg-crossed", "catalog:munn-chain2", "--seed", "1")
     assert code == 2

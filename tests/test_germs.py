@@ -311,13 +311,17 @@ def test_ample_semigroup_builds_no_table(monkeypatch):
     theta = gg.action
     gens = [germs.basic_bisection(gg, s, theta.dom(s)) for s in range(len(theta.semigroup))]
     calls = []
-    multiply = germs.bisection_product
+    multiplication = germs.right_multiplication
 
-    def counted(G, A, B):
-        calls.append((A, B))
-        return multiply(G, A, B)
+    def counted(G, B):
+        times_b = multiplication(G, B)
 
-    monkeypatch.setattr(germs, "bisection_product", counted)
+        def product(A):
+            calls.append((A, B))
+            return times_b(A)
+        return product
+
+    monkeypatch.setattr(germs, "right_multiplication", counted)
     for name in ("validate_inverse_semigroup", "tabulate", "table_closure"):
         monkeypatch.setattr(invsemi, name, _refuse)
     amp = germs.ample_semigroup(gg.groupoid, generators=gens)

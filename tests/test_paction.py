@@ -596,6 +596,65 @@ def test_recover_self_action_of_i4(ringspec):
     assert paction.recover_action_from_dual(paction.dual_action(theta, rings.parse_ring_spec(ringspec))) == theta
 
 
+def _unshared(alg):
+    """alg with every generator tuple and every vector its own object."""
+    return paction.AlgebraicPartialAction(
+        alg.semigroup, alg.ring, alg.carrier,
+        tuple(tuple(dict(g) for g in gens) for gens in alg.ideal_gens),
+        tuple(tuple(dict(f) for f in images) for images in alg.alpha_images))
+
+
+def test_recovery_of_shared_and_unshared_duals_agrees():
+    # recovery reads a shared generator tuple or image once; a dual whose
+    # equal lists and vectors are distinct objects is read by content and
+    # gives the same action, or the same exception, message and witness,
+    # for the duals and every corruption of them
+    reached = set()
+    for label, alg in _recovery_cases():
+        copy = _unshared(alg)
+        vectors = [v for vecs in copy.ideal_gens + copy.alpha_images for v in vecs]
+        assert len({id(v) for v in vectors}) == len(vectors), label
+        assert len({id(gens) for gens in copy.ideal_gens}) == len(copy.ideal_gens), label
+        got = _recovery_outcome(paction.recover_action_from_dual, alg)
+        assert got == _recovery_outcome(paction.recover_action_from_dual, copy), label
+        reached.add(got[0])
+    assert {"ok", paction.NotAnIdeal, paction.NoLocalUnits, paction.RecoveryFailed} <= reached
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_recovery_over_q_returns_the_munn_action_of_generated_subsemigroups(seed):
+    theta = invsemi.munn_representation(oracles.seeded_subsemigroup(random.Random(seed)))
+    for ring in (rings.RING_Q, oracles.FractionQ()):
+        alg = paction.dual_action(theta, ring)
+        assert paction.recover_action_from_dual(alg) == theta
+        assert paction.recover_action_from_dual(_unshared(alg)) == theta
+
+
+def test_recovery_over_q_solves_in_ints(monkeypatch):
+    # on the dual of the Munn action of I_4, every entry of the dual and
+    # every coefficient the span solvers return over Q is an int
+    S4, _ = invsemi.symmetric_inverse_semigroup(4)
+    theta = invsemi.munn_representation(S4)
+    alg = paction.dual_action(theta, rings.RING_Q)
+    entries = [v for vecs in alg.ideal_gens + alg.alpha_images for f in vecs for v in f.values()]
+    assert {type(v) for v in entries} == {int}
+    coefficients = []
+    span_solver = rings.span_solver
+
+    def recording(ring, gens):
+        solve = span_solver(ring, gens)
+
+        def solve_and_record(target):
+            coeffs = solve(target)
+            coefficients.extend(coeffs.values() if coeffs else ())
+            return coeffs
+        return solve_and_record
+
+    monkeypatch.setattr(rings, "span_solver", recording)
+    assert paction.recover_action_from_dual(alg) == theta
+    assert coefficients and {type(c) for c in coefficients} == {int}
+
+
 # --- induced actions --------------------------------------------------------------
 
 def test_induced_group_action_requires_e_unitary():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germkit import rings
 
@@ -58,7 +60,7 @@ def test_zero_one_and_normalize_allocate_nothing():
     q = Fraction(2, 3)
     assert rings.RING_Q.normalize(q) is q
     assert rings.RING_Q.normalize(2) == Fraction(2)
-    assert type(rings.RING_Q.zero) is Fraction
+    assert type(rings.RING_Q.zero) is int
 
 
 def test_parse_ring_spec():
@@ -236,3 +238,102 @@ def test_span_solver_matches_dense_coefficient_oracle(spec, seed):
         else:
             _assert_sparse(coeffs, len(gens))
             assert [coeffs.get(j, R.zero) for j in range(len(gens))] == expected
+
+
+# --- Q: an int when integral, a Fraction otherwise ------------------------------
+
+OLD_Q = oracles.FractionQ()
+_BIG = 10 ** 30
+_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(),
+                  st.integers(min_value=-(2 ** 200), max_value=2 ** 200))
+_rationals = st.one_of(
+    _ints, _ints.map(Fraction), st.fractions(),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+def _same_value(got, want):
+    """got equals the oracle's want and is an int exactly when integral."""
+    assert got == want
+    assert type(got) is (int if Fraction(want).denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rationals)
+def test_q_normalize_neg_and_fmt_match_fraction_oracle(v):
+    Q = rings.RING_Q
+    _same_value(Q.normalize(v), OLD_Q.normalize(v))
+    _same_value(Q.neg(v), OLD_Q.neg(v))
+    assert Q.fmt(v) == OLD_Q.fmt(v)
+    assert Q.fmt(Q.normalize(v)) == OLD_Q.fmt(OLD_Q.normalize(v))
+    if isinstance(v, Fraction) and v.denominator != 1:
+        assert Q.normalize(v) is v
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rationals, _rationals)
+def test_q_add_sub_mul_match_fraction_oracle(a, b):
+    Q = rings.RING_Q
+    for op in ("add", "sub", "mul"):
+        _same_value(getattr(Q, op)(a, b), getattr(OLD_Q, op)(a, b))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rationals)
+def test_q_inv_matches_fraction_oracle(a):
+    if a == 0:
+        for Q in (rings.RING_Q, OLD_Q):
+            with pytest.raises(rings.RingError, match="division by zero"):
+                Q.inv(a)
+        return
+    _same_value(rings.RING_Q.inv(a), OLD_Q.inv(a))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_ints, _rationals.map(str),
+                 st.sampled_from(["6/4", "-4/2", "0/5", "-0", "1.50", "-2.5", "3e2", " 7 "])))
+def test_q_parse_matches_fraction_oracle(text):
+    Q = rings.RING_Q
+    got = Q.parse(text)
+    _same_value(got, OLD_Q.parse(text))
+    assert Q.fmt(got) == OLD_Q.fmt(OLD_Q.parse(text))
+
+
+# 0, +-1 and non-units, integral and not, one integral one spelled as a Fraction
+_ENTRIES = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(6, 3)]
+
+
+def _rational_gens(rng, m, n):
+    """m sparse rows over columns 0..n-1 with entries from _ENTRIES; some
+    rows are rational combinations of earlier ones."""
+    gens = []
+    for _ in range(m):
+        if gens and rng.random() < 0.4:
+            a, b = rng.choice(gens), rng.choice(gens)
+            x, y = rng.choice(_ENTRIES), rng.choice(_ENTRIES)
+            gens.append({c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)})
+        else:
+            gens.append({c: v for c in range(n) if (v := rng.choice(_ENTRIES))})
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_span_solver_over_q_matches_fraction_oracle(seed):
+    # the same coefficients, each an int exactly when integral, and the
+    # same Nones as the elimination over the all-Fraction ring
+    rng = random.Random(300 + seed)
+    n = rng.randint(1, 7)
+    gens = _rational_gens(rng, rng.randint(0, 8), n)
+    solve = rings.span_solver(rings.RING_Q, gens)
+    oracle = rings.span_solver(OLD_Q, gens)
+    targets = [{c: v for c in range(n) if (v := rng.choice(_ENTRIES))} for _ in range(6)]
+    for _ in range(6):
+        coeffs = {j: rng.choice(_ENTRIES) for j in range(len(gens))}
+        targets.append({c: sum(coeffs[j] * g.get(c, 0) for j, g in enumerate(gens)) for c in range(n)})
+    for target in targets:
+        got, want = solve(target), oracle(target)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want
+            for j, c in got.items():
+                _same_value(c, want[j])
